@@ -1,0 +1,675 @@
+//! The one statement pipeline: `parse → resolve → bind_args → request →
+//! run → finish`.
+//!
+//! Every statement kind takes this path. An ad-hoc query resolves its
+//! skeleton onto the stack and runs it with no hint; a prepared statement
+//! takes the skeleton from its plan-cache slot and passes the previous
+//! winner as the hint (`prepared.rs`); `EXPLAIN` builds the same request
+//! and asks the optimizer to *choose* instead of run. Nothing else
+//! differs, so what `EXPLAIN` reports is what runs, and prepared row sets
+//! equal fresh ones by construction. This is also the one place where a
+//! statement's estimates meet its outcome.
+
+use std::sync::Arc;
+
+use rdb_btree::{BTree, KeyRange};
+use rdb_core::{
+    Delivery, HintDisposition, IndexChoice, RecordPred, RetrievalRequest, ShortcutKind,
+    TacticHint,
+};
+use rdb_storage::{SharedCost, Value};
+
+use crate::db::{check_expr_columns, unknown_column, Db, TableEntry};
+use crate::error::QueryError;
+use crate::expr::{CompiledPred, PredArgs};
+use crate::join::ResolvedJoin;
+use crate::options::QueryOptions;
+use crate::parser::{parse_query, QuerySpec};
+use crate::plan::effective_goal;
+
+/// Per-query buffer-pool activity: the session meter's counter delta
+/// across one run. Because each session charges its own [`SharedCost`],
+/// these stay per-query-accurate even when many sessions share the pool.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryMetrics {
+    /// Buffer-pool hits this query caused.
+    pub pool_hits: u64,
+    /// Buffer-pool misses (simulated physical reads) this query caused.
+    pub pool_misses: u64,
+    /// 1 when this execution reused a cached plan skeleton (prepared
+    /// statements only; ad-hoc queries never consult the cache).
+    pub plan_cache_hits: u64,
+    /// 1 when this execution had to (re)build its plan skeleton — the
+    /// first run of a prepared statement, or any run after a catalog
+    /// change / [`Db::clear_plan_cache`].
+    pub plan_cache_misses: u64,
+    /// Pages fetched ahead of the scan cursor by sequential read-ahead
+    /// during this run. Pool-wide counter delta: on a shared pool,
+    /// concurrent sessions' prefetches land in whichever run is active.
+    pub prefetched_pages: u64,
+    /// Prefetched frames the scan actually reached. The gap to
+    /// `prefetched_pages` is wasted read-ahead — the adaptive window
+    /// shrinks when it grows.
+    pub prefetch_consumed: u64,
+}
+
+/// Result of one query run.
+#[derive(Debug)]
+pub struct QueryResult {
+    /// Output column names.
+    pub columns: Vec<String>,
+    /// Output rows.
+    pub rows: Vec<Vec<Value>>,
+    /// Simulated cost units spent (estimation + retrieval).
+    pub cost: f64,
+    /// The tactic/strategy that ran.
+    pub strategy: String,
+    /// Dynamic-decision log (human-oriented; for typed events attach a
+    /// [`rdb_core::TraceSink`] via [`QueryOptions::with_trace`]).
+    pub events: Vec<String>,
+    /// Buffer-pool activity of this run.
+    pub metrics: QueryMetrics,
+}
+
+/// Binding-independent facts about one index of the queried table,
+/// precomputed at resolve time. Only the key *ranges* (and the
+/// self-sufficient key predicate's argument values) depend on
+/// host-variable values, so each run re-derives just those.
+#[derive(Debug, Clone)]
+struct IndexMeta {
+    /// Record positions of the key columns, in key order (for
+    /// composite-range derivation).
+    key_cols: Vec<usize>,
+    /// The restriction remapped onto this index's key-tuple positions.
+    /// Present exactly when a self-sufficient scan is legal: the index
+    /// covers the query *and* the key columns cover every predicate
+    /// column.
+    key_pred: Option<Arc<CompiledPred>>,
+    /// Key-tuple positions of the output columns, present when the index
+    /// covers the query — index-only deliveries project by position
+    /// instead of re-resolving names per row.
+    out_key_pos: Option<Vec<usize>>,
+    /// Key-tuple position of the ORDER BY column (covered indexes only).
+    order_key_pos: Option<usize>,
+    /// The leading key column matches the query's ORDER BY.
+    provides_order: bool,
+}
+
+/// The skeleton of a resolved single-table query: projection, order
+/// target, the compiled (position-resolved, argument-slotted) restriction
+/// and per-index metadata — everything derivable from the statement and
+/// the catalog alone; each execution fills in only the host-variable
+/// arguments.
+#[derive(Debug, Clone)]
+pub(crate) struct ResolvedQuery {
+    out_columns: Vec<String>,
+    /// Record positions of `out_columns` — row projection is positional,
+    /// never a per-row name lookup.
+    out_idx: Vec<usize>,
+    order_idx: Option<usize>,
+    pred: Arc<CompiledPred>,
+    index_meta: Vec<IndexMeta>,
+}
+
+/// A resolved statement skeleton: the single-table retrieval shape or the
+/// two-table join shape, depending on the statement's FROM list. Ad-hoc
+/// statements build one per run; prepared statements cache one per
+/// catalog generation.
+#[derive(Debug, Clone)]
+pub(crate) enum Resolved {
+    /// Single-table retrieval skeleton.
+    Single(ResolvedQuery),
+    /// Two-table join skeleton.
+    Join(ResolvedJoin),
+}
+
+/// Outcome bundle of [`Db::run`]: the query result plus the optimizer's
+/// refreshed tactic hint and what it did with the incoming one.
+pub(crate) struct Executed {
+    pub(crate) result: QueryResult,
+    pub(crate) hint: Option<TacticHint>,
+    pub(crate) disposition: HintDisposition,
+}
+
+/// What a statement does with its retrieved items: COUNT, post-sort,
+/// LIMIT — derived once per run, consumed by [`Db::finish`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tail {
+    limit: Option<usize>,
+    /// ORDER BY with nothing upstream serving the order.
+    post_sort: bool,
+    descending: bool,
+    count: bool,
+}
+
+impl Tail {
+    /// `order_served`: the retrieval itself delivers the requested order
+    /// (an order-providing index is on offer).
+    pub(crate) fn new(spec: &QuerySpec, opts: &QueryOptions, order_served: bool) -> Tail {
+        Tail {
+            limit: opts.limit().or(spec.limit),
+            post_sort: spec.order_by.is_some() && !order_served,
+            descending: spec.order_desc,
+            count: spec.count_star,
+        }
+    }
+
+    /// The limit the retrieval may stop at: with a post-sort or count
+    /// pending, every row must be retrieved before the limit applies.
+    pub(crate) fn retrieval_limit(&self) -> Option<usize> {
+        if self.post_sort || self.count {
+            None
+        } else {
+            self.limit
+        }
+    }
+}
+
+/// The sort key [`Db::finish`] asked a row producer for: `value` when a
+/// post-sort is pending (`keyed`), `Null` otherwise.
+pub(crate) fn sort_key(keyed: bool, value: Option<&Value>) -> Value {
+    match value {
+        Some(v) if keyed => v.clone(),
+        _ => Value::Null,
+    }
+}
+
+/// How one binding of a single-table statement is retrieved.
+enum Retrieval<'a> {
+    /// OR-connected restriction whose every top-level disjunct binds to
+    /// an index range: the arms of the paper's "unionizing" RID-list
+    /// combination.
+    Union {
+        arms: Vec<(&'a BTree, KeyRange)>,
+        residual: RecordPred,
+    },
+    /// Everything else: the dynamic optimizer's request, plus the
+    /// metadata of each *offered* index, parallel to `request.indexes`
+    /// (the optimizer's sscan position indexes the offered list).
+    Request {
+        request: RetrievalRequest<'a>,
+        offered: Vec<&'a IndexMeta>,
+    },
+}
+
+/// Resolves `spec` against the current catalog: validates every referenced
+/// column and precomputes the binding-independent plan skeleton.
+fn resolve_query(entry: &TableEntry, spec: &QuerySpec) -> Result<ResolvedQuery, QueryError> {
+    let schema = entry.heap.schema();
+    let out_columns: Vec<String> = match &spec.projection {
+        Some(cols) => {
+            for c in cols {
+                if schema.column_index(c).is_none() {
+                    return Err(unknown_column(&spec.table, c));
+                }
+            }
+            cols.clone()
+        }
+        None => schema.columns().iter().map(|c| c.name.clone()).collect(),
+    };
+    check_expr_columns(&spec.table, schema, &spec.predicate)?;
+    if let Some(ob) = &spec.order_by {
+        if schema.column_index(ob).is_none() {
+            return Err(unknown_column(&spec.table, ob));
+        }
+    }
+
+    // Columns the retrieval must cover for self-sufficiency. Binding host
+    // variables never changes the column set, so this is cacheable.
+    let mut needed: Vec<String> = out_columns.clone();
+    for c in spec.predicate.columns() {
+        if !needed.contains(&c) {
+            needed.push(c);
+        }
+    }
+    if let Some(ob) = &spec.order_by {
+        if !needed.contains(ob) {
+            needed.push(ob.clone());
+        }
+    }
+
+    // Lower the restriction once: names → record positions, host
+    // variables → argument slots. Ad-hoc queries rebuild this per run;
+    // prepared statements reuse it from the cached skeleton — that is the
+    // bulk of the per-execution work the plan cache amortizes.
+    let pred = Arc::new(CompiledPred::compile(&spec.predicate, schema));
+
+    let index_meta: Vec<IndexMeta> = entry
+        .indexes
+        .iter()
+        .map(|tree| {
+            let key_cols: Vec<usize> = tree.key_columns().to_vec();
+            let leading = &schema.column(key_cols[0]).expect("valid column").name;
+            let provides_order = spec.order_by.as_deref() == Some(leading.as_str());
+            let key_pos = |name: &str| {
+                key_cols
+                    .iter()
+                    .position(|&k| schema.column(k).expect("valid").name == name)
+            };
+            let covered = needed.iter().all(|c| key_pos(c).is_some());
+            // Self-sufficiency needs the index to cover the query and the
+            // key to cover the predicate; remapping fails on the latter.
+            let key_pred = if covered {
+                pred.remap_columns(|col| key_cols.iter().position(|&k| k == col))
+                    .map(Arc::new)
+            } else {
+                None
+            };
+            let out_key_pos = covered.then(|| {
+                out_columns
+                    .iter()
+                    .map(|c| key_pos(c).expect("covered"))
+                    .collect()
+            });
+            let order_key_pos = if covered {
+                spec.order_by.as_deref().and_then(key_pos)
+            } else {
+                None
+            };
+            IndexMeta {
+                key_cols,
+                key_pred,
+                out_key_pos,
+                order_key_pos,
+                provides_order,
+            }
+        })
+        .collect();
+
+    let out_idx: Vec<usize> = out_columns
+        .iter()
+        .map(|c| schema.column_index(c).expect("validated above"))
+        .collect();
+    Ok(ResolvedQuery {
+        out_columns,
+        out_idx,
+        order_idx: spec.order_by.as_ref().and_then(|c| schema.column_index(c)),
+        pred,
+        index_meta,
+    })
+}
+
+/// The request builder: turns a single-table skeleton plus this run's
+/// bound arguments into what the optimizer is asked — the one place
+/// index offering, order/self-sufficiency marking, goal derivation and
+/// limit suppression are decided, for runs and `EXPLAIN` alike.
+fn build_retrieval<'a>(
+    entry: &'a TableEntry,
+    spec: &QuerySpec,
+    skel: &'a ResolvedQuery,
+    args: &PredArgs,
+    opts: &QueryOptions,
+    cost: &SharedCost,
+) -> (Retrieval<'a>, Tail) {
+    let residual = skel.pred.record_pred(args);
+
+    // OR-connected restriction: when every top-level disjunct binds to an
+    // index range, run the union scan instead of the conjunctive
+    // machinery.
+    if let Some(disjuncts) = skel.pred.disjuncts() {
+        let arms: Option<Vec<_>> = (0..disjuncts)
+            .map(|d| {
+                entry.indexes.iter().find_map(|tree| {
+                    let range = skel.pred.disjunct_range(args, d, tree.key_columns()[0]);
+                    (range != KeyRange::all()).then_some((tree, range))
+                })
+            })
+            .collect();
+        // `None`: some disjunct binds to no index — not decomposable.
+        if let Some(arms) = arms {
+            return (Retrieval::Union { arms, residual }, Tail::new(spec, opts, false));
+        }
+    }
+
+    // Offer indexes from the resolved skeleton; only the key ranges and
+    // the predicates' argument values depend on this run's bindings.
+    let mut indexes: Vec<IndexChoice<'a>> = Vec::new();
+    let mut offered: Vec<&IndexMeta> = Vec::new();
+    for (tree, meta) in entry.indexes.iter().zip(&skel.index_meta) {
+        let range = skel.pred.range_for_composite(args, &meta.key_cols);
+        let self_sufficient = meta.key_pred.as_ref().map(|kp| kp.key_pred(args));
+        let constrained = range != KeyRange::all();
+        if !(constrained || meta.provides_order || self_sufficient.is_some()) {
+            continue; // useless index for this query
+        }
+        let mut choice = IndexChoice::fetch_needed(tree, range);
+        // ASC is served by forward index scans, DESC by reverse scans.
+        if meta.provides_order {
+            choice = choice.with_order();
+            if spec.order_desc {
+                choice = choice.with_descending();
+            }
+        }
+        if let Some(kp) = self_sufficient {
+            choice = choice.with_self_sufficient(kp);
+        }
+        indexes.push(choice);
+        offered.push(meta);
+    }
+
+    let order_possible = indexes.iter().any(|c| c.provides_order);
+    let tail = Tail::new(spec, opts, order_possible);
+    let request = RetrievalRequest {
+        table: &entry.heap,
+        indexes,
+        residual,
+        // Section 4 goal derivation: an aggregate (COUNT) controls the
+        // retrieval and sets total-time; an explicit request (SQL or
+        // options override) wins next; a LIMIT sets fast-first; otherwise
+        // total-time.
+        goal: effective_goal(spec.count_star, opts.goal().or(spec.goal), tail.limit),
+        order_required: order_possible,
+        limit: tail.retrieval_limit(),
+        cost: cost.clone(),
+    };
+    (Retrieval::Request { request, offered }, tail)
+}
+
+impl Db {
+    /// Runs a pre-parsed statement on `cost`: ad-hoc execution is a
+    /// prepare whose skeleton is not cached.
+    pub(crate) fn query_spec_on(
+        &self,
+        spec: &QuerySpec,
+        opts: &QueryOptions,
+        cost: &SharedCost,
+    ) -> Result<QueryResult, QueryError> {
+        let resolved = self.resolve(spec)?;
+        Ok(self.run(spec, &resolved, None, opts, cost)?.result)
+    }
+
+    /// The right-hand table of a two-table statement.
+    fn right_table(&self, spec: &QuerySpec) -> Result<&TableEntry, QueryError> {
+        let name = spec.join_table.as_deref().ok_or_else(|| {
+            QueryError::Unsupported("join skeleton for a single-table statement".into())
+        })?;
+        self.table(name)
+    }
+
+    /// Resolves `spec` against the current catalog into whichever skeleton
+    /// shape its FROM list calls for.
+    pub(crate) fn resolve(&self, spec: &QuerySpec) -> Result<Resolved, QueryError> {
+        let left = self.table(&spec.table)?;
+        Ok(match spec.join_table.as_deref() {
+            None => Resolved::Single(resolve_query(left, spec)?),
+            Some(right_name) => Resolved::Join(crate::join::resolve_join(
+                &spec.table,
+                left,
+                right_name,
+                self.table(right_name)?,
+                spec,
+            )?),
+        })
+    }
+
+    /// **The** runner: executes a resolved statement for this run's
+    /// bindings, with the previous winner (if any) as `hint`, and wraps
+    /// the meter delta into the result's [`QueryMetrics`].
+    pub(crate) fn run(
+        &self,
+        spec: &QuerySpec,
+        resolved: &Resolved,
+        hint: Option<&TacticHint>,
+        opts: &QueryOptions,
+        cost: &SharedCost,
+    ) -> Result<Executed, QueryError> {
+        let before = cost.snapshot();
+        let pf_before = self.pool.prefetch_stats();
+        let left = self.table(&spec.table)?;
+        let mut executed = match resolved {
+            Resolved::Single(skel) => self.run_single(left, spec, skel, hint, opts, cost)?,
+            // A join re-races every candidate per binding: it takes no
+            // hint and leaves none.
+            Resolved::Join(skel) => {
+                let right = self.right_table(spec)?;
+                Executed {
+                    result: crate::join::execute_join(self, left, right, spec, skel, opts, cost)?,
+                    hint: None,
+                    disposition: HintDisposition::NotProvided,
+                }
+            }
+        };
+        let delta = cost.snapshot().since(&before);
+        let pf = self.pool.prefetch_stats().since(&pf_before);
+        executed.result.metrics = QueryMetrics {
+            pool_hits: delta.cache_hits,
+            pool_misses: delta.page_reads,
+            prefetched_pages: pf.prefetched_pages,
+            prefetch_consumed: pf.consumed_pages,
+            ..QueryMetrics::default()
+        };
+        Ok(executed)
+    }
+
+    fn run_single(
+        &self,
+        entry: &TableEntry,
+        spec: &QuerySpec,
+        skel: &ResolvedQuery,
+        hint: Option<&TacticHint>,
+        opts: &QueryOptions,
+        cost: &SharedCost,
+    ) -> Result<Executed, QueryError> {
+        // One argument lookup per distinct host variable.
+        let args = skel.pred.bind_args(opts.params())?;
+        let tracer = opts.tracer();
+        let (retrieval, tail) = build_retrieval(entry, spec, skel, &args, opts, cost);
+        let (found, offered, hint, disposition) = match retrieval {
+            Retrieval::Union { arms, residual } => {
+                let limit = tail.retrieval_limit();
+                let found = self
+                    .optimizer
+                    .run_union_traced(&entry.heap, arms, &residual, limit, &tracer)?;
+                // Hints never survive into the union machinery.
+                let disposition = match hint {
+                    Some(_) => HintDisposition::Dropped(
+                        "OR-connected restriction runs the union machinery".into(),
+                    ),
+                    None => HintDisposition::NotProvided,
+                };
+                (found, Vec::new(), None, disposition)
+            }
+            Retrieval::Request { request, offered } => {
+                let hinted = self.optimizer.run_hinted(&request, None, &tracer, hint)?;
+                (hinted.result, offered, Some(hinted.hint), hinted.disposition)
+            }
+        };
+        let sscan_index = found.sscan_index;
+        let outcome = (found.cost, found.strategy, found.events);
+        let row = |d: &Delivery, keyed: bool| {
+            if d.from_index {
+                let pos = sscan_index.expect("index-only delivery without sscan index");
+                let meta = offered[pos];
+                let key = d.record.as_ref().expect("sscan key tuple");
+                let out = meta
+                    .out_key_pos
+                    .as_ref()
+                    .expect("self-sufficiency guarantees coverage");
+                Ok((
+                    sort_key(keyed, meta.order_key_pos.map(|k| &key[k])),
+                    out.iter().map(|&k| key[k].clone()).collect(),
+                ))
+            } else {
+                let fetched;
+                let record = match &d.record {
+                    Some(r) => r,
+                    None => {
+                        fetched = entry.heap.fetch(d.rid, cost)?;
+                        &fetched
+                    }
+                };
+                Ok((
+                    sort_key(keyed, skel.order_idx.map(|i| &record[i])),
+                    skel.out_idx.iter().map(|&i| record[i].clone()).collect(),
+                ))
+            }
+        };
+        Ok(Executed {
+            result: self.finish(tail, &skel.out_columns, &found.deliveries, outcome, cost, row)?,
+            hint,
+            disposition,
+        })
+    }
+
+    /// **The** finish stage, shared by single-table, union and join
+    /// results: turns the retrieved `items` (deliveries or join pairs) and
+    /// the run's `(cost units, strategy, events)` into the
+    /// [`QueryResult`]. COUNT(*) → one row; otherwise `row` projects each
+    /// item, the rows are post-sorted when nothing upstream served the
+    /// ORDER BY, and LIMIT truncates what a post-sort kept the retrieval
+    /// from stopping at. `row(item, keyed)` returns the item's `(sort
+    /// key, output row)`; the key is only gathered (`keyed`) when a
+    /// post-sort is pending and is `Null` otherwise.
+    pub(crate) fn finish<T>(
+        &self,
+        tail: Tail,
+        columns: &[String],
+        items: &[T],
+        (units, strategy, events): (f64, String, Vec<String>),
+        cost: &SharedCost,
+        mut row: impl FnMut(&T, bool) -> Result<(Value, Vec<Value>), QueryError>,
+    ) -> Result<QueryResult, QueryError> {
+        let (columns, rows) = if tail.count {
+            let count = vec![Value::Int(items.len() as i64)];
+            (vec!["COUNT".to_string()], vec![count])
+        } else if tail.post_sort {
+            let mut keyed = Vec::with_capacity(items.len());
+            for item in items {
+                keyed.push(row(item, true)?);
+            }
+            let (mut rows, _) = crate::sort::sort_rows_dir(
+                keyed,
+                &self.pool,
+                &self.config.sort,
+                tail.descending,
+                cost,
+            );
+            if let Some(limit) = tail.limit {
+                rows.truncate(limit);
+            }
+            (columns.to_vec(), rows)
+        } else {
+            let mut rows = Vec::with_capacity(items.len());
+            for item in items {
+                rows.push(row(item, false)?.1);
+            }
+            (columns.to_vec(), rows)
+        };
+        Ok(QueryResult {
+            columns,
+            rows,
+            cost: units,
+            strategy,
+            events,
+            metrics: QueryMetrics::default(),
+        })
+    }
+
+    /// `EXPLAIN` on `cost`: the same resolve → bind → request path as a
+    /// run, ending in the optimizer's *choice* instead of its execution.
+    pub(crate) fn explain_on(
+        &self,
+        sql: &str,
+        opts: &QueryOptions,
+        cost: &SharedCost,
+    ) -> Result<String, QueryError> {
+        let spec = parse_query(sql)?;
+        let left = self.table(&spec.table)?;
+        let skel = match self.resolve(&spec)? {
+            Resolved::Single(skel) => skel,
+            Resolved::Join(skel) => {
+                let right = self.right_table(&spec)?;
+                return crate::join::explain_join(left, right, &skel, opts, cost);
+            }
+        };
+        let args = skel.pred.bind_args(opts.params())?;
+        let request = match build_retrieval(left, &spec, &skel, &args, opts, cost).0 {
+            Retrieval::Union { .. } => {
+                return Ok("UnionScan (OR-connected restriction)".to_string())
+            }
+            Retrieval::Request { request, .. } => request,
+        };
+        let (choice, plan) = self.optimizer.choose(&request);
+        let detail = match &plan.shortcut {
+            Some(ShortcutKind::EmptyResult { index }) => {
+                format!(" (index {index} proves the result empty)")
+            }
+            Some(ShortcutKind::TinyRange { count, .. }) => {
+                format!(" (tiny range of ~{count} RIDs)")
+            }
+            None if !plan.jscan_order.is_empty() => format!(
+                " (scan order by ascending estimate: {})",
+                plan.jscan_order
+                    .iter()
+                    .zip(&plan.jscan_estimates)
+                    .map(|(pos, est)| format!("{}~{est:.0}", request.indexes[*pos].tree.name()))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+            None => String::new(),
+        };
+        Ok(format!("{choice:?}{detail}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::db::tests::db_with_families;
+    use crate::options::QueryOptions;
+    use rdb_core::{TraceBuffer, TraceEvent};
+
+    /// `EXPLAIN` names exactly the tactic an unhinted run of the same
+    /// statement and binding announces in `TacticChosen` — they share the
+    /// request builder, so this holds for every shape, including the
+    /// order-serving, self-sufficient and OR-connected ones.
+    #[test]
+    fn explain_names_the_tactic_the_run_chooses() {
+        let mut db = db_with_families(3000);
+        let agree = |db: &crate::Db, sql: &str, opts: QueryOptions, expect: &str| {
+            let buf = TraceBuffer::shared(4096);
+            db.query(sql, &opts.clone().with_trace(buf.clone())).unwrap();
+            let ran = buf
+                .events()
+                .into_iter()
+                .find_map(|e| match e {
+                    TraceEvent::TacticChosen { tactic, .. } => Some(tactic),
+                    _ => None,
+                })
+                .expect("tactic-chosen event");
+            let explained = db.explain(sql, &opts).unwrap();
+            let named = explained.split(' ').next().unwrap();
+            assert_eq!(named, ran, "{sql}: explain said {explained:?}");
+            assert_eq!(ran, expect, "{sql}");
+        };
+        let plain = QueryOptions::new;
+        let a1 = |v: i64| QueryOptions::new().with_param("A1", v);
+        let by_age = "select * from FAMILIES where AGE >= :A1";
+        agree(&db, by_age, a1(50), "BackgroundOnly");
+        agree(&db, by_age, a1(500), "EndOfData");
+        agree(&db, "select * from FAMILIES where SIZE = 4 limit to 3 rows", plain(), "FastFirst");
+        agree(&db, "select AGE from FAMILIES where AGE >= 50", plain(), "SscanStatic");
+        agree(
+            &db,
+            "select * from FAMILIES where AGE >= 50 order by AGE limit to 10 rows",
+            plain(),
+            "Sorted",
+        );
+        agree(&db, "select * from FAMILIES order by AGE", plain(), "Sorted");
+        agree(&db, "select * from FAMILIES", plain(), "TscanOnly");
+        agree(
+            &db,
+            "select count(*) from FAMILIES where SIZE = 4 limit to 1 rows",
+            plain(),
+            "BackgroundOnly",
+        );
+        // OR: every disjunct binds to an index → the union scan ...
+        agree(&db, "select * from FAMILIES where AGE = 1 or SIZE = 2", plain(), "UnionScan");
+        // ... but ID has no index, so this one runs (and explains as) the
+        // conjunctive machinery.
+        agree(&db, "select * from FAMILIES where AGE = 1 or ID = 2", plain(), "TscanOnly");
+        // A second self-sufficient candidate turns the static Sscan into
+        // the index-only competition.
+        db.create_index("IDX_AGE_ID", "FAMILIES", &["AGE", "ID"]).unwrap();
+        agree(&db, "select AGE from FAMILIES where AGE >= 50", plain(), "IndexOnly");
+    }
+}

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rdb_core::{json_string, render_timeline, trace_json, TraceBuffer, TraceEvent, TraceSink};
 
-use crate::db::QueryResult;
+use crate::exec::QueryResult;
 use crate::options::QueryOptions;
 
 /// The product of [`crate::db::Db::explain_analyze`]: the query's real

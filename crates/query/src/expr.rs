@@ -1,10 +1,15 @@
 //! Boolean restriction trees with host variables.
 //!
-//! An [`Expr`] is built at "compile time" with unbound host variables;
-//! [`Expr::bind`] substitutes the run's parameter values. Because binding
-//! precedes optimizer invocation, every run re-derives index ranges from
-//! the *actual* values — the prerequisite for the paper's per-run dynamic
+//! An [`Expr`] is the AST the parser (or a caller) builds at "compile
+//! time", host variables unbound. The library evaluates it one way only:
+//! [`CompiledPred::compile`] lowers it once against a schema (names →
+//! positions, host variables → argument slots) and each run fills the
+//! slots with [`CompiledPred::bind_args`]. Because binding precedes
+//! optimizer invocation, every run re-derives index ranges from the
+//! *actual* values — the prerequisite for the paper's per-run dynamic
 //! strategy choice (`AGE >= :A1` resolving differently for 0 and 200).
+//! The name-based bind/eval/range reference the differential proptest
+//! compares against lives in this file's test module only.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -69,18 +74,6 @@ pub enum Scalar {
     Literal(Value),
     /// A named host variable, bound per run.
     HostVar(String),
-}
-
-impl Scalar {
-    fn bound(&self, params: &HashMap<String, Value>) -> Result<Value, QueryError> {
-        match self {
-            Scalar::Literal(v) => Ok(v.clone()),
-            Scalar::HostVar(name) => params
-                .get(name)
-                .cloned()
-                .ok_or_else(|| QueryError::UnboundVar(name.clone())),
-        }
-    }
 }
 
 /// A Boolean restriction over one table's columns.
@@ -148,49 +141,6 @@ impl Expr {
         Expr::And(exprs)
     }
 
-    /// True if the expression references no host variables.
-    pub fn is_bound(&self) -> bool {
-        match self {
-            Expr::True => true,
-            Expr::Cmp { rhs, .. } => matches!(rhs, Scalar::Literal(_)),
-            Expr::Between { lo, hi, .. } => {
-                matches!(lo, Scalar::Literal(_)) && matches!(hi, Scalar::Literal(_))
-            }
-            Expr::ColCmp { .. } => true,
-            Expr::And(es) | Expr::Or(es) => es.iter().all(Expr::is_bound),
-            Expr::Not(e) => e.is_bound(),
-        }
-    }
-
-    /// Substitutes host variables with this run's parameter values.
-    pub fn bind(&self, params: &HashMap<String, Value>) -> Result<Expr, QueryError> {
-        Ok(match self {
-            Expr::True => Expr::True,
-            Expr::Cmp { column, op, rhs } => Expr::Cmp {
-                column: column.clone(),
-                op: *op,
-                rhs: Scalar::Literal(rhs.bound(params)?),
-            },
-            Expr::Between { column, lo, hi } => Expr::Between {
-                column: column.clone(),
-                lo: Scalar::Literal(lo.bound(params)?),
-                hi: Scalar::Literal(hi.bound(params)?),
-            },
-            Expr::ColCmp { .. } => self.clone(),
-            Expr::And(es) => Expr::And(
-                es.iter()
-                    .map(|e| e.bind(params))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Or(es) => Expr::Or(
-                es.iter()
-                    .map(|e| e.bind(params))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Not(e) => Expr::Not(Box::new(e.bind(params)?)),
-        })
-    }
-
     /// All column names referenced.
     pub fn columns(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
@@ -216,217 +166,6 @@ impl Expr {
             Expr::Not(e) => e.collect_columns(out),
         }
     }
-
-    /// Evaluates a **bound** expression against a record.
-    ///
-    /// # Panics
-    /// If the expression still contains host variables or references a
-    /// column missing from the schema.
-    pub fn eval(&self, schema: &Schema, record: &Record) -> bool {
-        match self {
-            Expr::True => true,
-            Expr::Cmp { column, op, rhs } => {
-                let idx = schema
-                    .column_index(column)
-                    .unwrap_or_else(|| panic!("unknown column {column}"));
-                let Scalar::Literal(v) = rhs else {
-                    panic!("eval of unbound expression")
-                };
-                op.eval(&record[idx], v)
-            }
-            Expr::Between { column, lo, hi } => {
-                let idx = schema
-                    .column_index(column)
-                    .unwrap_or_else(|| panic!("unknown column {column}"));
-                let (Scalar::Literal(lo), Scalar::Literal(hi)) = (lo, hi) else {
-                    panic!("eval of unbound expression")
-                };
-                let v = &record[idx];
-                !v.is_null() && v >= lo && v <= hi
-            }
-            Expr::ColCmp { left, op, right } => {
-                let li = schema
-                    .column_index(left)
-                    .unwrap_or_else(|| panic!("unknown column {left}"));
-                let ri = schema
-                    .column_index(right)
-                    .unwrap_or_else(|| panic!("unknown column {right}"));
-                op.eval(&record[li], &record[ri])
-            }
-            Expr::And(es) => es.iter().all(|e| e.eval(schema, record)),
-            Expr::Or(es) => es.iter().any(|e| e.eval(schema, record)),
-            Expr::Not(e) => !e.eval(schema, record),
-        }
-    }
-
-    /// Extracts the key range this bound expression implies for an index
-    /// whose leading key column is `column`: top-level conjuncts (and the
-    /// expression itself) constrain the range; OR/NOT subtrees contribute
-    /// nothing (conservatively `all`).
-    pub fn range_for(&self, column: &str) -> KeyRange {
-        let mut range = KeyRange::all();
-        self.tighten_range(column, &mut range);
-        range
-    }
-
-    fn tighten_range(&self, column: &str, range: &mut KeyRange) {
-        match self {
-            Expr::Cmp {
-                column: c,
-                op,
-                rhs: Scalar::Literal(v),
-            } if c == column => match op {
-                CmpOp::Eq => {
-                    tighten_lo(range, KeyBound::Inclusive(vec![v.clone()]));
-                    tighten_hi(range, KeyBound::Inclusive(vec![v.clone()]));
-                }
-                CmpOp::Ge => tighten_lo(range, KeyBound::Inclusive(vec![v.clone()])),
-                CmpOp::Gt => tighten_lo(range, KeyBound::Exclusive(vec![v.clone()])),
-                CmpOp::Le => tighten_hi(range, KeyBound::Inclusive(vec![v.clone()])),
-                CmpOp::Lt => tighten_hi(range, KeyBound::Exclusive(vec![v.clone()])),
-                CmpOp::Ne => {}
-            },
-            Expr::Between {
-                column: c,
-                lo: Scalar::Literal(lo),
-                hi: Scalar::Literal(hi),
-            } if c == column => {
-                tighten_lo(range, KeyBound::Inclusive(vec![lo.clone()]));
-                tighten_hi(range, KeyBound::Inclusive(vec![hi.clone()]));
-            }
-            Expr::And(es) => {
-                for e in es {
-                    e.tighten_range(column, range);
-                }
-            }
-            // OR / NOT / other columns: no safe tightening.
-            _ => {}
-        }
-    }
-
-    /// Extracts the key range a bound expression implies for a
-    /// **multi-column** index with the given key columns, in key order:
-    /// equality constraints on a leading prefix extend the bound, then one
-    /// range constraint on the next column closes it. For example, with an
-    /// index on `(region, age)`, `region = 3 AND age >= 30` yields the
-    /// range `[(3, 30) .. (3, +inf))` — i.e. lo `(3, 30)`, hi prefix `(3)`.
-    pub fn range_for_composite(&self, columns: &[String]) -> KeyRange {
-        let mut prefix: Vec<Value> = Vec::new();
-        let mut range = KeyRange::all();
-        for column in columns {
-            let col_range = self.range_for(column);
-            // Equality pins the column: both bounds inclusive on one value.
-            let eq_value = match (&col_range.lo, &col_range.hi) {
-                (KeyBound::Inclusive(lo), KeyBound::Inclusive(hi))
-                    if lo.len() == 1 && lo == hi =>
-                {
-                    Some(lo[0].clone())
-                }
-                _ => None,
-            };
-            if let Some(v) = eq_value {
-                prefix.push(v);
-                // Fully pinned so far: the whole prefix is the range.
-                range = KeyRange {
-                    lo: KeyBound::Inclusive(prefix.clone()),
-                    hi: KeyBound::Inclusive(prefix.clone()),
-                };
-                continue;
-            }
-            // First non-equality column: extend the prefix with its bounds
-            // and stop — later columns cannot tighten a B-tree range.
-            let extend = |bound: &KeyBound| -> KeyBound {
-                match bound {
-                    KeyBound::Unbounded if prefix.is_empty() => KeyBound::Unbounded,
-                    KeyBound::Unbounded => KeyBound::Inclusive(prefix.clone()),
-                    KeyBound::Inclusive(vs) => {
-                        let mut full = prefix.clone();
-                        full.extend(vs.iter().cloned());
-                        KeyBound::Inclusive(full)
-                    }
-                    KeyBound::Exclusive(vs) => {
-                        let mut full = prefix.clone();
-                        full.extend(vs.iter().cloned());
-                        KeyBound::Exclusive(full)
-                    }
-                }
-            };
-            range = KeyRange {
-                lo: extend(&col_range.lo),
-                hi: extend(&col_range.hi),
-            };
-            break;
-        }
-        range
-    }
-
-    /// Compiles a bound expression into a record predicate for `schema`.
-    pub fn record_pred(&self, schema: &Schema) -> RecordPred {
-        let expr = self.clone();
-        let schema = schema.clone();
-        Arc::new(move |record: &Record| expr.eval(&schema, record))
-    }
-
-    /// Compiles a bound expression into an index-key predicate, given the
-    /// index's key columns as `(name, key position)` pairs. Returns `None`
-    /// unless every referenced column is covered by the key.
-    pub fn key_pred(&self, key_columns: &[(String, usize)]) -> Option<KeyPred> {
-        let needed = self.columns();
-        if !needed
-            .iter()
-            .all(|c| key_columns.iter().any(|(name, _)| name == c))
-        {
-            return None;
-        }
-        // Build a synthetic schema over the key columns so eval works
-        // unchanged on key tuples.
-        let expr = self.clone();
-        let names: Vec<String> = key_columns.iter().map(|(n, _)| n.clone()).collect();
-        Some(Arc::new(move |key: &[Value]| {
-            eval_on_named_values(&expr, &names, key)
-        }))
-    }
-}
-
-fn eval_on_named_values(expr: &Expr, names: &[String], values: &[Value]) -> bool {
-    match expr {
-        Expr::True => true,
-        Expr::Cmp { column, op, rhs } => {
-            let idx = names
-                .iter()
-                .position(|n| n == column)
-                .expect("key pred covers all columns");
-            let Scalar::Literal(v) = rhs else {
-                panic!("eval of unbound expression")
-            };
-            op.eval(&values[idx], v)
-        }
-        Expr::Between { column, lo, hi } => {
-            let idx = names
-                .iter()
-                .position(|n| n == column)
-                .expect("key pred covers all columns");
-            let (Scalar::Literal(lo), Scalar::Literal(hi)) = (lo, hi) else {
-                panic!("eval of unbound expression")
-            };
-            let v = &values[idx];
-            !v.is_null() && v >= lo && v <= hi
-        }
-        Expr::ColCmp { left, op, right } => {
-            let li = names
-                .iter()
-                .position(|n| n == left)
-                .expect("key pred covers all columns");
-            let ri = names
-                .iter()
-                .position(|n| n == right)
-                .expect("key pred covers all columns");
-            op.eval(&values[li], &values[ri])
-        }
-        Expr::And(es) => es.iter().all(|e| eval_on_named_values(e, names, values)),
-        Expr::Or(es) => es.iter().any(|e| eval_on_named_values(e, names, values)),
-        Expr::Not(e) => !eval_on_named_values(e, names, values),
-    }
 }
 
 /// Positional argument values for one execution of a [`CompiledPred`],
@@ -441,9 +180,9 @@ pub type PredArgs = Arc<[Value]>;
 /// cached plan skeleton can amortize it. [`CompiledPred::compile`] runs
 /// once at resolve time; each execution then fills a flat argument vector
 /// with [`bind_args`](CompiledPred::bind_args) — one map lookup per
-/// distinct host variable — instead of deep-cloning the tree the way
-/// [`Expr::bind`] must, and evaluation indexes records directly instead
-/// of re-resolving column names at every node for every row.
+/// distinct host variable — instead of deep-cloning the tree per run, and
+/// evaluation indexes records directly instead of re-resolving column
+/// names at every node for every row.
 #[derive(Debug, Clone)]
 pub struct CompiledPred {
     root: Node,
@@ -470,8 +209,9 @@ impl Arg {
 }
 
 /// [`Expr`] with column names resolved to positions and scalars lowered
-/// to [`Arg`]s. Mirrors the `Expr` variants one-to-one so the two
-/// evaluation semantics stay trivially identical.
+/// to [`Arg`]s. Mirrors the `Expr` variants one-to-one, so lowering is a
+/// plain map and the test-only reference evaluator stays comparable
+/// node for node.
 #[derive(Debug, Clone)]
 enum Node {
     True,
@@ -497,8 +237,8 @@ impl CompiledPred {
     }
 
     /// Resolves this run's parameter values into a positional argument
-    /// vector, erroring (like [`Expr::bind`]) on the first host variable
-    /// in tree order that has no binding.
+    /// vector, erroring on the first host variable in tree order that has
+    /// no binding.
     pub fn bind_args(&self, params: &HashMap<String, Value>) -> Result<PredArgs, QueryError> {
         let mut out = Vec::with_capacity(self.params.len());
         for name in &self.params {
@@ -546,62 +286,94 @@ impl CompiledPred {
         })
     }
 
-    /// Positional mirror of [`Expr::range_for`]: the key range this
-    /// predicate implies for an index whose leading key is column `col`.
+    /// The key range this predicate implies for an index whose leading key
+    /// is column `col`: top-level conjuncts (and the predicate itself)
+    /// constrain the range; OR/NOT subtrees contribute nothing
+    /// (conservatively `all`).
     pub fn range_for(&self, args: &[Value], col: usize) -> KeyRange {
-        let mut range = KeyRange::all();
-        self.root.tighten_range(args, col, &mut range);
-        range
+        self.root.range_for(args, col)
     }
 
-    /// Positional mirror of [`Expr::range_for_composite`]: equality
-    /// constraints pin a leading prefix of `key_cols` (record positions,
-    /// in key order), then one range constraint closes the bound.
+    /// The key range this predicate implies for a **multi-column** index
+    /// on `key_cols` (record positions, in key order): equality
+    /// constraints pin a leading prefix, then one range constraint closes
+    /// the bound.
     pub fn range_for_composite(&self, args: &[Value], key_cols: &[usize]) -> KeyRange {
-        let mut prefix: Vec<Value> = Vec::new();
-        let mut range = KeyRange::all();
-        for &col in key_cols {
-            let col_range = self.range_for(args, col);
-            let eq_value = match (&col_range.lo, &col_range.hi) {
-                (KeyBound::Inclusive(lo), KeyBound::Inclusive(hi))
-                    if lo.len() == 1 && lo == hi =>
-                {
-                    Some(lo[0].clone())
-                }
-                _ => None,
-            };
-            if let Some(v) = eq_value {
-                prefix.push(v);
-                range = KeyRange {
-                    lo: KeyBound::Inclusive(prefix.clone()),
-                    hi: KeyBound::Inclusive(prefix.clone()),
-                };
-                continue;
-            }
-            let extend = |bound: &KeyBound| -> KeyBound {
-                match bound {
-                    KeyBound::Unbounded if prefix.is_empty() => KeyBound::Unbounded,
-                    KeyBound::Unbounded => KeyBound::Inclusive(prefix.clone()),
-                    KeyBound::Inclusive(vs) => {
-                        let mut full = prefix.clone();
-                        full.extend(vs.iter().cloned());
-                        KeyBound::Inclusive(full)
-                    }
-                    KeyBound::Exclusive(vs) => {
-                        let mut full = prefix.clone();
-                        full.extend(vs.iter().cloned());
-                        KeyBound::Exclusive(full)
-                    }
-                }
-            };
-            range = KeyRange {
-                lo: extend(&col_range.lo),
-                hi: extend(&col_range.hi),
-            };
-            break;
-        }
-        range
+        composite_range(key_cols.len(), |i| self.range_for(args, key_cols[i]))
     }
+
+    /// Number of top-level disjuncts when the restriction is OR-connected
+    /// (`None` otherwise) — the arms the union scan would need one index
+    /// range each for.
+    pub fn disjuncts(&self) -> Option<usize> {
+        match &self.root {
+            Node::Or(ds) => Some(ds.len()),
+            _ => None,
+        }
+    }
+
+    /// [`range_for`](Self::range_for) of top-level disjunct `d` alone
+    /// (`all` when there is no such disjunct).
+    pub fn disjunct_range(&self, args: &[Value], d: usize, col: usize) -> KeyRange {
+        match &self.root {
+            Node::Or(ds) if d < ds.len() => ds[d].range_for(args, col),
+            _ => KeyRange::all(),
+        }
+    }
+}
+
+/// Combines per-column ranges into the range of a multi-column index
+/// whose `i`-th key column has single-column range `col_range(i)`:
+/// equality constraints on a leading prefix extend the bound, then one
+/// range constraint on the next column closes it. For example, with an
+/// index on `(region, age)`, `region = 3 AND age >= 30` yields the range
+/// `[(3, 30) .. (3, +inf))` — i.e. lo `(3, 30)`, hi prefix `(3)`.
+fn composite_range(key_len: usize, col_range: impl Fn(usize) -> KeyRange) -> KeyRange {
+    let mut prefix: Vec<Value> = Vec::new();
+    let mut range = KeyRange::all();
+    for i in 0..key_len {
+        let col_range = col_range(i);
+        // Equality pins the column: both bounds inclusive on one value.
+        let eq_value = match (&col_range.lo, &col_range.hi) {
+            (KeyBound::Inclusive(lo), KeyBound::Inclusive(hi)) if lo.len() == 1 && lo == hi => {
+                Some(lo[0].clone())
+            }
+            _ => None,
+        };
+        if let Some(v) = eq_value {
+            prefix.push(v);
+            // Fully pinned so far: the whole prefix is the range.
+            range = KeyRange {
+                lo: KeyBound::Inclusive(prefix.clone()),
+                hi: KeyBound::Inclusive(prefix.clone()),
+            };
+            continue;
+        }
+        // First non-equality column: extend the prefix with its bounds
+        // and stop — later columns cannot tighten a B-tree range.
+        let extend = |bound: &KeyBound| -> KeyBound {
+            match bound {
+                KeyBound::Unbounded if prefix.is_empty() => KeyBound::Unbounded,
+                KeyBound::Unbounded => KeyBound::Inclusive(prefix.clone()),
+                KeyBound::Inclusive(vs) => {
+                    let mut full = prefix.clone();
+                    full.extend(vs.iter().cloned());
+                    KeyBound::Inclusive(full)
+                }
+                KeyBound::Exclusive(vs) => {
+                    let mut full = prefix.clone();
+                    full.extend(vs.iter().cloned());
+                    KeyBound::Exclusive(full)
+                }
+            }
+        };
+        range = KeyRange {
+            lo: extend(&col_range.lo),
+            hi: extend(&col_range.hi),
+        };
+        break;
+    }
+    range
 }
 
 fn lower(expr: &Expr, schema: &Schema, params: &mut Vec<String>) -> Node {
@@ -685,6 +457,12 @@ impl Node {
         })
     }
 
+    fn range_for(&self, args: &[Value], col: usize) -> KeyRange {
+        let mut range = KeyRange::all();
+        self.tighten_range(args, col, &mut range);
+        range
+    }
+
     fn tighten_range(&self, args: &[Value], col: usize, range: &mut KeyRange) {
         match self {
             Node::Cmp { col: c, op, rhs } if *c == col => {
@@ -758,14 +536,143 @@ mod tests {
         Record::new(vec![Value::Int(a), Value::Int(b)])
     }
 
+    /// The name-based reference evaluator: bind host variables by cloning
+    /// the tree, then evaluate / derive ranges by column *name*. This was
+    /// the library's evaluator before [`CompiledPred`]; it survives here
+    /// as the independent implementation the differential proptest pins
+    /// the compiled one against.
+    impl Scalar {
+        fn bound(&self, params: &HashMap<String, Value>) -> Result<Value, QueryError> {
+            match self {
+                Scalar::Literal(v) => Ok(v.clone()),
+                Scalar::HostVar(name) => params
+                    .get(name)
+                    .cloned()
+                    .ok_or_else(|| QueryError::UnboundVar(name.clone())),
+            }
+        }
+    }
+
+    impl Expr {
+        /// Substitutes host variables with this run's parameter values.
+        fn bind(&self, params: &HashMap<String, Value>) -> Result<Expr, QueryError> {
+            let bind_all = |es: &[Expr]| es.iter().map(|e| e.bind(params)).collect::<Result<_, _>>();
+            Ok(match self {
+                Expr::True => Expr::True,
+                Expr::Cmp { column, op, rhs } => Expr::Cmp {
+                    column: column.clone(),
+                    op: *op,
+                    rhs: Scalar::Literal(rhs.bound(params)?),
+                },
+                Expr::Between { column, lo, hi } => Expr::Between {
+                    column: column.clone(),
+                    lo: Scalar::Literal(lo.bound(params)?),
+                    hi: Scalar::Literal(hi.bound(params)?),
+                },
+                Expr::ColCmp { .. } => self.clone(),
+                Expr::And(es) => Expr::And(bind_all(es)?),
+                Expr::Or(es) => Expr::Or(bind_all(es)?),
+                Expr::Not(e) => Expr::Not(Box::new(e.bind(params)?)),
+            })
+        }
+
+        /// Evaluates a **bound** expression against a record, resolving
+        /// column names through `schema` at every node.
+        fn eval(&self, schema: &Schema, record: &Record) -> bool {
+            let idx = |c: &str| schema.column_index(c).expect("known column");
+            let lit = |s: &Scalar| match s {
+                Scalar::Literal(v) => v.clone(),
+                Scalar::HostVar(_) => panic!("eval of unbound expression"),
+            };
+            match self {
+                Expr::True => true,
+                Expr::Cmp { column, op, rhs } => op.eval(&record[idx(column)], &lit(rhs)),
+                Expr::Between { column, lo, hi } => {
+                    let v = &record[idx(column)];
+                    !v.is_null() && *v >= lit(lo) && *v <= lit(hi)
+                }
+                Expr::ColCmp { left, op, right } => op.eval(&record[idx(left)], &record[idx(right)]),
+                Expr::And(es) => es.iter().all(|e| e.eval(schema, record)),
+                Expr::Or(es) => es.iter().any(|e| e.eval(schema, record)),
+                Expr::Not(e) => !e.eval(schema, record),
+            }
+        }
+
+        /// The key range a bound expression implies for an index whose
+        /// leading key column is `column`.
+        fn range_for(&self, column: &str) -> KeyRange {
+            let mut range = KeyRange::all();
+            self.tighten_range(column, &mut range);
+            range
+        }
+
+        fn tighten_range(&self, column: &str, range: &mut KeyRange) {
+            match self {
+                Expr::Cmp {
+                    column: c,
+                    op,
+                    rhs: Scalar::Literal(v),
+                } if c == column => match op {
+                    CmpOp::Eq => {
+                        tighten_lo(range, KeyBound::Inclusive(vec![v.clone()]));
+                        tighten_hi(range, KeyBound::Inclusive(vec![v.clone()]));
+                    }
+                    CmpOp::Ge => tighten_lo(range, KeyBound::Inclusive(vec![v.clone()])),
+                    CmpOp::Gt => tighten_lo(range, KeyBound::Exclusive(vec![v.clone()])),
+                    CmpOp::Le => tighten_hi(range, KeyBound::Inclusive(vec![v.clone()])),
+                    CmpOp::Lt => tighten_hi(range, KeyBound::Exclusive(vec![v.clone()])),
+                    CmpOp::Ne => {}
+                },
+                Expr::Between {
+                    column: c,
+                    lo: Scalar::Literal(lo),
+                    hi: Scalar::Literal(hi),
+                } if c == column => {
+                    tighten_lo(range, KeyBound::Inclusive(vec![lo.clone()]));
+                    tighten_hi(range, KeyBound::Inclusive(vec![hi.clone()]));
+                }
+                Expr::And(es) => {
+                    for e in es {
+                        e.tighten_range(column, range);
+                    }
+                }
+                // OR / NOT / other columns: no safe tightening.
+                _ => {}
+            }
+        }
+
+        /// Composite range by column name, through the shared
+        /// prefix-extension helper.
+        fn range_for_composite(&self, columns: &[&str]) -> KeyRange {
+            composite_range(columns.len(), |i| self.range_for(columns[i]))
+        }
+    }
+
+    /// A literal-only expression through the library's one evaluator.
+    fn compiled(e: &Expr, s: &Schema) -> (Arc<CompiledPred>, PredArgs) {
+        let c = Arc::new(CompiledPred::compile(e, s));
+        let args = c.bind_args(&HashMap::new()).unwrap();
+        (c, args)
+    }
+
+    fn holds(e: &Expr, s: &Schema, r: &Record) -> bool {
+        let (c, args) = compiled(e, s);
+        c.matches(&args, r)
+    }
+
+    /// Key range of `e` on an index over `cols` of the `(a, b)` schema.
+    fn range_of(e: &Expr, cols: &[usize]) -> KeyRange {
+        let (c, args) = compiled(e, &schema());
+        c.range_for_composite(&args, cols)
+    }
+
     #[test]
     fn bind_substitutes_host_vars() {
         let e = Expr::cmp_var("a", CmpOp::Ge, "x");
-        assert!(!e.is_bound());
         let mut params = HashMap::new();
         params.insert("x".to_string(), Value::Int(5));
         let bound = e.bind(&params).unwrap();
-        assert!(bound.is_bound());
+        assert_eq!(bound, Expr::cmp("a", CmpOp::Ge, 5));
         assert!(bound.eval(&schema(), &rec(7, 0)));
         assert!(!bound.eval(&schema(), &rec(3, 0)));
     }
@@ -789,25 +696,25 @@ mod tests {
                 Expr::cmp("b", CmpOp::Eq, 2),
             ]),
         ]);
-        assert!(e.eval(&s, &rec(5, 2)));
-        assert!(!e.eval(&s, &rec(5, 3)));
-        assert!(!e.eval(&s, &rec(4, 1)));
+        assert!(holds(&e, &s, &rec(5, 2)));
+        assert!(!holds(&e, &s, &rec(5, 3)));
+        assert!(!holds(&e, &s, &rec(4, 1)));
         let n = Expr::Not(Box::new(e));
-        assert!(n.eval(&s, &rec(4, 1)));
+        assert!(holds(&n, &s, &rec(4, 1)));
     }
 
     #[test]
     fn null_comparisons_are_false() {
         let s = Schema::new(vec![Column::nullable("a", ValueType::Int)]);
         let r = Record::new(vec![Value::Null]);
-        assert!(!Expr::cmp("a", CmpOp::Eq, 0).eval(&s, &r));
-        assert!(!Expr::cmp("a", CmpOp::Ne, 0).eval(&s, &r));
-        assert!(!Expr::Between {
+        assert!(!holds(&Expr::cmp("a", CmpOp::Eq, 0), &s, &r));
+        assert!(!holds(&Expr::cmp("a", CmpOp::Ne, 0), &s, &r));
+        let between = Expr::Between {
             column: "a".into(),
             lo: Scalar::Literal(Value::Int(0)),
             hi: Scalar::Literal(Value::Int(9)),
-        }
-        .eval(&s, &r));
+        };
+        assert!(!holds(&between, &s, &r));
     }
 
     #[test]
@@ -821,21 +728,16 @@ mod tests {
             op: CmpOp::Lt,
             right: "b".into(),
         };
-        assert!(e.is_bound());
-        assert!(e.eval(&s, &rec(1, 2)));
-        assert!(!e.eval(&s, &rec(2, 2)));
-        assert!(!e.eval(&s, &Record::new(vec![Value::Null, Value::Int(5)])));
-        // The compiled lowering agrees, including under a column remap.
-        let c = Arc::new(CompiledPred::compile(&e, &s));
-        let args = c.bind_args(&HashMap::new()).unwrap();
+        let (c, args) = compiled(&e, &s);
         assert!(c.matches(&args, &rec(1, 2)));
-        assert!(!c.matches(&args, &rec(3, 2)));
+        assert!(!c.matches(&args, &rec(2, 2)));
+        assert!(!c.matches(&args, &Record::new(vec![Value::Null, Value::Int(5)])));
+        // Including under a column remap.
         let swapped = Arc::new(
             c.remap_columns(|col| Some(1 - col)).expect("total map"),
         );
         assert!(swapped.matches(&args, &rec(2, 1)), "columns swapped");
         // ColCmp never tightens an index range.
-        assert_eq!(e.range_for("a"), KeyRange::all());
         assert_eq!(c.range_for(&args, 0), KeyRange::all());
     }
 
@@ -846,12 +748,12 @@ mod tests {
             Expr::cmp("a", CmpOp::Lt, 20),
             Expr::cmp("b", CmpOp::Eq, 5),
         ]);
-        let r = e.range_for("a");
+        let r = range_of(&e, &[0]);
         assert!(r.contains(&[Value::Int(10)]));
         assert!(r.contains(&[Value::Int(19)]));
         assert!(!r.contains(&[Value::Int(20)]));
         assert!(!r.contains(&[Value::Int(9)]));
-        let rb = e.range_for("b");
+        let rb = range_of(&e, &[1]);
         assert!(rb.contains(&[Value::Int(5)]));
         assert!(!rb.contains(&[Value::Int(6)]));
     }
@@ -862,7 +764,7 @@ mod tests {
             Expr::cmp("a", CmpOp::Ge, 10),
             Expr::cmp("a", CmpOp::Gt, 10),
         ]);
-        let r = e.range_for("a");
+        let r = range_of(&e, &[0]);
         assert!(!r.contains(&[Value::Int(10)]), "Gt 10 is tighter than Ge 10");
         assert!(r.contains(&[Value::Int(11)]));
     }
@@ -873,7 +775,15 @@ mod tests {
             Expr::cmp("a", CmpOp::Eq, 1),
             Expr::cmp("a", CmpOp::Eq, 100),
         ]);
-        assert_eq!(e.range_for("a"), KeyRange::all());
+        assert_eq!(range_of(&e, &[0]), KeyRange::all());
+        // ... but each disjunct alone does, which is what the union scan
+        // builds its arms from.
+        let (c, args) = compiled(&e, &schema());
+        assert_eq!(c.disjuncts(), Some(2));
+        assert!(c.disjunct_range(&args, 1, 0).contains(&[Value::Int(100)]));
+        assert!(!c.disjunct_range(&args, 1, 0).contains(&[Value::Int(1)]));
+        assert_eq!(c.disjunct_range(&args, 0, 1), KeyRange::all(), "no constraint on b");
+        assert_eq!(compiled(&Expr::True, &schema()).0.disjuncts(), None);
     }
 
     #[test]
@@ -883,7 +793,7 @@ mod tests {
             lo: Scalar::Literal(Value::Int(3)),
             hi: Scalar::Literal(Value::Int(7)),
         };
-        let r = e.range_for("a");
+        let r = range_of(&e, &[0]);
         assert!(r.contains(&[Value::Int(3)]) && r.contains(&[Value::Int(7)]));
         assert!(!r.contains(&[Value::Int(2)]) && !r.contains(&[Value::Int(8)]));
     }
@@ -895,7 +805,7 @@ mod tests {
             Expr::cmp("b", CmpOp::Ge, 30),
             Expr::cmp("b", CmpOp::Le, 32),
         ]);
-        let r = e.range_for_composite(&["a".into(), "b".into()]);
+        let r = range_of(&e, &[0, 1]);
         assert!(r.contains(&[Value::Int(3), Value::Int(30)]));
         assert!(r.contains(&[Value::Int(3), Value::Int(32)]));
         assert!(!r.contains(&[Value::Int(3), Value::Int(33)]));
@@ -906,7 +816,7 @@ mod tests {
     #[test]
     fn composite_range_eq_prefix_only() {
         let e = Expr::cmp("a", CmpOp::Eq, 7);
-        let r = e.range_for_composite(&["a".into(), "b".into()]);
+        let r = range_of(&e, &[0, 1]);
         assert!(r.contains(&[Value::Int(7), Value::Int(0)]));
         assert!(r.contains(&[Value::Int(7), Value::Int(999)]));
         assert!(!r.contains(&[Value::Int(8), Value::Int(0)]));
@@ -918,7 +828,7 @@ mod tests {
             Expr::cmp("a", CmpOp::Eq, 1),
             Expr::cmp("b", CmpOp::Gt, 10),
         ]);
-        let r = e.range_for_composite(&["a".into(), "b".into()]);
+        let r = range_of(&e, &[0, 1]);
         assert!(!r.contains(&[Value::Int(1), Value::Int(10)]));
         assert!(r.contains(&[Value::Int(1), Value::Int(11)]));
         assert!(!r.contains(&[Value::Int(2), Value::Int(11)]));
@@ -929,7 +839,7 @@ mod tests {
         // Only the second column is constrained: a B-tree on (a, b) cannot
         // use it; the range falls back to the first column's (here: all).
         let e = Expr::cmp("b", CmpOp::Eq, 5);
-        let r = e.range_for_composite(&["a".into(), "b".into()]);
+        let r = range_of(&e, &[0, 1]);
         assert_eq!(r, KeyRange::all());
     }
 
@@ -939,10 +849,11 @@ mod tests {
             Expr::cmp("a", CmpOp::Ge, 1),
             Expr::cmp("b", CmpOp::Eq, 2),
         ]);
-        assert!(e.key_pred(&[("a".into(), 0)]).is_none());
-        let kp = e
-            .key_pred(&[("a".into(), 0), ("b".into(), 1)])
-            .expect("covered");
+        let (c, args) = compiled(&e, &schema());
+        // Key on (a) alone: b is not in the key, so no key predicate.
+        assert!(c.remap_columns(|col| (col == 0).then_some(0)).is_none());
+        // Key on (a, b): positions coincide with the record's.
+        let kp = Arc::new(c.remap_columns(Some).expect("covered")).key_pred(&args);
         assert!(kp(&[Value::Int(5), Value::Int(2)]));
         assert!(!kp(&[Value::Int(5), Value::Int(3)]));
     }
@@ -951,9 +862,12 @@ mod tests {
     fn record_pred_matches_eval() {
         let s = schema();
         let e = Expr::cmp("b", CmpOp::Le, 4);
-        let p = e.record_pred(&s);
-        assert!(p(&rec(0, 4)));
-        assert!(!p(&rec(0, 5)));
+        let (c, args) = compiled(&e, &s);
+        let p = c.record_pred(&args);
+        for r in [rec(0, 4), rec(0, 5)] {
+            assert_eq!(p(&r), e.eval(&s, &r));
+        }
+        assert!(p(&rec(0, 4)) && !p(&rec(0, 5)));
     }
 
     #[test]
@@ -1008,10 +922,10 @@ mod tests {
     }
 
     /// The load-bearing equivalence: lowering + positional evaluation and
-    /// range derivation agree with bind + name-based evaluation on
-    /// arbitrary expressions, records and bindings. `execute_resolved`
-    /// switched from the latter to the former for conjunctive queries;
-    /// this is the contract that made that swap row-set-preserving.
+    /// range derivation agree with the reference's bind + name-based
+    /// evaluation on arbitrary expressions, records and bindings — the
+    /// contract that lets every statement kind run on [`CompiledPred`]
+    /// alone.
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -1099,25 +1013,38 @@ mod tests {
                 prop_assert_eq!(bound.range_for("a"), compiled.range_for(&args, 0));
                 prop_assert_eq!(bound.range_for("b"), compiled.range_for(&args, 1));
                 prop_assert_eq!(
-                    bound.range_for_composite(&["a".into(), "b".into()]),
+                    bound.range_for_composite(&["a", "b"]),
                     compiled.range_for_composite(&args, &[0, 1])
                 );
                 prop_assert_eq!(
-                    bound.range_for_composite(&["b".into(), "a".into()]),
+                    bound.range_for_composite(&["b", "a"]),
                     compiled.range_for_composite(&args, &[1, 0])
                 );
-                // Key predicates over a (b, a) key must agree too.
-                let legacy_kp = bound.key_pred(&[("b".into(), 0), ("a".into(), 1)]);
+                // Per-disjunct ranges (the union scan's arms) agree with
+                // the reference's range of each bound disjunct.
+                if let Expr::Or(ds) = &bound {
+                    prop_assert_eq!(compiled.disjuncts(), Some(ds.len()));
+                    for (i, d) in ds.iter().enumerate() {
+                        prop_assert_eq!(d.range_for("a"), compiled.disjunct_range(&args, i, 0));
+                        prop_assert_eq!(d.range_for("b"), compiled.disjunct_range(&args, i, 1));
+                    }
+                } else {
+                    prop_assert_eq!(compiled.disjuncts(), None);
+                }
+                // Key predicates over a (b, a) key must agree too: the
+                // reference evaluates by name over a key-shaped schema.
+                let key_schema = Schema::new(vec![
+                    Column::new("b", ValueType::Int),
+                    Column::new("a", ValueType::Int),
+                ]);
                 let remapped = compiled
                     .remap_columns(|col| Some(if col == 1 { 0 } else { 1 }))
-                    .map(Arc::new);
-                prop_assert_eq!(legacy_kp.is_some(), remapped.is_some());
-                if let (Some(lkp), Some(remapped)) = (legacy_kp, remapped) {
-                    let ckp = remapped.key_pred(&args);
-                    for &(a, b) in &records {
-                        let key = [Value::Int(b), Value::Int(a)];
-                        prop_assert_eq!(lkp(&key), ckp(&key));
-                    }
+                    .map(Arc::new)
+                    .expect("(b, a) covers both columns");
+                let ckp = remapped.key_pred(&args);
+                for &(a, b) in &records {
+                    let key = [Value::Int(b), Value::Int(a)];
+                    prop_assert_eq!(bound.eval(&key_schema, &Record::new(key.to_vec())), ckp(&key));
                 }
             }
         }

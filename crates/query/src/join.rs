@@ -10,7 +10,9 @@
 //! their side's schema, so prepared statements re-bind host variables
 //! positionally exactly like single-table ones.
 //!
-//! Execution hands the request to [`rdb_core::run_join`]: every feasible
+//! Execution hands the request to [`rdb_core::run_join`] — dispatched
+//! from the same runner as single-table statements, and finished by the
+//! same COUNT / project / post-sort / LIMIT stage: every feasible
 //! join method and orientation races under the paper's two kill rules,
 //! so the dynamic optimizer picks join method *and* join order per query
 //! (per binding — a residual that empties one side changes which method
@@ -18,11 +20,12 @@
 
 use std::sync::Arc;
 
-use rdb_core::{run_join, JoinConfig, JoinOp, JoinRequest, JoinSide, SideId};
-use rdb_storage::{Record, SharedCost, Value};
+use rdb_core::{run_join, JoinConfig, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
+use rdb_storage::{Record, SharedCost};
 
-use crate::db::{Db, QueryMetrics, QueryResult, TableEntry};
+use crate::db::{Db, TableEntry};
 use crate::error::QueryError;
+use crate::exec::{sort_key, QueryResult, Tail};
 use crate::expr::{CmpOp, CompiledPred, Expr};
 use crate::options::QueryOptions;
 use crate::parser::QuerySpec;
@@ -334,38 +337,28 @@ fn flip_cmp(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Builds the core-layer join request for this run's bindings and hands
-/// the caller a closure-free view of it via `f` (the request borrows the
-/// table entries, so it cannot outlive this call).
-fn with_request<T>(
-    left: &TableEntry,
-    right: &TableEntry,
+/// The join analog of the single-table request builder: the core-layer
+/// join request for this run's bindings, shared by runs and `EXPLAIN`.
+fn join_request<'a>(
+    left: &'a TableEntry,
+    right: &'a TableEntry,
     resolved: &ResolvedJoin,
     opts: &QueryOptions,
     limit: Option<usize>,
     cost: &SharedCost,
-    f: impl FnOnce(&JoinRequest<'_>) -> T,
-) -> Result<T, QueryError> {
-    let largs = resolved.left_pred.bind_args(opts.params())?;
-    let rargs = resolved.right_pred.bind_args(opts.params())?;
-    let mut lside = JoinSide::new(&left.heap)
-        .on_column(resolved.left_col)
-        .with_residual(
-            resolved.left_pred.record_pred(&largs),
-            left.heap.cardinality() as f64,
-        );
-    if let Some(i) = resolved.left_index {
-        lside = lside.with_index(&left.indexes[i]);
-    }
-    let mut rside = JoinSide::new(&right.heap)
-        .on_column(resolved.right_col)
-        .with_residual(
-            resolved.right_pred.record_pred(&rargs),
-            right.heap.cardinality() as f64,
-        );
-    if let Some(i) = resolved.right_index {
-        rside = rside.with_index(&right.indexes[i]);
-    }
+) -> Result<JoinRequest<'a>, QueryError> {
+    let side = |entry: &'a TableEntry, pred: &Arc<CompiledPred>, col, index: Option<usize>| {
+        let args = pred.bind_args(opts.params())?;
+        let side = JoinSide::new(&entry.heap)
+            .on_column(col)
+            .with_residual(pred.record_pred(&args), entry.heap.cardinality() as f64);
+        Ok::<_, QueryError>(match index {
+            Some(i) => side.with_index(&entry.indexes[i]),
+            None => side,
+        })
+    };
+    let lside = side(left, &resolved.left_pred, resolved.left_col, resolved.left_index)?;
+    let rside = side(right, &resolved.right_pred, resolved.right_col, resolved.right_index)?;
     let mut req = JoinRequest::new(lside, rside, resolved.op, cost.clone()).with_limit(limit);
     if !resolved.extras.is_empty() {
         let extras = resolved.extras.clone();
@@ -373,12 +366,13 @@ fn with_request<T>(
             extras.iter().all(|&(lc, op, rc)| op.eval(&l[lc], &r[rc]))
         }));
     }
-    Ok(f(&req))
+    Ok(req)
 }
 
-/// Executes a resolved join: races the candidates, projects surviving
-/// pairs positionally across both records, post-sorts for ORDER BY, and
-/// applies COUNT(*) / LIMIT semantics like the single-table path.
+/// Executes a resolved join: races the candidates and hands the surviving
+/// pairs to the shared finish stage, projected positionally across both
+/// records (joins always post-sort an ORDER BY; indexes order single
+/// tables, not pair streams).
 pub(crate) fn execute_join(
     db: &Db,
     left: &TableEntry,
@@ -389,18 +383,9 @@ pub(crate) fn execute_join(
     cost: &SharedCost,
 ) -> Result<QueryResult, QueryError> {
     let tracer = opts.tracer();
-    let limit = opts.limit().or(spec.limit);
-    let needs_post_sort = spec.order_by.is_some();
-    // With a post-sort or count pending, every pair must be produced
-    // before the limit applies.
-    let race_limit = if needs_post_sort || spec.count_star {
-        None
-    } else {
-        limit
-    };
-    let result = with_request(left, right, resolved, opts, race_limit, cost, |req| {
-        run_join(req, &JoinConfig::default(), &tracer)
-    })??;
+    let tail = Tail::new(spec, opts, false);
+    let request = join_request(left, right, resolved, opts, tail.retrieval_limit(), cost)?;
+    let result = run_join(&request, &JoinConfig::default(), &tracer)?;
 
     let events: Vec<String> = result
         .candidates
@@ -415,75 +400,36 @@ pub(crate) fn execute_join(
             )
         })
         .collect();
-
-    if spec.count_star {
-        return Ok(QueryResult {
-            columns: vec!["COUNT".to_string()],
-            rows: vec![vec![Value::Int(result.pairs.len() as i64)]],
-            cost: result.cost,
-            strategy: result.strategy,
-            events,
-            metrics: QueryMetrics::default(),
-        });
-    }
-
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(result.pairs.len());
-    let mut sort_keys: Vec<Value> = Vec::new();
-    for pair in &result.pairs {
+    let row = |pair: &JoinPair, keyed: bool| {
         let pick = |&(side, i): &(SideId, usize)| match side {
-            SideId::Left => pair.left[i].clone(),
-            SideId::Right => pair.right[i].clone(),
+            SideId::Left => &pair.left[i],
+            SideId::Right => &pair.right[i],
         };
-        if let Some(op) = &resolved.order_pos {
-            sort_keys.push(pick(op));
-        }
-        rows.push(resolved.out_pos.iter().map(pick).collect());
-    }
-
-    if needs_post_sort {
-        let paired: Vec<(Value, Vec<Value>)> = sort_keys.into_iter().zip(rows).collect();
-        let (sorted, _) = crate::sort::sort_rows_dir(
-            paired,
-            db.pool(),
-            &db.config.sort,
-            spec.order_desc,
-            cost,
-        );
-        rows = sorted;
-        if let Some(limit) = limit {
-            rows.truncate(limit);
-        }
-    }
-
-    Ok(QueryResult {
-        columns: resolved.out_columns.clone(),
-        rows,
-        cost: result.cost,
-        strategy: result.strategy,
-        events,
-        metrics: QueryMetrics::default(),
-    })
+        Ok((
+            sort_key(keyed, resolved.order_pos.as_ref().map(pick)),
+            resolved.out_pos.iter().map(|p| pick(p).clone()).collect(),
+        ))
+    };
+    let outcome = (result.cost, result.strategy, events);
+    db.finish(tail, &resolved.out_columns, &result.pairs, outcome, cost, row)
 }
 
 /// `EXPLAIN` for a join: the candidate space with planning-time
 /// estimates, cheapest first — what the competition would admit for this
 /// binding, without running it.
 pub(crate) fn explain_join(
-    db: &Db,
     left: &TableEntry,
     right: &TableEntry,
     resolved: &ResolvedJoin,
     opts: &QueryOptions,
+    cost: &SharedCost,
 ) -> Result<String, QueryError> {
-    let cost = db.cost().clone();
-    let listing = with_request(left, right, resolved, opts, None, &cost, |req| {
-        let cfg = req.cost.config();
-        rdb_core::join::estimate::enumerate(req, &cfg)
-            .iter()
-            .map(|e| format!("{}~{:.0}", e.method.label(), e.cost))
-            .collect::<Vec<_>>()
-            .join(", ")
-    })?;
+    let request = join_request(left, right, resolved, opts, None, cost)?;
+    let listing = rdb_core::join::estimate::enumerate(&request, &cost.config())
+        .iter()
+        .map(|e| format!("{}~{:.0}", e.method.label(), e.cost))
+        .collect::<Vec<_>>()
+        .join(", ");
     Ok(format!("JoinCompetition [{listing}]"))
 }
 
@@ -491,7 +437,7 @@ pub(crate) fn explain_join(
 mod tests {
     use super::*;
     use crate::db::Db;
-    use rdb_storage::{Column, Schema, ValueType};
+    use rdb_storage::{Column, Schema, Value, ValueType};
 
     /// PARENT(ID, KIND) with unique IDs 0..n, CHILD(FK, X) with FK = i % n
     /// — a classic PK/FK pair; both join columns indexed.

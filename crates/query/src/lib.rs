@@ -20,10 +20,14 @@
 //!   [`rdb_core::TraceSink`].
 //! * [`error`] — [`QueryError`], the typed error surface of the whole
 //!   crate (every public operation returns it).
-//! * [`db`] — the top-level [`Db`]: tables + indexes over one shared
-//!   buffer pool, query execution through [`rdb_core::DynamicOptimizer`],
-//!   row projection (including index-only deliveries), per-query
-//!   [`QueryMetrics`], and [`Db::explain_analyze`].
+//! * [`db`] — the top-level [`Db`] handle: tables + indexes over one
+//!   shared buffer pool, the durability lifecycle, DDL, and the statement
+//!   entry points. Behind them, every statement kind (ad-hoc, prepared,
+//!   `EXPLAIN`, DML) runs one private pipeline — `parse → resolve →
+//!   bind_args → request → run → finish` — through
+//!   [`rdb_core::DynamicOptimizer`], yielding a [`QueryResult`] with
+//!   per-query [`QueryMetrics`]; [`Session`] is the same surface on a
+//!   private cost meter.
 //! * [`explain`] — [`ExplainAnalyze`]: the executed query's result plus
 //!   its full competition timeline, rendered for terminals or serialized
 //!   as JSON.
@@ -52,7 +56,9 @@
 pub mod builder;
 pub mod catalog;
 pub mod db;
+mod dml;
 pub mod error;
+mod exec;
 pub mod explain;
 pub mod expr;
 pub mod join;
@@ -60,17 +66,20 @@ pub mod options;
 pub mod parser;
 pub mod plan;
 pub mod prepared;
+mod session;
 pub mod sort;
 
 pub use builder::DbBuilder;
 pub use catalog::{Catalog, IndexDef, TableDef};
-pub use db::{Db, DbConfig, QueryMetrics, QueryResult, Session};
+pub use db::{Db, DbConfig};
 pub use error::QueryError;
+pub use exec::{QueryMetrics, QueryResult};
 pub use explain::ExplainAnalyze;
 pub use expr::{CmpOp, Expr, Scalar};
 pub use options::QueryOptions;
 pub use plan::{derive_goals, effective_goal, PlanNode, RetrieveId};
 pub use prepared::{PlanCacheStats, Prepared};
+pub use session::Session;
 pub use sort::{sort_rows, sort_rows_dir, SortConfig, SortStats};
 
 /// One-stop imports for applications embedding the engine.
@@ -81,11 +90,13 @@ pub use sort::{sort_rows, sort_rows_dir, SortConfig, SortStats};
 /// define tables and rows.
 pub mod prelude {
     pub use crate::builder::DbBuilder;
-    pub use crate::db::{Db, DbConfig, QueryMetrics, QueryResult, Session};
+    pub use crate::db::{Db, DbConfig};
     pub use crate::error::QueryError;
+    pub use crate::exec::{QueryMetrics, QueryResult};
     pub use crate::explain::ExplainAnalyze;
     pub use crate::options::QueryOptions;
     pub use crate::prepared::{PlanCacheStats, Prepared};
+    pub use crate::session::Session;
     pub use rdb_core::OptimizeGoal;
     pub use rdb_storage::{Column, Schema, Value, ValueType};
 }

@@ -10,9 +10,10 @@
 //!   parsed AST plus a resolved plan *skeleton* (projection, order target,
 //!   per-index metadata — everything binding-independent).
 //! * Each [`Prepared::execute`] re-binds host variables and re-derives
-//!   only the key ranges, then runs through the exact same execution body
-//!   as an ad-hoc query — prepared row sets are identical to fresh
-//!   execution by construction.
+//!   only the key ranges, then runs through the exact same runner as an
+//!   ad-hoc query (which is simply a prepare whose skeleton is not
+//!   cached) — prepared row sets are identical to fresh execution by
+//!   construction.
 //! * The previous execution's winning tactic is remembered as a
 //!   [`rdb_core::TacticHint`] and favored on the next run. Competition
 //!   kill rules stay armed, so a drifted parameter still triggers a
@@ -32,16 +33,17 @@
 //!
 //! [`Db::prepare`]: crate::db::Db::prepare
 //! [`Db::clear_plan_cache`]: crate::db::Db::clear_plan_cache
-//! [`QueryMetrics`]: crate::db::QueryMetrics
+//! [`QueryMetrics`]: crate::QueryMetrics
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rdb_core::TacticHint;
+use rdb_core::{HintDisposition, TacticHint, TraceEvent};
 use rdb_storage::SharedCost;
 
-use crate::db::{Db, QueryResult, Resolved};
+use crate::db::Db;
 use crate::error::QueryError;
+use crate::exec::{QueryResult, Resolved};
 use crate::options::QueryOptions;
 use crate::parser::QuerySpec;
 
@@ -85,7 +87,7 @@ pub(crate) struct CachedPlan {
 }
 
 /// Aggregate plan-cache counters (database-wide; per-query hit/miss lands
-/// in [`crate::db::QueryMetrics`]).
+/// in [`crate::QueryMetrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Statements currently cached.
@@ -135,16 +137,15 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `sql`, parsing and inserting on miss. Returns the plan and
-    /// whether this was a cache hit.
-    pub(crate) fn lookup_or_parse(&self, sql: &str) -> Result<(Arc<CachedPlan>, bool), QueryError> {
+    /// Looks up `sql`, parsing and inserting on miss.
+    pub(crate) fn lookup_or_parse(&self, sql: &str) -> Result<Arc<CachedPlan>, QueryError> {
         // Parse outside the lock on the miss path? No: parsing is cheap and
         // doing it inside keeps double-insertion races from wasting work.
         let mut inner = self.lock();
         if let Some(plan) = inner.plans.get(sql) {
             let plan = Arc::clone(plan);
             inner.hits += 1;
-            return Ok((plan, true));
+            return Ok(plan);
         }
         let spec = crate::parser::parse_query(sql)?;
         let plan = Arc::new(CachedPlan {
@@ -155,7 +156,7 @@ impl PlanCache {
         });
         inner.plans.insert(sql.to_string(), Arc::clone(&plan));
         inner.misses += 1;
-        Ok((plan, false))
+        Ok(plan)
     }
 
     /// Clears the cache. Every plan's skeleton and remembered tactic are
@@ -217,7 +218,7 @@ impl PlanCache {
 /// re-bound per execution, previous winner favored on the next run.
 ///
 /// Created by [`Db::prepare`] (charges the database's default meter) or
-/// [`Session::prepare`](crate::db::Session::prepare) (charges the
+/// [`Session::prepare`](crate::Session::prepare) (charges the
 /// session's private meter). Cheap to create when the statement is
 /// already cached, and usable from multiple threads — the underlying
 /// `CachedPlan` is shared through the database's plan cache.
@@ -251,11 +252,96 @@ impl Prepared<'_> {
     }
 
     /// Executes the statement with this run's bindings. Identical result
-    /// contract to [`Db::query`]; [`crate::db::QueryMetrics`] additionally
-    /// reports whether the cached skeleton was reused
-    /// (`plan_cache_hits`/`plan_cache_misses`).
+    /// contract to [`Db::query`] — the same runner executes both; what is
+    /// this path's own is where the skeleton comes from (the plan-cache
+    /// slot, validated against the catalog generation and rebuilt if
+    /// stale), the hit/miss tallies and `plan_cache` trace events, and
+    /// the remembered winner passed in as the hint and refreshed after.
+    /// [`crate::QueryMetrics`] reports whether the cached skeleton was
+    /// reused (`plan_cache_hits`/`plan_cache_misses`).
     pub fn execute(&self, opts: &QueryOptions) -> Result<QueryResult, QueryError> {
-        self.db.run_prepared(&self.plan, opts, &self.cost)
+        let (db, plan) = (self.db, &*self.plan);
+        let tag: PlanTag = db.catalog_gen;
+        let tracer = opts.tracer();
+        let plan_cache_event = |outcome: &str, detail: &str| TraceEvent::PlanCache {
+            outcome: outcome.into(),
+            statement: plan.statement.clone(),
+            detail: detail.into(),
+        };
+        let lock_hint = || plan.hint.lock().unwrap_or_else(PoisonError::into_inner);
+
+        // Warm executions stay entirely off the cache-wide lock: validity
+        // is one integer compare, the skeleton comes out as an `Arc`
+        // refcount bump, and the hit tally lands in the slot's own
+        // counter under the mutex already held.
+        let (resolved, cache_hit, outcome, detail) = {
+            let mut slot = plan
+                .skeleton
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let warm = match &slot.skel {
+                Some((t, skel)) if *t == tag => Some(Arc::clone(skel)),
+                _ => None,
+            };
+            if let Some(skel) = warm {
+                slot.hits += 1;
+                (skel, true, "hit", "reused cached plan skeleton")
+            } else {
+                let invalidated = slot.skel.is_some();
+                let skel = Arc::new(db.resolve(&plan.spec)?);
+                slot.skel = Some((tag, Arc::clone(&skel)));
+                slot.misses += 1;
+                if invalidated {
+                    slot.invalidations += 1;
+                }
+                drop(slot);
+                // A rebuilt skeleton may renumber indexes, so the old
+                // hint's estimates no longer line up entry-for-entry.
+                *lock_hint() = None;
+                let (outcome, detail) = if invalidated {
+                    (
+                        "invalidated",
+                        "catalog generation moved; skeleton re-resolved",
+                    )
+                } else {
+                    ("miss", "resolved cold on first execution")
+                };
+                (skel, false, outcome, detail)
+            }
+        };
+        // The strings are built inside the closures: untraced executions
+        // (the common case) never materialize them.
+        tracer.emit_with(|| plan_cache_event(outcome, detail));
+
+        let hint = lock_hint().clone();
+        let executed = db.run(&plan.spec, &resolved, hint.as_ref(), opts, &self.cost)?;
+        *lock_hint() = executed.hint;
+        match &executed.disposition {
+            HintDisposition::Applied(why) => {
+                tracer.emit_with(|| plan_cache_event("hint-applied", why));
+            }
+            HintDisposition::Dropped(why) => {
+                tracer.emit_with(|| plan_cache_event("hint-dropped", why));
+            }
+            HintDisposition::NotProvided => {}
+        }
+        let mut result = executed.result;
+        result.metrics.plan_cache_hits = u64::from(cache_hit);
+        result.metrics.plan_cache_misses = u64::from(!cache_hit);
+        Ok(result)
+    }
+}
+
+impl Db {
+    /// Prepares `sql` through the shared plan cache, charging `cost` on
+    /// every execution ([`Db::prepare`] passes the database's default
+    /// meter, [`crate::Session::prepare`] the session's).
+    pub(crate) fn prepare_on(&self, sql: &str, cost: SharedCost) -> Result<Prepared<'_>, QueryError> {
+        Ok(Prepared {
+            db: self,
+            cost,
+            plan: self.plan_cache.lookup_or_parse(sql)?,
+        })
     }
 }
 

@@ -8,12 +8,28 @@ use proptest::prelude::*;
 use rdb_query::prelude::*;
 use rdb_storage::{Column, Schema, ValueType};
 
+/// The statements of the differential, one per producer of the shared
+/// finish stage (and the original conjunctive one first).
+const STATEMENTS: [&str; 6] = [
+    "select * from FAMILIES where AGE >= :A1",
+    // OR-connected, both disjuncts on IDX_AGE: union deliveries.
+    "select * from FAMILIES where AGE >= :A1 or AGE = 3",
+    // ID has no index: post-sort, then truncate (ID is unique, so the
+    // surviving rows do not depend on delivery order).
+    "select * from FAMILIES where AGE >= :A1 order by ID desc limit to 7 rows",
+    "select count(*) from FAMILIES where AGE >= :A1",
+    // Covered by IDX_AGE: index-only key deliveries.
+    "select AGE from FAMILIES where AGE >= :A1",
+    // Join pairs, with the host variable in one side's residual.
+    "select ID, X from FAMILIES, KIDS where ID = FK and X >= :A1",
+];
+
 /// One step of the prepared-vs-fresh differential workload.
 #[derive(Debug, Clone)]
 enum PrepOp {
-    /// Execute the prepared statement with this binding and diff it
+    /// Execute prepared statement `stmt` with this binding and diff it
     /// against an ad-hoc run of the same statement text.
-    Exec { a1: i64 },
+    Exec { stmt: usize, a1: i64 },
     /// Force a full plan-cache invalidation (epoch bump).
     ClearPlans,
     /// Evict every cached page — residency must not affect row sets.
@@ -23,10 +39,10 @@ enum PrepOp {
 fn arb_op() -> impl Strategy<Value = PrepOp> {
     // Executions dominate (5/7) so most streams actually exercise the
     // warm-hit path between invalidations.
-    (0u8..7, -20i64..140).prop_map(|(kind, a1)| match kind {
+    (0u8..7, -20i64..140, 0..STATEMENTS.len()).prop_map(|(kind, a1, stmt)| match kind {
         5 => PrepOp::ClearPlans,
         6 => PrepOp::ClearPool,
-        _ => PrepOp::Exec { a1 },
+        _ => PrepOp::Exec { stmt, a1 },
     })
 }
 
@@ -52,25 +68,27 @@ fn build_db(rows: i64, rng_seed: u64) -> Db {
         .expect("insert");
     }
     db.create_index("IDX_AGE", "FAMILIES", &["AGE"]).expect("index");
+    db.create_table(
+        "KIDS",
+        Schema::new(vec![
+            Column::new("FK", ValueType::Int),
+            Column::new("X", ValueType::Int),
+        ]),
+    )
+    .expect("create table");
+    for i in 0..rows {
+        db.insert("KIDS", vec![Value::Int(i * 7 % rows), Value::Int(i % 120)])
+            .expect("insert");
+    }
     db
 }
 
-/// Rows as a sorted multiset of `(AGE, SIZE, ID)` tuples. Prepared and
-/// ad-hoc runs must agree on the row *set*; delivery order may legally
-/// differ when the remembered tactic changes which strategy reports.
-fn row_set(r: &rdb_query::QueryResult) -> Vec<(i64, i64, i64)> {
-    let mut out: Vec<(i64, i64, i64)> = r
-        .rows
-        .iter()
-        .map(|row| {
-            (
-                row[0].as_i64().expect("AGE"),
-                row[1].as_i64().expect("SIZE"),
-                row[2].as_i64().expect("ID"),
-            )
-        })
-        .collect();
-    out.sort_unstable();
+/// Rows as a sorted multiset. Prepared and ad-hoc runs must agree on the
+/// row *set*; delivery order may legally differ when the remembered
+/// tactic changes which strategy reports.
+fn row_set(r: &rdb_query::QueryResult) -> Vec<Vec<Value>> {
+    let mut out = r.rows.clone();
+    out.sort();
     out
 }
 
@@ -86,20 +104,23 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..24),
     ) {
         let db = build_db(rows, rng_seed);
-        let sql = "select * from FAMILIES where AGE >= :A1";
-        let stmt = db.prepare(sql).expect("prepare");
+        let stmts: Vec<_> = STATEMENTS
+            .iter()
+            .map(|sql| db.prepare(sql).expect("prepare"))
+            .collect();
         let mut execs = 0u64;
         for op in &ops {
             match op {
-                PrepOp::Exec { a1 } => {
+                PrepOp::Exec { stmt, a1 } => {
+                    let sql = STATEMENTS[*stmt];
                     let opts = QueryOptions::new().with_param("A1", *a1);
-                    let prepared = stmt.execute(&opts).expect("prepared execute");
+                    let prepared = stmts[*stmt].execute(&opts).expect("prepared execute");
                     let fresh = db.query(sql, &opts).expect("ad-hoc execute");
                     prop_assert_eq!(&prepared.columns, &fresh.columns);
                     prop_assert_eq!(
                         row_set(&prepared),
                         row_set(&fresh),
-                        "binding A1={} diverged", a1
+                        "{} with A1={} diverged", sql, a1
                     );
                     // Exactly one of hit/miss per prepared execution.
                     prop_assert_eq!(
@@ -114,9 +135,13 @@ proptest! {
             }
         }
         let stats = db.plan_cache_stats();
-        // prepare() itself was one miss; every execution then recorded
+        // Each prepare() was one miss; every execution then recorded
         // exactly one hit or miss.
-        prop_assert_eq!(stats.hits + stats.misses, execs + 1, "{:?}", stats);
+        prop_assert_eq!(
+            stats.hits + stats.misses,
+            execs + STATEMENTS.len() as u64,
+            "{:?}", stats
+        );
     }
 
     /// Invalidation via catalog change: a new index mid-stream re-resolves
