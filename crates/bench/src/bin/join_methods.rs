@@ -1,5 +1,5 @@
 //! Join-method bench — every method forced to completion, then the
-//! dynamic competition, on three canonical two-table shapes.
+//! dynamic competition, on four canonical two-table shapes.
 //!
 //! Each shape builds a PARENT/CHILD pair (LCG-generated, fixed seed)
 //! and times each feasible [`rdb_core::JoinMethod`] alone via
@@ -8,13 +8,21 @@
 //! a warm-up pass), cost-meter units, and delivered pairs; pair counts
 //! are cross-checked between every method before anything is timed.
 //!
+//! The first three shapes insert into fanout-32 trees, which price
+//! merge-rid out at admission. The fourth, `both-sides`, is built the way
+//! `Db::create_index` builds (bulk load, fanout 64) with residuals on
+//! both sides and the table cardinalities as row estimates — what the
+//! query layer hands the race — so merge-rid is *admitted* and the race
+//! has to kill it.
+//!
 //! **Gate:** the dynamic competition's cost must stay within
 //! `JOIN_GATE_MAX` (default 1.5×) of the best static method on every
 //! shape. The committed `BENCH_join.json` baseline (bounded 128-page
-//! pool, cold pool before every pass) observed ratios of 1.00/1.00/1.14,
+//! pool, cold pool before every pass) observed ratios of at most 1.19,
 //! so 1.5 leaves a noise band without letting a real regression (a lost
 //! race, a broken kill heuristic) through. Cost units are deterministic,
-//! so the gate is not wall-clock flaky.
+//! so the gate is not wall-clock flaky. The same ratio on the clock
+//! (`dynamic_over_best_static_ms`) is reported, not gated.
 //!
 //! Environment knobs:
 //!
@@ -39,8 +47,8 @@ use rdb_core::{
     SideId, Tracer,
 };
 use rdb_storage::{
-    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, SharedPool,
-    Value, ValueType,
+    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Rid, Schema,
+    SharedPool, Value, ValueType,
 };
 
 struct Shape {
@@ -52,6 +60,16 @@ struct Shape {
     idx_r: BTree,
     pool: SharedPool,
     left_residual: Option<(RecordPred, f64)>,
+    right_residual: Option<(RecordPred, f64)>,
+}
+
+/// How a shape's join-column indexes come to be.
+#[derive(Clone, Copy)]
+enum IndexBuild {
+    /// One insert per row into a fanout-32 tree.
+    Inserted,
+    /// `Db::create_index`'s way: one bulk load, the default fanout 64.
+    DbBulkLoad,
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -69,13 +87,15 @@ fn pool_pages() -> usize {
         .unwrap_or(128)
 }
 
+/// An unrestricted shape; the restricted ones set their residuals over
+/// it.
 fn build_shape(
     name: &'static str,
     note: &'static str,
     n_parent: u64,
     n_child: u64,
     fk: impl Fn(&mut u64) -> i64,
-    left_residual: Option<(RecordPred, f64)>,
+    index_build: IndexBuild,
 ) -> Shape {
     let pool = shared_pool(pool_pages(), shared_meter(CostConfig::default()));
     let schema = || {
@@ -86,22 +106,36 @@ fn build_shape(
     };
     let mut left = HeapTable::with_page_bytes("PARENT", FileId(0), schema(), pool.clone(), 2048);
     let mut right = HeapTable::with_page_bytes("CHILD", FileId(1), schema(), pool.clone(), 2048);
-    let mut idx_l = BTree::new("IDX_P", FileId(2), pool.clone(), vec![0], 32);
-    let mut idx_r = BTree::new("IDX_C", FileId(3), pool.clone(), vec![0], 32);
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ name.len() as u64;
+    let mut parents = Vec::with_capacity(n_parent as usize);
     for i in 0..n_parent as i64 {
         let rid = left
             .insert(Record::new(vec![Value::Int(i), Value::Int(i % 16)]))
             .expect("insert parent");
-        idx_l.insert(vec![Value::Int(i)], rid);
+        parents.push((vec![Value::Int(i)], rid));
     }
+    let mut children = Vec::with_capacity(n_child as usize);
     for i in 0..n_child as i64 {
         let k = fk(&mut state);
         let rid = right
             .insert(Record::new(vec![Value::Int(k), Value::Int(i % 32)]))
             .expect("insert child");
-        idx_r.insert(vec![Value::Int(k)], rid);
+        children.push((vec![Value::Int(k)], rid));
     }
+    let index = |name: &'static str, file: u32, entries: Vec<(Vec<Value>, Rid)>| match index_build {
+        IndexBuild::Inserted => {
+            let mut tree = BTree::new(name, FileId(file), pool.clone(), vec![0], 32);
+            for (key, rid) in entries {
+                tree.insert(key, rid);
+            }
+            tree
+        }
+        IndexBuild::DbBulkLoad => {
+            BTree::bulk_load(name, FileId(file), pool.clone(), vec![0], 64, entries)
+        }
+    };
+    let idx_l = index("IDX_P", 2, parents);
+    let idx_r = index("IDX_C", 3, children);
     Shape {
         name,
         note,
@@ -110,7 +144,8 @@ fn build_shape(
         idx_l,
         idx_r,
         pool,
-        left_residual,
+        left_residual: None,
+        right_residual: None,
     }
 }
 
@@ -122,7 +157,7 @@ fn shapes() -> Vec<Shape> {
             2_000,
             8_000,
             |s| (lcg(s) % 2_000) as i64,
-            None,
+            IndexBuild::Inserted,
         ),
         build_shape(
             "skewed-fk",
@@ -133,19 +168,36 @@ fn shapes() -> Vec<Shape> {
                 let u = (lcg(s) % 10_000) as f64 / 10_000.0;
                 (u * u * 2_000.0) as i64
             },
-            None,
+            IndexBuild::Inserted,
         ),
-        build_shape(
-            "selective-left",
-            "left residual keeps 1/16 of parents before the join",
-            2_000,
-            8_000,
-            |s| (lcg(s) % 2_000) as i64,
-            Some((
+        Shape {
+            left_residual: Some((
                 Arc::new(|r: &Record| r[1] == Value::Int(3)),
                 2_000.0 / 16.0,
             )),
-        ),
+            ..build_shape(
+                "selective-left",
+                "left residual keeps 1/16 of parents before the join",
+                2_000,
+                8_000,
+                |s| (lcg(s) % 2_000) as i64,
+                IndexBuild::Inserted,
+            )
+        },
+        Shape {
+            left_residual: Some((Arc::new(|r: &Record| r[1] == Value::Int(3)), 2_000.0)),
+            right_residual: Some((Arc::new(|r: &Record| r[1] >= Value::Int(24)), 8_000.0)),
+            ..build_shape(
+                "both-sides",
+                "Db-built indexes (bulk load, fanout 64), residuals keep 1/16 of parents and \
+                 1/4 of children, row estimates are the table cardinalities: merge-rid is \
+                 admitted",
+                2_000,
+                8_000,
+                |s| (lcg(s) % 2_000) as i64,
+                IndexBuild::DbBulkLoad,
+            )
+        },
     ]
 }
 
@@ -155,7 +207,10 @@ impl Shape {
         if let Some((pred, est)) = &self.left_residual {
             l = l.with_residual(pred.clone(), *est);
         }
-        let r = JoinSide::new(&self.right).on_column(0).with_index(&self.idx_r);
+        let mut r = JoinSide::new(&self.right).on_column(0).with_index(&self.idx_r);
+        if let Some((pred, est)) = &self.right_residual {
+            r = r.with_residual(pred.clone(), *est);
+        }
         JoinRequest::new(l, r, JoinOp::Eq, self.pool.cost().clone())
     }
 }
@@ -204,7 +259,7 @@ fn main() {
     for shape in shapes() {
         let mut runs: Vec<Timed> = Vec::new();
         for method in methods {
-            runs.push(time_run(method.label(), || {
+            runs.push(time_run(method.label().to_string(), || {
                 // Every pass starts cold: under the bounded pool, pages a
                 // previous method left resident would otherwise subsidise
                 // whoever happens to run next.
@@ -242,12 +297,16 @@ fn main() {
         print_table(&["method", "pairs", "cost units", "best ms"], &table);
         println!("dynamic winner: {winner}\n");
 
-        let best_static_cost = runs[..runs.len() - 1]
-            .iter()
-            .map(|r| r.cost)
-            .fold(f64::INFINITY, f64::min);
-        let dynamic = runs.last().expect("dynamic run");
+        let (dynamic, statics) = runs.split_last().expect("dynamic run");
+        let best_static =
+            |of: fn(&Timed) -> f64| statics.iter().map(of).fold(f64::INFINITY, f64::min);
+        let best_static_cost = best_static(|r| r.cost);
         let ratio = dynamic.cost / best_static_cost;
+        let ratio_ms = dynamic.best_ns / best_static(|r| r.best_ns);
+        println!(
+            "dynamic over best static: {ratio:.2}x in cost units (gated), {ratio_ms:.2}x on \
+             the clock (reported)\n"
+        );
         if ratio > gate_max {
             gate_violations.push(format!(
                 "shape {}: dynamic cost {:.1} is {ratio:.2}x the best static \
@@ -268,11 +327,12 @@ fn main() {
             })
             .collect();
         json_shapes.push(format!(
-            "    {{\n      \"shape\": \"{}\",\n      \"note\": \"{}\",\n      \"winner\": \"{}\",\n      \"dynamic_over_best_static_cost\": {:.2},\n      \"runs\": [\n{}\n      ]\n    }}",
+            "    {{\n      \"shape\": \"{}\",\n      \"note\": \"{}\",\n      \"winner\": \"{}\",\n      \"dynamic_over_best_static_cost\": {:.2},\n      \"dynamic_over_best_static_ms\": {:.2},\n      \"runs\": [\n{}\n      ]\n    }}",
             shape.name,
             shape.note,
             winner,
-            dynamic.cost / best_static_cost,
+            ratio,
+            ratio_ms,
             entries.join(",\n")
         ));
     }
@@ -282,11 +342,13 @@ fn main() {
             "{{\n  \"bench\": \"crates/bench/src/bin/join_methods.rs\",\n  \
              \"command\": \"JOIN_JSON=BENCH_join.json cargo run --release -p rdb-bench --bin join_methods\",\n  \
              \"note\": \"Every join method forced to completion, then the dynamic competition, on \
-             three canonical two-table shapes, all under a bounded buffer pool (JOIN_POOL_PAGES, \
+             four canonical two-table shapes (three on inserted fanout-32 indexes, one built the \
+             way Db::create_index builds, where merge-rid is admitted), all under a bounded buffer pool (JOIN_POOL_PAGES, \
              smaller than the heaps plus indexes) so the race runs in the beyond-RAM eviction \
              regime. Pair counts are cross-checked between all methods before timing. Gated: \
              dynamic cost must stay within JOIN_GATE_MAX (default 1.5x) of the best static method \
-             on every shape.\",\n  \"gate_max\": {:.2},\n  \"pool_pages\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+             on every shape; dynamic_over_best_static_ms is the same ratio on the clock, \
+             reported only.\",\n  \"gate_max\": {:.2},\n  \"pool_pages\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
             gate_max,
             pool_pages(),
             json_shapes.join(",\n")

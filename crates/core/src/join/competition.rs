@@ -128,7 +128,7 @@ pub fn run_join(
     debug_assert!(!estimates.is_empty(), "nested loop is always feasible");
     for e in &estimates {
         tracer.emit_with(|| TraceEvent::JoinCandidate {
-            method: e.method.label(),
+            method: e.method.label().to_string(),
             estimate: e.cost,
         });
     }
@@ -140,7 +140,7 @@ pub fn run_join(
         if e.cost > cfg.admission_ratio * best_est.max(f64::MIN_POSITIVE) {
             // Pruned at planning time: hopeless against the best estimate.
             tracer.emit_with(|| TraceEvent::JoinKilled {
-                method: e.method.label(),
+                method: e.method.label().to_string(),
                 reason: DiscardReason::ProjectedCost,
                 spent: 0.0,
                 guaranteed_best: best_est,
@@ -178,9 +178,13 @@ pub fn run_join(
     let mut sched = rdb_competition::ProportionalScheduler::new(vec![1.0; admitted]);
     let mut winner: Option<(usize, JoinMethod)> = None;
     let mut last_fault: Option<StorageError> = None;
+    // Nothing charges the meter between quanta, so one reading per
+    // quantum — taken after the step — prices the lane's spend and closes
+    // the trace phase.
+    let mut mark = cost_before;
+    let mut projections: Vec<(usize, f64)> = Vec::with_capacity(admitted);
 
     while let Some(i) = sched.next() {
-        let lane_spent_before = meter.total();
         let Some(lane) = lanes.get_mut(i) else {
             // Scheduler lanes and race lanes are created 1:1, so an
             // out-of-range index can only mean a scheduler bug; retire
@@ -193,8 +197,10 @@ pub fn run_join(
             .as_mut()
             .map(|s| s.step(cfg.batch))
             .unwrap_or(Ok(JoinStepOutcome::Done));
-        lane.spent += meter.total() - lane_spent_before;
-        rt.phase(lane.method.phase());
+        let now = meter.total();
+        lane.spent += now - mark;
+        mark = now;
+        rt.phase_at(lane.method.phase(), now);
         match step {
             Err(e) => {
                 // The faulting candidate dies; the race survives it as
@@ -204,7 +210,7 @@ pub fn run_join(
                 let spent = lane.spent;
                 let label = lane.method.label();
                 tracer.emit_with(|| TraceEvent::JoinKilled {
-                    method: label,
+                    method: label.to_string(),
                     reason: DiscardReason::StorageFault,
                     spent,
                     guaranteed_best: best_est,
@@ -226,15 +232,17 @@ pub fn run_join(
         }
 
         // Projection refinement + kill rules over the surviving field.
-        let projections: Vec<(usize, f64)> = lanes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| sched.is_active(j))
-            .map(|(j, lane)| (j, lane.projection(cfg.refine_fraction)))
-            .collect();
-        if projections.len() < 2 {
+        if sched.active_count() < 2 {
             continue;
         }
+        projections.clear();
+        projections.extend(
+            lanes
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| sched.is_active(j))
+                .map(|(j, lane)| (j, lane.projection(cfg.refine_fraction))),
+        );
         // Emit a refinement event when this lane crossed a progress
         // quarter (bounded trace volume per candidate).
         if tracer.enabled() {
@@ -252,7 +260,7 @@ pub fn run_join(
                             .map(|(_, p)| *p)
                             .fold(f64::INFINITY, f64::min);
                         tracer.emit_with(|| TraceEvent::JoinRefined {
-                            method: label,
+                            method: label.to_string(),
                             progress,
                             projected_cost: proj,
                             guaranteed_best: best_other.min(proj),
@@ -293,7 +301,7 @@ pub fn run_join(
             let spent = lane.spent;
             let label = lane.method.label();
             tracer.emit_with(|| TraceEvent::JoinKilled {
-                method: label,
+                method: label.to_string(),
                 reason,
                 spent,
                 guaranteed_best: g,
@@ -579,6 +587,177 @@ mod tests {
         let req = request(&w, JoinOp::Lt);
         let err = run_join_method(&req, JoinMethod::Merge, &JoinConfig::default()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
+    }
+
+    /// PARENT(ID, KIND) with unique IDs and CHILD(FK, X) with exactly
+    /// `per_parent` children per parent — every index key on either side
+    /// has a partner — indexed the way `Db::create_index` builds (bulk
+    /// load, fanout 64), which prices merge-rid inside the admission band.
+    struct PkFkWorld {
+        parent: HeapTable,
+        child: HeapTable,
+        parent_idx: BTree,
+        child_idx: BTree,
+    }
+
+    fn pk_fk_world(parents: i64, per_parent: i64) -> PkFkWorld {
+        let pool = shared_pool(10_000, shared_meter(CostConfig::default()));
+        let ints = |a: &str, b: &str| {
+            Schema::new(vec![
+                Column::new(a, ValueType::Int),
+                Column::new(b, ValueType::Int),
+            ])
+        };
+        let mut parent =
+            HeapTable::with_page_bytes("PARENT", FileId(0), ints("ID", "KIND"), pool.clone(), 2048);
+        let mut child =
+            HeapTable::with_page_bytes("CHILD", FileId(1), ints("FK", "X"), pool.clone(), 2048);
+        let mut parent_keys = Vec::new();
+        for id in 0..parents {
+            let rid = parent
+                .insert(Record::new(vec![Value::Int(id), Value::Int(id % 16)]))
+                .unwrap();
+            parent_keys.push((vec![Value::Int(id)], rid));
+        }
+        let mut child_keys = Vec::new();
+        for i in 0..parents * per_parent {
+            let fk = i % parents;
+            let rid = child
+                .insert(Record::new(vec![Value::Int(fk), Value::Int(i % 32)]))
+                .unwrap();
+            child_keys.push((vec![Value::Int(fk)], rid));
+        }
+        let index = |name: &str, file: u32, keys| {
+            BTree::bulk_load(name, FileId(file), pool.clone(), vec![0], 64, keys)
+        };
+        let parent_idx = index("IDX_P", 2, parent_keys);
+        let child_idx = index("IDX_C", 3, child_keys);
+        PkFkWorld {
+            parent,
+            child,
+            parent_idx,
+            child_idx,
+        }
+    }
+
+    impl PkFkWorld {
+        /// `PARENT.ID = CHILD.FK` charging a private meter.
+        fn request(&self) -> JoinRequest<'_> {
+            JoinRequest::new(
+                JoinSide::new(&self.parent).on_column(0).with_index(&self.parent_idx),
+                JoinSide::new(&self.child).on_column(0).with_index(&self.child_idx),
+                JoinOp::Eq,
+                shared_meter(CostConfig::default()),
+            )
+        }
+    }
+
+    /// The most one `step(batch)` of `method` took from the meter, by
+    /// counter, over a solo run (capped: the naive loops need millions of
+    /// quanta and repeat themselves).
+    struct StepMax {
+        records: u64,
+        index_entries: u64,
+    }
+
+    fn drive(w: &PkFkWorld, method: JoinMethod, batch: usize) -> StepMax {
+        let req = w.request();
+        let mut scan = build_scan(&req, method).unwrap();
+        let mut max = StepMax {
+            records: 0,
+            index_entries: 0,
+        };
+        for _ in 0..4_000 {
+            let before = req.cost.snapshot();
+            let outcome = scan.step(batch).unwrap();
+            let step = req.cost.snapshot().since(&before);
+            max.records = max.records.max(step.records_examined);
+            max.index_entries = max.index_entries.max(step.index_entries);
+            if outcome == JoinStepOutcome::Done {
+                break;
+            }
+        }
+        max
+    }
+
+    const PER_PARENT: i64 = 4;
+    /// One parent entry plus its children: the largest equal-key group.
+    const GROUP: u64 = 1 + PER_PARENT as u64;
+
+    #[test]
+    fn no_lane_outruns_its_quantum() {
+        let w = pk_fk_world(2_000, PER_PARENT);
+        let batch = JoinConfig::default().batch;
+        let units = batch as u64 + GROUP;
+        for method in [
+            JoinMethod::NestedLoop { outer: SideId::Left },
+            JoinMethod::NestedLoop { outer: SideId::Right },
+            JoinMethod::IndexNested { outer: SideId::Left },
+            JoinMethod::IndexNested { outer: SideId::Right },
+            JoinMethod::Hash { build: SideId::Left },
+            JoinMethod::Hash { build: SideId::Right },
+            JoinMethod::Merge,
+        ] {
+            // Index entries one work unit may visit: the merge scans its
+            // indexes entry by entry; an index-nested unit that opens a
+            // probe is charged for positioning inside one leaf.
+            let entries_per_unit = match method {
+                JoinMethod::Merge => 1,
+                JoinMethod::IndexNested { .. } => w.child_idx.max_fanout() as u64,
+                _ => 0,
+            };
+            let max = drive(&w, method, batch);
+            assert!(
+                max.records <= units,
+                "{method}: one step({batch}) examined {} heap rows",
+                max.records
+            );
+            assert!(
+                max.index_entries <= units * entries_per_unit,
+                "{method}: one step({batch}) consumed {} index entries",
+                max.index_entries
+            );
+        }
+    }
+
+    #[test]
+    fn an_admitted_merge_is_killed_within_a_quantum_of_the_spend_limit() {
+        let w = pk_fk_world(2_000, PER_PARENT);
+        let cfg = JoinConfig::default();
+        // The dearest a quantum can be: every work unit a page miss plus
+        // a row. (Measuring it instead would bless whatever a step does.)
+        let price = CostConfig::default();
+        let quantum = (cfg.batch as u64 + GROUP) as f64 * (price.io_read + price.cpu_record);
+
+        let buffer = crate::trace::TraceBuffer::shared(4096);
+        let result = run_join(&w.request(), &cfg, &Tracer::new(buffer.clone())).unwrap();
+        assert_eq!(result.pairs.len(), 8_000);
+        let (spent, guaranteed_best) = buffer
+            .take()
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::JoinKilled {
+                    method,
+                    spent,
+                    guaranteed_best,
+                    ..
+                } if method == "merge-rid" && *spent > 0.0 => Some((*spent, *guaranteed_best)),
+                _ => None,
+            })
+            .expect("merge-rid is admitted and then killed in the race");
+        let report = result
+            .candidates
+            .iter()
+            .find(|c| c.method == JoinMethod::Merge)
+            .unwrap();
+        assert!(matches!(report.outcome, CandidateOutcome::Killed(_)));
+        assert_eq!(report.spent, spent);
+        assert!(
+            spent <= cfg.scan_spend_limit * guaranteed_best + quantum,
+            "merge-rid spent {spent:.1} before its kill; the spend rule allows \
+             {:.1} of the guaranteed best {guaranteed_best:.1} plus one quantum ({quantum:.2})",
+            cfg.scan_spend_limit
+        );
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Build/probe hash join, spill-free: the build side streams through the
-//! buffer pool into an in-memory bucket arena keyed by the canonical
-//! join-key hash; the probe side then streams once, probing the arena.
+//! buffer pool into an in-memory arena chained by the canonical join-key
+//! hash; the probe side then streams once, probing the arena.
 //!
 //! Equality is decided by [`Value`](rdb_storage::Value)'s `Ord` (`cmp == Equal`), never by
 //! the hash alone — [`super::join_key_hash`] is consistent with that
-//! order (Int/Float coerce identically), so a bucket hit is a candidate,
+//! order (Int/Float coerce identically), so a chain hit is a candidate,
 //! not a match. NULL join keys are skipped on both sides, matching SQL
 //! semantics.
-
-use std::collections::HashMap;
+//!
+//! Rows are decoded once, into a scratch record, and copied only when
+//! they survive: a build row that passes its NULL-key and residual
+//! checks is moved into the arena, a probe row is cloned once per pair it
+//! actually forms. One work unit of [`JoinScan::step`] is one build or
+//! probe row; a probe row's chain walk is the atomic part.
 
 use rdb_storage::{HeapScan, Record, Rid, StorageError};
 
-use super::nested::{orient, pair_matches, JoinScan, JoinStepOutcome};
+use super::nested::{push_if_match, JoinScan, JoinStepOutcome};
 use super::{join_key_hash, JoinPair, JoinRequest, JoinSide, SideId};
 
 enum Phase {
@@ -23,16 +27,31 @@ enum Phase {
     Done,
 }
 
+/// End of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// One surviving build row, linked to the next row of its chain.
+struct BuildRow {
+    hash: u64,
+    next: u32,
+    rid: Rid,
+    rec: Record,
+}
+
 /// The hash-join candidate. `build` names the side held in memory.
 pub struct HashJoinScan<'a, 'r> {
     req: &'r JoinRequest<'a>,
     build: SideId,
     phase: Phase,
-    /// Arena of build rows that passed the residual and have a non-NULL
-    /// join key.
-    arena: Vec<(Rid, Record)>,
-    /// Canonical-hash buckets into the arena.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// The row under the cursor, decoded in place.
+    scratch: Record,
+    /// Build rows that passed the residual and have a non-NULL join key,
+    /// in scan order.
+    arena: Vec<BuildRow>,
+    /// Chain heads into the arena, a power-of-two table indexed by the
+    /// top bits of the canonical hash; linked when the build phase ends,
+    /// each chain in arena order.
+    heads: Vec<u32>,
     pairs: Vec<JoinPair>,
 }
 
@@ -45,8 +64,9 @@ impl<'a, 'r> HashJoinScan<'a, 'r> {
             req,
             build,
             phase: Phase::Build(scan),
+            scratch: Record::default(),
             arena: Vec::new(),
-            buckets: HashMap::new(),
+            heads: Vec::new(),
             pairs: Vec::new(),
         }
     }
@@ -57,6 +77,26 @@ fn side<'r, 'a>(req: &'r JoinRequest<'a>, id: SideId) -> &'r JoinSide<'a> {
         SideId::Left => &req.left,
         SideId::Right => &req.right,
     }
+}
+
+/// Slot of `hash` in a table of `len` (a power of two, at least 2) heads:
+/// the top bits of a Fibonacci multiply, which spreads FNV-1a's weakly
+/// mixed low bits.
+fn head_slot(hash: u64, len: usize) -> usize {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
+}
+
+/// Links every arena row into its chain, last row first, so each chain
+/// lists its rows in arena order.
+fn link_chains(arena: &mut [BuildRow]) -> Vec<u32> {
+    let len = arena.len().next_power_of_two().max(2);
+    let mut heads = vec![NIL; len];
+    for (at, row) in arena.iter_mut().enumerate().rev() {
+        if let Some(head) = heads.get_mut(head_slot(row.hash, len)) {
+            row.next = std::mem::replace(head, at as u32);
+        }
+    }
+    heads
 }
 
 impl JoinScan for HashJoinScan<'_, '_> {
@@ -71,45 +111,57 @@ impl JoinScan for HashJoinScan<'_, '_> {
                 return Ok(JoinStepOutcome::Done);
             }
             match &mut self.phase {
-                Phase::Build(scan) => match scan.next(b.table, cost)? {
+                Phase::Build(scan) => match scan.next_into(b.table, cost, &mut self.scratch)? {
                     None => {
+                        self.heads = link_chains(&mut self.arena);
                         self.phase = Phase::Probe(p.table.scan());
                     }
-                    Some((rid, rec)) => {
-                        let key = &rec[b.join_col];
-                        if !key.is_null() && (b.residual)(&rec) {
-                            let h = join_key_hash(key);
-                            let slot = self.arena.len() as u32;
-                            self.arena.push((rid, rec));
-                            self.buckets.entry(h).or_default().push(slot);
+                    Some(rid) => {
+                        let key = &self.scratch[b.join_col];
+                        if !key.is_null() && (b.residual)(&self.scratch) {
+                            self.arena.push(BuildRow {
+                                hash: join_key_hash(key),
+                                next: NIL,
+                                rid,
+                                rec: std::mem::take(&mut self.scratch),
+                            });
                         }
                     }
                 },
-                Phase::Probe(scan) => match scan.next(p.table, cost)? {
+                Phase::Probe(scan) => match scan.next_into(p.table, cost, &mut self.scratch)? {
                     None => {
                         self.phase = Phase::Done;
                         return Ok(JoinStepOutcome::Done);
                     }
-                    Some((prid, prec)) => {
+                    Some(prid) => {
+                        let prec = &self.scratch;
                         let key = &prec[p.join_col];
-                        if key.is_null() || !(p.residual)(&prec) {
+                        if key.is_null() || !(p.residual)(prec) {
                             continue;
                         }
-                        let Some(bucket) = self.buckets.get(&join_key_hash(key)) else {
-                            continue;
-                        };
-                        for &slot in bucket {
-                            let (brid, brec) = &self.arena[slot as usize];
-                            // Bucket hits are candidates; the pair check
-                            // re-verifies true equality plus any extra
-                            // pair filter.
-                            let pair =
-                                orient(self.build, *brid, brec.clone(), prid, prec.clone());
-                            if pair_matches(self.req, &pair.left, &pair.right) {
-                                self.pairs.push(pair);
-                                if self.pairs.len() >= limit {
-                                    break;
-                                }
+                        let hash = join_key_hash(key);
+                        let mut at = self
+                            .heads
+                            .get(head_slot(hash, self.heads.len()))
+                            .copied()
+                            .unwrap_or(NIL);
+                        while let Some(row) = self.arena.get(at as usize) {
+                            at = row.next;
+                            if row.hash != hash {
+                                continue;
+                            }
+                            // A chain hit is a candidate; the pair check
+                            // decides true equality plus any extra pair
+                            // filter, and only a match is copied.
+                            push_if_match(
+                                self.req,
+                                self.build,
+                                (row.rid, &row.rec),
+                                (prid, prec),
+                                &mut self.pairs,
+                            );
+                            if self.pairs.len() >= limit {
+                                break;
                             }
                         }
                     }

@@ -11,6 +11,16 @@
 //!
 //! Requires an equi-join with indexes on both join columns. NULL keys
 //! (which sort first in the B-tree order) are skipped on both cursors.
+//!
+//! One work unit of [`JoinScan::step`] is one index entry consumed, one
+//! row fetched, or one pending pair assembled. Every entry counts against
+//! the step's budget, including those an equal-key group pulls in; the
+//! group itself is atomic (it never spans quanta), so a step overshoots
+//! its batch by at most one group — on a PK–FK join where every key
+//! matches, the merge still hands control back every few entries instead
+//! of running to its end inside one quantum. Fetched rows are decoded
+//! into a scratch record and kept only when they pass their side's
+//! residual.
 
 use std::collections::BTreeMap;
 
@@ -93,6 +103,8 @@ pub struct MergeJoinScan<'a, 'r> {
     fetch_pos: usize,
     emit_pos: usize,
     phase: Phase,
+    /// The row under the fetch cursor, decoded in place.
+    scratch: Record,
     pairs: Vec<JoinPair>,
 }
 
@@ -115,28 +127,31 @@ impl<'a, 'r> MergeJoinScan<'a, 'r> {
             fetch_pos: 0,
             emit_pos: 0,
             phase: Phase::Merge,
+            scratch: Record::default(),
             pairs: Vec::new(),
         })
     }
 
     /// Collects the full equal-key group on one cursor (the peeked entry
-    /// plus every following entry with the same key).
+    /// plus every following entry with the same key) and the number of
+    /// index entries consumed refilling the peek slot on the way.
     fn collect_group(
         cursor: &mut Cursor,
         tree: &BTree,
         cost: &rdb_storage::CostMeter,
         key: &Value,
-    ) -> Result<Vec<Rid>, StorageError> {
+    ) -> Result<(Vec<Rid>, u64), StorageError> {
         let mut group = Vec::new();
+        let mut used = 0;
         loop {
             match cursor.peek.take() {
                 Some((k, rid)) if k.cmp(key) == std::cmp::Ordering::Equal => {
                     group.push(rid);
-                    cursor.fill(tree, cost)?;
+                    used += cursor.fill(tree, cost)?;
                 }
                 other => {
                     cursor.peek = other;
-                    return Ok(group);
+                    return Ok((group, used));
                 }
             }
         }
@@ -193,10 +208,14 @@ impl JoinScan for MergeJoinScan<'_, '_> {
                         std::cmp::Ordering::Equal => {
                             // Equal-key group: cross product of both
                             // sides' RIDs for this key. Collected
-                            // atomically — a group never spans quanta.
+                            // atomically — a group never spans quanta —
+                            // but its entries are paid for.
                             let key = lk.clone();
-                            let lgroup = Self::collect_group(&mut self.left, lt, cost, &key)?;
-                            let rgroup = Self::collect_group(&mut self.right, rt, cost, &key)?;
+                            let (lgroup, lused) =
+                                Self::collect_group(&mut self.left, lt, cost, &key)?;
+                            let (rgroup, rused) =
+                                Self::collect_group(&mut self.right, rt, cost, &key)?;
+                            budget -= (lused + rused) as i64;
                             cost.charge_rid_ops((lgroup.len() * rgroup.len()) as u64);
                             for &l in &lgroup {
                                 for &r in &rgroup {
@@ -214,9 +233,9 @@ impl JoinScan for MergeJoinScan<'_, '_> {
                     Some(&rid) => {
                         self.fetch_pos += 1;
                         budget -= 1;
-                        let rec = self.req.left.table.fetch(rid, cost)?;
-                        if (self.req.left.residual)(&rec) {
-                            self.lrecs.insert(rid, rec);
+                        self.req.left.table.fetch_into(rid, cost, &mut self.scratch)?;
+                        if (self.req.left.residual)(&self.scratch) {
+                            self.lrecs.insert(rid, std::mem::take(&mut self.scratch));
                         }
                     }
                 },
@@ -227,9 +246,9 @@ impl JoinScan for MergeJoinScan<'_, '_> {
                     Some(&rid) => {
                         self.fetch_pos += 1;
                         budget -= 1;
-                        let rec = self.req.right.table.fetch(rid, cost)?;
-                        if (self.req.right.residual)(&rec) {
-                            self.rrecs.insert(rid, rec);
+                        self.req.right.table.fetch_into(rid, cost, &mut self.scratch)?;
+                        if (self.req.right.residual)(&self.scratch) {
+                            self.rrecs.insert(rid, std::mem::take(&mut self.scratch));
                         }
                     }
                 },

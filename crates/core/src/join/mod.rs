@@ -304,12 +304,16 @@ pub enum JoinMethod {
 
 impl JoinMethod {
     /// Stable human label, used in trace events and winner strings.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
+        use SideId::{Left, Right};
         match self {
-            JoinMethod::NestedLoop { outer } => format!("nested(outer={outer})"),
-            JoinMethod::IndexNested { outer } => format!("index-nested(outer={outer})"),
-            JoinMethod::Hash { build } => format!("hash(build={build})"),
-            JoinMethod::Merge => "merge-rid".to_string(),
+            JoinMethod::NestedLoop { outer: Left } => "nested(outer=left)",
+            JoinMethod::NestedLoop { outer: Right } => "nested(outer=right)",
+            JoinMethod::IndexNested { outer: Left } => "index-nested(outer=left)",
+            JoinMethod::IndexNested { outer: Right } => "index-nested(outer=right)",
+            JoinMethod::Hash { build: Left } => "hash(build=left)",
+            JoinMethod::Hash { build: Right } => "hash(build=right)",
+            JoinMethod::Merge => "merge-rid",
         }
     }
 
@@ -326,7 +330,7 @@ impl JoinMethod {
 
 impl fmt::Display for JoinMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        f.write_str(self.label())
     }
 }
 

@@ -3,11 +3,19 @@
 //! variant that probes the inner side's join-column B-tree per outer row.
 //!
 //! Both are resumable: [`JoinScan::step`] consumes a bounded batch of
-//! work units (rows examined) and returns, so the competition can
-//! interleave candidates on the proportional scheduler exactly as Jscan
-//! interleaves index scans. All storage access is fallible (rdb-lint
+//! work units and returns, so the competition can interleave candidates
+//! on the proportional scheduler exactly as Jscan interleaves index
+//! scans — here one unit is one outer row, one inner row, or one inner
+//! index entry with its fetch. All storage access is fallible (rdb-lint
 //! F002); a fault surfaces as `Err` and the competition decides whether
 //! to absorb it.
+//!
+//! Heap rows are decoded once, into a scratch record the scan owns
+//! ([`HeapScan::next_into`]); residual, NULL-key and pair checks run on
+//! that borrow, and a row is copied only when it survives — an outer row
+//! that will drive an inner pass, a pair that is delivered. The naive
+//! loop's inner rescan, which looks at every inner row once per outer
+//! row, allocates nothing for the rows it rejects.
 
 use rdb_btree::{KeyBound, KeyRange, RangeScan};
 use rdb_storage::{HeapScan, Record, Rid, StorageError};
@@ -26,7 +34,15 @@ pub enum JoinStepOutcome {
 
 /// The resumable-candidate contract shared by every join method.
 pub trait JoinScan {
-    /// Runs up to `batch` work units. Fallible: storage faults propagate.
+    /// Runs one scheduling quantum. Fallible: storage faults propagate.
+    ///
+    /// The quantum contract: a step consumes at most `batch` work units —
+    /// one unit is one heap row scanned or fetched, or one index entry
+    /// consumed, i.e. whatever the method charges the meter for — plus at
+    /// most one *atomic* part that may not span quanta: a probe row's
+    /// chain walk (hash), an equal-key group (merge). The competition
+    /// evaluates its kill rules between steps, so a lane that did more
+    /// per step would spend past the paper's thresholds unseen.
     fn step(&mut self, batch: usize) -> Result<JoinStepOutcome, StorageError>;
 
     /// Fraction of this candidate's input consumed, in `[0, 1]` — the
@@ -62,28 +78,34 @@ pub(crate) fn pair_matches(req: &JoinRequest<'_>, left: &Record, right: &Record)
     }
 }
 
-/// Orients an outer-row record into a (left, right) pair with an inner
-/// record, preserving the request's side labels.
-pub(crate) fn orient(
-    outer: SideId,
-    outer_rid: Rid,
-    outer_rec: Record,
-    inner_rid: Rid,
-    inner_rec: Record,
-) -> JoinPair {
+/// Orients an (outer, inner) pair of anything — records, references,
+/// RIDs — into the request's (left, right) order.
+pub(crate) fn orient<T>(outer: SideId, outer_item: T, inner_item: T) -> (T, T) {
     match outer {
-        SideId::Left => JoinPair {
-            left_rid: outer_rid,
-            right_rid: inner_rid,
-            left: outer_rec,
-            right: inner_rec,
-        },
-        SideId::Right => JoinPair {
-            left_rid: inner_rid,
-            right_rid: outer_rid,
-            left: inner_rec,
-            right: outer_rec,
-        },
+        SideId::Left => (outer_item, inner_item),
+        SideId::Right => (inner_item, outer_item),
+    }
+}
+
+/// The copy-on-survive step every streaming lane ends in: checks the
+/// pair on references and only then clones both records into an owned
+/// [`JoinPair`] (either may go on to form further pairs).
+pub(crate) fn push_if_match(
+    req: &JoinRequest<'_>,
+    outer: SideId,
+    (outer_rid, outer_rec): (Rid, &Record),
+    (inner_rid, inner_rec): (Rid, &Record),
+    pairs: &mut Vec<JoinPair>,
+) {
+    let (left, right) = orient(outer, outer_rec, inner_rec);
+    if pair_matches(req, left, right) {
+        let (left_rid, right_rid) = orient(outer, outer_rid, inner_rid);
+        pairs.push(JoinPair {
+            left_rid,
+            right_rid,
+            left: left.clone(),
+            right: right.clone(),
+        });
     }
 }
 
@@ -95,8 +117,12 @@ pub struct NestedLoopScan<'a, 'r> {
     req: &'r JoinRequest<'a>,
     outer: SideId,
     outer_scan: HeapScan,
-    /// Current surviving outer row, with its inner rescan cursor.
-    current: Option<(Rid, Record, HeapScan)>,
+    /// The outer row under the cursor; meaningful while `inner` is open.
+    outer_rec: Record,
+    /// The surviving outer row's RID and its inner rescan cursor.
+    inner: Option<(Rid, HeapScan)>,
+    /// The inner row under the rescan cursor.
+    inner_rec: Record,
     pairs: Vec<JoinPair>,
     done: bool,
 }
@@ -109,7 +135,9 @@ impl<'a, 'r> NestedLoopScan<'a, 'r> {
             req,
             outer,
             outer_scan,
-            current: None,
+            outer_rec: Record::default(),
+            inner: None,
+            inner_rec: Record::default(),
             pairs: Vec::new(),
             done: false,
         }
@@ -137,28 +165,31 @@ impl JoinScan for NestedLoopScan<'_, '_> {
                 self.done = true;
                 return Ok(JoinStepOutcome::Done);
             }
-            match &mut self.current {
-                None => match self.outer_scan.next(o.table, cost)? {
+            match &mut self.inner {
+                None => match self.outer_scan.next_into(o.table, cost, &mut self.outer_rec)? {
                     None => {
                         self.done = true;
                         return Ok(JoinStepOutcome::Done);
                     }
-                    Some((rid, rec)) => {
-                        if (o.residual)(&rec) {
-                            self.current = Some((rid, rec, i.table.scan()));
+                    Some(rid) => {
+                        if (o.residual)(&self.outer_rec) {
+                            self.inner = Some((rid, i.table.scan()));
                         }
                     }
                 },
-                Some((orid, orec, inner)) => match inner.next(i.table, cost)? {
+                Some((orid, inner)) => match inner.next_into(i.table, cost, &mut self.inner_rec)? {
                     None => {
-                        self.current = None;
+                        self.inner = None;
                     }
-                    Some((irid, irec)) => {
-                        if (i.residual)(&irec) {
-                            let pair = orient(self.outer, *orid, orec.clone(), irid, irec);
-                            if pair_matches(self.req, &pair.left, &pair.right) {
-                                self.pairs.push(pair);
-                            }
+                    Some(irid) => {
+                        if (i.residual)(&self.inner_rec) {
+                            push_if_match(
+                                self.req,
+                                self.outer,
+                                (*orid, &self.outer_rec),
+                                (irid, &self.inner_rec),
+                                &mut self.pairs,
+                            );
                         }
                     }
                 },
@@ -172,9 +203,9 @@ impl JoinScan for NestedLoopScan<'_, '_> {
         let i = outer_side(self.req, self.outer.other());
         let outer_pages = o.table.page_count().max(1) as f64;
         let inner = self
-            .current
+            .inner
             .as_ref()
-            .map(|(_, _, s)| s.progress(i.table))
+            .map(|(_, s)| s.progress(i.table))
             .unwrap_or(0.0);
         (self.outer_scan.progress(o.table) + inner / outer_pages).min(1.0)
     }
@@ -224,8 +255,12 @@ pub struct IndexNestedScan<'a, 'r> {
     /// The operator as seen from the outer side (`v VIEW inner_key`).
     view: JoinOp,
     outer_scan: HeapScan,
-    /// Current surviving outer row and its in-flight index probe.
-    current: Option<(Rid, Record, RangeScan)>,
+    /// The outer row under the cursor; meaningful while `probe` is open.
+    outer_rec: Record,
+    /// The surviving outer row's RID and its in-flight index probe.
+    probe: Option<(Rid, RangeScan)>,
+    /// The inner row the probe last fetched.
+    inner_rec: Record,
     pairs: Vec<JoinPair>,
     done: bool,
 }
@@ -243,7 +278,9 @@ impl<'a, 'r> IndexNestedScan<'a, 'r> {
             outer,
             view,
             outer_scan: outer_side(req, outer).table.scan(),
-            current: None,
+            outer_rec: Record::default(),
+            probe: None,
+            inner_rec: Record::default(),
             pairs: Vec::new(),
             done: false,
         }
@@ -267,32 +304,35 @@ impl JoinScan for IndexNestedScan<'_, '_> {
                 self.done = true;
                 return Ok(JoinStepOutcome::Done);
             }
-            match &mut self.current {
-                None => match self.outer_scan.next(o.table, cost)? {
+            match &mut self.probe {
+                None => match self.outer_scan.next_into(o.table, cost, &mut self.outer_rec)? {
                     None => {
                         self.done = true;
                         return Ok(JoinStepOutcome::Done);
                     }
-                    Some((rid, rec)) => {
-                        let v = &rec[o.join_col];
+                    Some(rid) => {
+                        let v = &self.outer_rec[o.join_col];
                         // NULL never joins; skip the probe entirely.
-                        if !v.is_null() && (o.residual)(&rec) {
+                        if !v.is_null() && (o.residual)(&self.outer_rec) {
                             let probe = tree.range_scan(probe_range(self.view, v), cost);
-                            self.current = Some((rid, rec, probe));
+                            self.probe = Some((rid, probe));
                         }
                     }
                 },
-                Some((orid, orec, probe)) => match probe.next(tree, cost)? {
+                Some((orid, probe)) => match probe.next(tree, cost)? {
                     None => {
-                        self.current = None;
+                        self.probe = None;
                     }
                     Some((_key, irid)) => {
-                        let irec = i.table.fetch(irid, cost)?;
-                        if (i.residual)(&irec) {
-                            let pair = orient(self.outer, *orid, orec.clone(), irid, irec);
-                            if pair_matches(self.req, &pair.left, &pair.right) {
-                                self.pairs.push(pair);
-                            }
+                        i.table.fetch_into(irid, cost, &mut self.inner_rec)?;
+                        if (i.residual)(&self.inner_rec) {
+                            push_if_match(
+                                self.req,
+                                self.outer,
+                                (*orid, &self.outer_rec),
+                                (irid, &self.inner_rec),
+                                &mut self.pairs,
+                            );
                         }
                     }
                 },

@@ -587,6 +587,15 @@ impl<'a> RunTrace<'a> {
     pub fn phase(&mut self, phase: &str) {
         let Some(cost) = &self.cost else { return };
         let now = cost.total();
+        self.phase_at(phase, now);
+    }
+
+    /// [`RunTrace::phase`] for a caller that has just read the meter
+    /// itself: `now` is the run meter's current total.
+    pub fn phase_at(&mut self, phase: &str, now: f64) {
+        if self.cost.is_none() {
+            return;
+        }
         let delta = now - self.mark;
         self.mark = now;
         if delta == 0.0 {

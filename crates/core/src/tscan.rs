@@ -22,6 +22,9 @@ pub struct Tscan<'a> {
     table: &'a HeapTable,
     residual: RecordPred,
     scan: HeapScan,
+    /// The row under the cursor, decoded in place; a row that qualifies
+    /// is moved out to the caller, one that does not costs no allocation.
+    scratch: Record,
     cost: SharedCost,
     examined: u64,
     delivered: u64,
@@ -34,6 +37,7 @@ impl<'a> Tscan<'a> {
             table,
             residual,
             scan: table.scan(),
+            scratch: Record::default(),
             cost,
             examined: 0,
             delivered: 0,
@@ -66,12 +70,16 @@ impl<'a> Tscan<'a> {
     /// (e.g. an injected fault) — the scan is dead and the retrieval must
     /// surface the error.
     pub fn step(&mut self) -> Result<StrategyStep, StorageError> {
-        match self.scan.next(self.table, &self.cost)? {
+        match self
+            .scan
+            .next_into(self.table, &self.cost, &mut self.scratch)?
+        {
             None => Ok(StrategyStep::Done),
-            Some((rid, record)) => {
+            Some(rid) => {
                 self.examined += 1;
-                if (self.residual)(&record) {
+                if (self.residual)(&self.scratch) {
                     self.delivered += 1;
+                    let record = std::mem::take(&mut self.scratch);
                     Ok(StrategyStep::Deliver(rid, Some(record)))
                 } else {
                     Ok(StrategyStep::Progress)

@@ -520,15 +520,20 @@ impl Db {
     /// from stopping at. `row(item, keyed)` returns the item's `(sort
     /// key, output row)`; the key is only gathered (`keyed`) when a
     /// post-sort is pending and is `Null` otherwise.
-    pub(crate) fn finish<T>(
+    pub(crate) fn finish<I>(
         &self,
         tail: Tail,
         columns: &[String],
-        items: &[T],
+        items: I,
         (units, strategy, events): (f64, String, Vec<String>),
         cost: &SharedCost,
-        mut row: impl FnMut(&T, bool) -> Result<(Value, Vec<Value>), QueryError>,
-    ) -> Result<QueryResult, QueryError> {
+        mut row: impl FnMut(I::Item, bool) -> Result<(Value, Vec<Value>), QueryError>,
+    ) -> Result<QueryResult, QueryError>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
         let (columns, rows) = if tail.count {
             let count = vec![Value::Int(items.len() as i64)];
             (vec!["COUNT".to_string()], vec![count])

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use rdb_core::{run_join, JoinConfig, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
-use rdb_storage::{Record, SharedCost};
+use rdb_storage::{Record, SharedCost, Value};
 
 use crate::db::{Db, TableEntry};
 use crate::error::QueryError;
@@ -38,8 +38,9 @@ pub(crate) struct ResolvedJoin {
     /// Output column names (display form: as written, or
     /// `TABLE.COLUMN`-qualified for `*`).
     out_columns: Vec<String>,
-    /// Positional projection across both records.
-    out_pos: Vec<(SideId, usize)>,
+    /// Positional projection across both records; the flag marks the
+    /// last pick of a position, which may move the value out of its pair.
+    out_pos: Vec<(SideId, usize, bool)>,
     /// ORDER BY target (joins always post-sort; indexes order single
     /// tables, not pair streams).
     order_pos: Option<(SideId, usize)>,
@@ -239,6 +240,11 @@ pub(crate) fn resolve_join(
             (names, pos)
         }
     };
+    let out_pos = out_pos
+        .iter()
+        .enumerate()
+        .map(|(k, &(side, i))| (side, i, !out_pos[k + 1..].contains(&(side, i))))
+        .collect();
     let order_pos = spec
         .order_by
         .as_deref()
@@ -370,9 +376,11 @@ fn join_request<'a>(
 }
 
 /// Executes a resolved join: races the candidates and hands the surviving
-/// pairs to the shared finish stage, projected positionally across both
-/// records (joins always post-sort an ORDER BY; indexes order single
-/// tables, not pair streams).
+/// pairs, owned, to the shared finish stage, which projects positionally
+/// across both records by moving each picked value out of its pair (a
+/// position picked twice is cloned for all but its last pick). Joins
+/// always post-sort an ORDER BY; indexes order single tables, not pair
+/// streams.
 pub(crate) fn execute_join(
     db: &Db,
     left: &TableEntry,
@@ -400,18 +408,34 @@ pub(crate) fn execute_join(
             )
         })
         .collect();
-    let row = |pair: &JoinPair, keyed: bool| {
-        let pick = |&(side, i): &(SideId, usize)| match side {
-            SideId::Left => &pair.left[i],
-            SideId::Right => &pair.right[i],
-        };
-        Ok((
-            sort_key(keyed, resolved.order_pos.as_ref().map(pick)),
-            resolved.out_pos.iter().map(|p| pick(p).clone()).collect(),
-        ))
+    let row = |pair: JoinPair, keyed: bool| {
+        let key = sort_key(
+            keyed,
+            resolved.order_pos.map(|(side, i)| match side {
+                SideId::Left => &pair.left[i],
+                SideId::Right => &pair.right[i],
+            }),
+        );
+        let (mut left, mut right) = (pair.left.into_values(), pair.right.into_values());
+        let out = resolved
+            .out_pos
+            .iter()
+            .map(|&(side, i, last)| {
+                let value = match side {
+                    SideId::Left => &mut left[i],
+                    SideId::Right => &mut right[i],
+                };
+                if last {
+                    std::mem::replace(value, Value::Null)
+                } else {
+                    value.clone()
+                }
+            })
+            .collect();
+        Ok((key, out))
     };
     let outcome = (result.cost, result.strategy, events);
-    db.finish(tail, &resolved.out_columns, &result.pairs, outcome, cost, row)
+    db.finish(tail, &resolved.out_columns, result.pairs, outcome, cost, row)
 }
 
 /// `EXPLAIN` for a join: the candidate space with planning-time

@@ -296,9 +296,23 @@ impl HeapTable {
         out
     }
 
-    /// Fetches the record at `rid`, charging a buffer access for its page
-    /// and one record's CPU cost to `cost` (the calling session's meter).
+    /// Fetches the record at `rid` owned: [`HeapTable::fetch_into`] with a
+    /// fresh record, for callers that keep what they fetch.
     pub fn fetch(&self, rid: Rid, cost: &CostMeter) -> Result<Record, StorageError> {
+        let mut record = Record::default();
+        self.fetch_into(rid, cost, &mut record)?;
+        Ok(record)
+    }
+
+    /// Fetches the record at `rid` into `record` (whose allocation is
+    /// reused), charging a buffer access for its page and one record's
+    /// CPU cost to `cost` (the calling session's meter).
+    pub fn fetch_into(
+        &self,
+        rid: Rid,
+        cost: &CostMeter,
+        record: &mut Record,
+    ) -> Result<(), StorageError> {
         let page = self
             .pages
             .get(rid.page as usize)
@@ -318,7 +332,7 @@ impl HeapTable {
             page: rid.page,
             slot: rid.slot,
         })?;
-        Record::decode(bytes)
+        record.decode_into(bytes)
     }
 
     /// True if `rid` refers to a live record (no cost charged).
@@ -381,17 +395,36 @@ pub struct HeapScan {
 }
 
 impl HeapScan {
-    /// Advances to the next live record, `Ok(None)` at end of table.
-    ///
-    /// Page reads go through the pool's fallible path, so an injected
-    /// storage fault (or a record that fails to decode) surfaces as an
-    /// `Err` instead of silently ending the scan. Charges go to `cost`,
-    /// the calling session's meter.
+    /// Advances to the next live record and returns it owned, `Ok(None)`
+    /// at end of table: [`HeapScan::next_into`] with a fresh record per
+    /// row, for callers that keep every row they see.
     pub fn next(
         &mut self,
         table: &HeapTable,
         cost: &CostMeter,
     ) -> Result<Option<(Rid, Record)>, StorageError> {
+        let mut record = Record::default();
+        Ok(self
+            .next_into(table, cost, &mut record)?
+            .map(|rid| (rid, record)))
+    }
+
+    /// Advances to the next live record, decoding it into `record` (whose
+    /// allocation is reused) and returning its RID; `Ok(None)` at end of
+    /// table. This is the one loop that walks a heap's pages and slots: a
+    /// scan that drops most rows decodes into a scratch record and copies
+    /// only the survivors.
+    ///
+    /// Page reads go through the pool's fallible path, so an injected
+    /// storage fault (or a record that fails to decode) surfaces as an
+    /// `Err` instead of silently ending the scan. Charges go to `cost`,
+    /// the calling session's meter.
+    pub fn next_into(
+        &mut self,
+        table: &HeapTable,
+        cost: &CostMeter,
+        record: &mut Record,
+    ) -> Result<Option<Rid>, StorageError> {
         loop {
             let Some(page) = table.pages.get(self.page as usize) else {
                 return Ok(None);
@@ -411,8 +444,8 @@ impl HeapScan {
                 self.slot += 1;
                 if let Some(bytes) = page.slot_bytes(slot) {
                     cost.charge_records(1);
-                    let record = Record::decode(bytes)?;
-                    return Ok(Some((Rid::new(self.page, slot), record)));
+                    record.decode_into(bytes)?;
+                    return Ok(Some(Rid::new(self.page, slot)));
                 }
             }
             self.page += 1;
@@ -421,14 +454,17 @@ impl HeapScan {
         }
     }
 
-    /// Fraction of the table already scanned, in pages (for progress-based
-    /// cost projection).
+    /// Fraction of the table already scanned (for progress-based cost
+    /// projection): whole pages left behind plus the open page by its
+    /// slot fraction. The meter charges a page when it is entered, so
+    /// counting only pages already left would make spend/progress
+    /// over-project by a whole page's cost on short heaps.
     pub fn progress(&self, table: &HeapTable) -> f64 {
-        if table.pages.is_empty() {
-            1.0
-        } else {
-            (self.page as f64).min(table.pages.len() as f64) / table.pages.len() as f64
-        }
+        let Some(page) = table.pages.get(self.page as usize) else {
+            return 1.0;
+        };
+        let within = f64::from(self.slot) / f64::from(page.slot_count().max(1));
+        (f64::from(self.page) + within.min(1.0)) / table.pages.len() as f64
     }
 }
 

@@ -4,7 +4,9 @@ use crate::error::StorageError;
 use crate::value::Value;
 
 /// A row: an ordered list of [`Value`]s matching some [`crate::Schema`].
-#[derive(Debug, Clone, PartialEq)]
+/// The default is the empty record — what a scan's scratch record starts
+/// as and what `std::mem::take` leaves behind.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Record(Vec<Value>);
 
 impl Record {
@@ -54,20 +56,42 @@ impl Record {
 
     /// Decodes a record from the exact byte slice produced by `encode`.
     pub fn decode(buf: &[u8]) -> Result<Record, StorageError> {
+        let mut record = Record::default();
+        record.decode_into(buf)?;
+        Ok(record)
+    }
+
+    /// [`Record::decode`] into `self`, reusing its allocation — the
+    /// scratch-record path of scans that look at many rows and keep few.
+    /// Nothing of the previous contents survives, on success or on error
+    /// (an `Err` leaves the record empty).
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), StorageError> {
+        self.0.clear();
+        let out = self.fill_from(buf);
+        if out.is_err() {
+            self.0.clear();
+        }
+        out
+    }
+
+    /// The one value-decoding path under `decode` and `decode_into`;
+    /// `self` is empty on entry.
+    fn fill_from(&mut self, buf: &[u8]) -> Result<(), StorageError> {
         let mut pos = 0;
         if buf.len() < 2 {
             return Err(StorageError::Corrupt("record arity"));
         }
         let arity = u16::from_le_bytes([buf[0], buf[1]]) as usize;
         pos += 2;
-        let mut values = Vec::with_capacity(arity);
+        // Exact: a record that survives is kept at its own size.
+        self.0.reserve_exact(arity);
         for _ in 0..arity {
-            values.push(Value::decode(buf, &mut pos)?);
+            self.0.push(Value::decode(buf, &mut pos)?);
         }
         if pos != buf.len() {
             return Err(StorageError::Corrupt("record trailing bytes"));
         }
-        Ok(Record(values))
+        Ok(())
     }
 }
 
@@ -114,6 +138,38 @@ mod tests {
     #[test]
     fn decode_rejects_short_buffer() {
         assert!(Record::decode(&[1]).is_err());
+    }
+
+    #[test]
+    fn decode_into_reuses_the_record_and_reports_decodes_errors() {
+        let wide = Record::new(vec![Value::Str("previous row".into()), Value::Int(1), Value::Null]);
+        let narrow = Record::new(vec![Value::Str("ab".into())]);
+        let mut buf = Vec::new();
+        narrow.encode(&mut buf);
+
+        let mut scratch = wide.clone();
+        scratch.decode_into(&buf).unwrap();
+        assert_eq!(scratch, narrow, "nothing of the wider previous row survives");
+
+        let short = &buf[..buf.len() - 1];
+        let mut trailing = buf.clone();
+        trailing.push(0);
+        let mut bad_tag = buf.clone();
+        bad_tag[2] = 9;
+        let mut bad_utf8 = buf.clone();
+        *bad_utf8.last_mut().unwrap() = 0xFF;
+        for (damaged, what) in [
+            (short, "string length"),
+            (&trailing[..], "record trailing bytes"),
+            (&bad_tag[..], "value tag"),
+            (&bad_utf8[..], "string utf8"),
+        ] {
+            let mut scratch = wide.clone();
+            let err = scratch.decode_into(damaged).unwrap_err();
+            assert_eq!(err, StorageError::Corrupt(what));
+            assert_eq!(Record::decode(damaged).unwrap_err(), err);
+            assert!(scratch.is_empty(), "{what}: a failed decode leaves no stale values");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rdb_storage::{
     shared_meter, shared_pool, BufferPool, Column, CostConfig, CostMeter, EvictionPolicy, FileId,
-    HeapTable, PageId, Record, ReferencePool, Rid, Schema, Value, ValueType,
+    HeapTable, PageId, Record, ReferencePool, Rid, Schema, StorageError, Value, ValueType,
 };
 
 fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
@@ -47,7 +47,66 @@ fn arb_record() -> impl Strategy<Value = Record> {
     prop::collection::vec(arb_value(), 0..8).prop_map(Record::new)
 }
 
+/// A record's encoding: intact, or damaged in one of the ways the codec
+/// must reject — cut short, trailing bytes, a bad first tag, or `0xFF`
+/// poked anywhere (bad UTF-8 inside a `Str`, a bad tag, a wrong length or
+/// arity, depending on where it lands).
+fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
+    (arb_record(), 0usize..5, any::<usize>(), any::<u8>()).prop_map(
+        |(record, damage, at, byte): (Record, usize, usize, u8)| {
+            let mut buf = Vec::new();
+            record.encode(&mut buf);
+            match damage {
+                0 => {}
+                1 => buf.truncate(at % buf.len()),
+                2 => buf.push(byte),
+                3 if buf.len() > 2 => buf[2] = 4 + byte % 252,
+                _ => {
+                    let i = at % buf.len();
+                    buf[i] = 0xFF;
+                }
+            }
+            buf
+        },
+    )
+}
+
+/// Codec results compared through the total order (NaN != NaN under
+/// `PartialEq`); errors must be the same error.
+fn same_decode(a: &Result<Record, StorageError>, b: &Result<Record, StorageError>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.len() == b.len()
+                && a.values()
+                    .iter()
+                    .zip(b.values())
+                    .all(|(x, y)| x.cmp(y) == std::cmp::Ordering::Equal)
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
 proptest! {
+    /// One scratch record reused across a stream of rows — different
+    /// arities, `Str` columns, corrupted buffers in between — decodes
+    /// each exactly as a fresh `Record::decode` does, and a failed decode
+    /// leaves nothing of any earlier row behind.
+    #[test]
+    fn decode_into_a_reused_record_matches_decode(
+        stream in prop::collection::vec(arb_encoding(), 1..12),
+    ) {
+        let mut scratch = Record::default();
+        for buf in &stream {
+            let fresh = Record::decode(buf);
+            let reused = scratch.decode_into(buf).map(|()| scratch.clone());
+            prop_assert!(same_decode(&fresh, &reused), "{fresh:?} vs {reused:?} on {buf:?}");
+            if reused.is_err() {
+                prop_assert!(scratch.is_empty());
+            }
+        }
+    }
+
     #[test]
     fn value_codec_roundtrips(v in arb_value()) {
         let mut buf = Vec::new();
