@@ -192,3 +192,119 @@ fn hash_join_rows_failing_the_residual_do_not_allocate() {
         2 * ROWS - 16
     );
 }
+
+/// A checkpointed two-Int table on a [`rdb_storage::FilePageStore`] behind
+/// a 4-page pool, so nearly every page touch is a miss backed by a real
+/// frame read. Returns the table, the store and the directory to remove.
+fn file_backed_table(
+    tag: &str,
+    rows: i64,
+) -> (
+    rdb_storage::HeapTable,
+    std::sync::Arc<rdb_storage::FilePageStore>,
+    rdb_storage::SharedPool,
+    std::path::PathBuf,
+) {
+    use std::sync::Arc;
+
+    use rdb_storage::{
+        shared_meter, shared_pool, Column, CostConfig, DurableCtx, FileId, FilePageStore,
+        HeapTable, Record, Schema, SharedStore, Value, ValueType, DURABLE_PAGE_BYTES,
+    };
+
+    let dir = std::env::temp_dir().join(format!("rdb-allocfree-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = Arc::new(FilePageStore::open(&dir, DURABLE_PAGE_BYTES).unwrap());
+    let store: SharedStore = files.clone();
+    let pool = shared_pool(4, shared_meter(CostConfig::default()));
+    let ctx = DurableCtx::new(store, pool.clone(), Vec::new(), Vec::new());
+    let schema = Schema::new(vec![
+        Column::new("K", ValueType::Int),
+        Column::new("V", ValueType::Int),
+    ]);
+    let mut t =
+        HeapTable::with_page_bytes("T", FileId(0), schema, pool.clone(), DURABLE_PAGE_BYTES);
+    t.attach_durable(ctx.clone());
+    for i in 0..rows {
+        t.insert(Record::new(vec![Value::Int(i), Value::Int(i % 7)]))
+            .unwrap();
+    }
+    ctx.checkpoint(b"CAT", |pid| t.page_clone(pid.page)).unwrap();
+    t.note_checkpointed();
+    pool.clear();
+    (t, files, pool, dir)
+}
+
+/// The price of a pool miss on a clean checkpointed page is the read:
+/// frame into a stack buffer, checked and walked in place, nothing built.
+#[test]
+fn fetch_that_misses_the_pool_on_a_durable_page_does_not_allocate() {
+    use rdb_storage::{PageStore, Record, Rid};
+
+    let (t, files, pool, dir) = file_backed_table("fetch", 40_000);
+    let pages = t.page_count();
+    assert!(pages >= 64, "need far more pages than the pool holds");
+    let cost = pool.cost().clone();
+    let mut record = Record::default();
+    // Warm-up: opens the data file's handle, sizes the scratch record and
+    // this thread's deferred-touch state.
+    for p in 0..8 {
+        t.fetch_into(Rid::new(p, 0), &cost, &mut record).unwrap();
+    }
+
+    let reads_before = files.stats().page_reads;
+    let before = allocations();
+    // Stride through the file: no page is still resident when revisited.
+    let fetches = 200u32;
+    for i in 0..fetches {
+        t.fetch_into(Rid::new((8 + i * 7) % pages, 1), &cost, &mut record)
+            .unwrap();
+    }
+    let allocated = allocations() - before;
+    assert_eq!(
+        files.stats().page_reads - reads_before,
+        u64::from(fetches),
+        "every fetch must have missed and verify-read its frame"
+    );
+    assert_eq!(allocated, 0, "a miss costs the read, not the allocator");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cold sequential scan allocates per read-ahead window at most (while
+/// the window grows to its depth), never per page.
+#[test]
+fn cold_sequential_scan_allocates_per_window_not_per_page() {
+    use rdb_storage::{PageStore, Record};
+
+    let (t, files, pool, dir) = file_backed_table("scan", 40_000);
+    let pages = u64::from(t.page_count());
+    let cost = pool.cost().clone();
+    let mut record = Record::default();
+    // Warm-up as above, through the scan's own entry point.
+    let mut scan = t.scan();
+    scan.next_into(&t, &cost, &mut record).unwrap();
+    pool.clear();
+
+    let stats_before = files.stats();
+    let prefetch_before = pool.prefetch_stats();
+    let before = allocations();
+    let mut scan = t.scan();
+    let mut rows = 0u64;
+    while scan.next_into(&t, &cost, &mut record).unwrap().is_some() {
+        rows += 1;
+    }
+    let allocated = allocations() - before;
+    let read = files.stats().since(&stats_before);
+    let windows = pool.prefetch_stats().since(&prefetch_before).runs;
+    assert_eq!(rows, 40_000);
+    assert_eq!(read.page_reads, pages, "every page was really read");
+    assert_eq!(read.batch_reads, windows);
+    assert!(windows * 8 < pages, "{windows} windows over {pages} pages");
+    // Two vectors may grow per window (frame buffer, outcomes), and only
+    // until the depth has settled.
+    assert!(
+        allocated <= 2 * windows,
+        "{allocated} allocations over {windows} windows / {pages} pages"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

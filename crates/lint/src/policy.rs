@@ -90,6 +90,10 @@ impl Policy {
                 "crates/storage/src/mirror.rs".into(),
                 // WAL tail: the allocate/publish LSN handoff.
                 "crates/storage/src/lsn.rs".into(),
+                // File store: the `page_reads` / `batch_reads` statistics,
+                // kept out of the WAL mutex so a reader never queues
+                // behind an append's write for a counter.
+                "crates/storage/src/file_store.rs".into(),
                 // Per-session deferred touch buffers: the shared
                 // absorption tally behind the lock-free hit path.
                 "crates/storage/src/touch.rs".into(),

@@ -104,8 +104,12 @@ struct IndexMeta {
 pub(crate) struct ResolvedQuery {
     out_columns: Vec<String>,
     /// Record positions of `out_columns` — row projection is positional,
-    /// never a per-row name lookup.
-    out_idx: Vec<usize>,
+    /// never a per-row name lookup. The flag marks the last pick of a
+    /// position ([`mark_last_picks`]).
+    out_idx: Vec<(usize, bool)>,
+    /// True when the projection is the whole record in schema order: a
+    /// fetched record's values *are* the output row.
+    out_identity: bool,
     order_idx: Option<usize>,
     pred: Arc<CompiledPred>,
     index_meta: Vec<IndexMeta>,
@@ -171,6 +175,28 @@ pub(crate) fn sort_key(keyed: bool, value: Option<&Value>) -> Value {
     match value {
         Some(v) if keyed => v.clone(),
         _ => Value::Null,
+    }
+}
+
+/// Pairs each projected position with whether it is that position's last
+/// pick: the one pick that may move the value out of its record instead of
+/// cloning it ([`pick`]).
+pub(crate) fn mark_last_picks<P: Copy + PartialEq>(picks: &[P]) -> Vec<(P, bool)> {
+    picks
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| (p, !picks.iter().skip(k + 1).any(|q| *q == p)))
+        .collect()
+}
+
+/// Projects one value out of a record the row producer owns: moved on its
+/// position's last pick, cloned on an earlier one — a delivered value is
+/// built once, when its record was decoded.
+pub(crate) fn pick(value: &mut Value, last: bool) -> Value {
+    if last {
+        std::mem::replace(value, Value::Null)
+    } else {
+        value.clone()
     }
 }
 
@@ -282,7 +308,8 @@ fn resolve_query(entry: &TableEntry, spec: &QuerySpec) -> Result<ResolvedQuery, 
         .collect();
     Ok(ResolvedQuery {
         out_columns,
-        out_idx,
+        out_identity: out_idx.iter().copied().eq(0..schema.len()),
+        out_idx: mark_last_picks(&out_idx),
         order_idx: spec.order_by.as_ref().and_then(|c| schema.column_index(c)),
         pred,
         index_meta,
@@ -476,7 +503,7 @@ impl Db {
         };
         let sscan_index = found.sscan_index;
         let outcome = (found.cost, found.strategy, found.events);
-        let row = |d: &Delivery, keyed: bool| {
+        let row = |d: Delivery, keyed: bool| {
             if d.from_index {
                 let pos = sscan_index.expect("index-only delivery without sscan index");
                 let meta = offered[pos];
@@ -490,22 +517,26 @@ impl Db {
                     out.iter().map(|&k| key[k].clone()).collect(),
                 ))
             } else {
-                let fetched;
-                let record = match &d.record {
+                // The delivery is ours: its values move into the row.
+                let record = match d.record {
                     Some(r) => r,
-                    None => {
-                        fetched = entry.heap.fetch(d.rid, cost)?;
-                        &fetched
-                    }
+                    None => entry.heap.fetch(d.rid, cost)?,
                 };
-                Ok((
-                    sort_key(keyed, skel.order_idx.map(|i| &record[i])),
-                    skel.out_idx.iter().map(|&i| record[i].clone()).collect(),
-                ))
+                let key = sort_key(keyed, skel.order_idx.map(|i| &record[i]));
+                let mut values = record.into_values();
+                let out = if skel.out_identity {
+                    values
+                } else {
+                    skel.out_idx
+                        .iter()
+                        .map(|&(i, last)| pick(&mut values[i], last))
+                        .collect()
+                };
+                Ok((key, out))
             }
         };
         Ok(Executed {
-            result: self.finish(tail, &skel.out_columns, &found.deliveries, outcome, cost, row)?,
+            result: self.finish(tail, &skel.out_columns, found.deliveries, outcome, cost, row)?,
             hint,
             disposition,
         })

@@ -21,11 +21,11 @@
 use std::sync::Arc;
 
 use rdb_core::{run_join, JoinConfig, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
-use rdb_storage::{Record, SharedCost, Value};
+use rdb_storage::{Record, SharedCost};
 
 use crate::db::{Db, TableEntry};
 use crate::error::QueryError;
-use crate::exec::{sort_key, QueryResult, Tail};
+use crate::exec::{mark_last_picks, pick, sort_key, QueryResult, Tail};
 use crate::expr::{CmpOp, CompiledPred, Expr};
 use crate::options::QueryOptions;
 use crate::parser::QuerySpec;
@@ -40,7 +40,7 @@ pub(crate) struct ResolvedJoin {
     out_columns: Vec<String>,
     /// Positional projection across both records; the flag marks the
     /// last pick of a position, which may move the value out of its pair.
-    out_pos: Vec<(SideId, usize, bool)>,
+    out_pos: Vec<((SideId, usize), bool)>,
     /// ORDER BY target (joins always post-sort; indexes order single
     /// tables, not pair streams).
     order_pos: Option<(SideId, usize)>,
@@ -240,11 +240,7 @@ pub(crate) fn resolve_join(
             (names, pos)
         }
     };
-    let out_pos = out_pos
-        .iter()
-        .enumerate()
-        .map(|(k, &(side, i))| (side, i, !out_pos[k + 1..].contains(&(side, i))))
-        .collect();
+    let out_pos = mark_last_picks(&out_pos);
     let order_pos = spec
         .order_by
         .as_deref()
@@ -420,16 +416,9 @@ pub(crate) fn execute_join(
         let out = resolved
             .out_pos
             .iter()
-            .map(|&(side, i, last)| {
-                let value = match side {
-                    SideId::Left => &mut left[i],
-                    SideId::Right => &mut right[i],
-                };
-                if last {
-                    std::mem::replace(value, Value::Null)
-                } else {
-                    value.clone()
-                }
+            .map(|&((side, i), last)| match side {
+                SideId::Left => pick(&mut left[i], last),
+                SideId::Right => pick(&mut right[i], last),
             })
             .collect();
         Ok((key, out))

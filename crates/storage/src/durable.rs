@@ -164,25 +164,24 @@ impl DurableCtx {
     /// behind a buffer-pool miss on a clean, checkpointed page. `Ok` for
     /// holes (pages that never reached a checkpoint have no frame yet).
     pub fn verify_read(&self, page_id: PageId) -> Result<(), StorageError> {
-        self.store.read_page(page_id).map(|_| ())
+        self.store.verify_page(page_id)
     }
 
     /// Batched [`DurableCtx::verify_read`] over `n` consecutive frames of
     /// `file` starting at `first` — the sequential read-ahead path. One
-    /// per-frame outcome in page order; a torn frame poisons only its own
-    /// slot, so the caller can defer that error until the scan reaches the
-    /// page (see [`crate::readahead::ReadAhead`]).
+    /// `each` call per frame in page order; a torn frame poisons only its
+    /// own slot, so the caller can defer that error until the scan reaches
+    /// the page. `scratch` is the caller's reusable staging buffer (see
+    /// [`crate::readahead::ReadAhead`], which owns both ends).
     pub fn verify_read_run(
         &self,
         file: crate::buffer::FileId,
         first: u32,
         n: u32,
-    ) -> Vec<Result<(), StorageError>> {
-        self.store
-            .read_run(file, first, n)
-            .into_iter()
-            .map(|r| r.map(|_| ()))
-            .collect()
+        scratch: &mut Vec<u8>,
+        each: &mut dyn FnMut(Result<(), StorageError>),
+    ) {
+        self.store.verify_run(file, first, n, scratch, each);
     }
 
     /// Runs a checkpoint: drains the pool's dirty set, writes each page's

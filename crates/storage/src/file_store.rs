@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! db/
-//!   rdb.meta        header: magic, version, page_bytes, base LSN (atomically
-//!                   replaced via tmp+rename at every checkpoint)
+//!   rdb.meta        header: magic, format version, page_bytes, base LSN
+//!                   (atomically replaced via tmp+rename at every checkpoint)
 //!   catalog.rdb     last checkpointed catalog blob (tmp+rename)
 //!   wal-<seq>.rdb   append-only WAL segments (see crate::wal for record
 //!                   framing); appends rotate into a fresh segment when the
@@ -38,26 +38,65 @@
 //!      8     4  page number
 //!     12     8  page LSN (last record applied when the frame was written)
 //!     20     4  payload length
-//!     24     8  FNV-1a checksum over bytes [4, 24) + payload
+//!     24     8  checksum64_seeded(checksum64(bytes [4, 24)), payload)
 //!     32  4064  payload: the page image (Page::encode_image)
 //! ```
 //!
-//! A frame whose checksum does not verify is reported as
-//! [`StorageError::TornPage`]; recovery repairs it from a full-page image
-//! in the WAL or surfaces the error. The WAL's own torn tail is truncated
-//! silently at open (crash semantics: the tail never happened).
+//! The checksum is [`crate::wal::checksum64`]'s family (construction and
+//! detection argument there), summed in place: the header fields seed the
+//! payload's sum, so nothing is copied together to be checked. Bytes past
+//! the payload are padding and are not covered. A frame whose checksum
+//! does not verify is reported as [`StorageError::TornPage`]; recovery
+//! repairs it from a full-page image in the WAL or surfaces the error.
+//! The WAL's own torn tail is truncated silently at open (crash
+//! semantics: the tail never happened).
+//!
+//! # Format versions
+//!
+//! `rdb.meta` carries the directory's format version (3: the word-wise
+//! checksum; 2 was segmented WAL under FNV-1a), WAL segment headers their
+//! own (2). [`FilePageStore::open`] reads `rdb.meta` and tests its version
+//! *before* its checksum and before it looks at any other file, so a
+//! directory written by an older build is refused with a typed error and
+//! left byte-for-byte as it was — its segments would otherwise look like
+//! damage and be deleted.
+//!
+//! # Reading a frame
+//!
+//! `check_frame` is the one frame check (short / hole / magic / file id /
+//! page number / length / checksum) and `Page`'s image walk the one
+//! structure check; [`PageStore::read_page`] / `read_run` run them and
+//! build the [`Page`], [`PageStore::verify_page`] / `verify_run` — the
+//! buffer-pool miss path, whose caller already holds the page — run the
+//! same two with nothing materialised, from a stack frame buffer or the
+//! caller's window buffer. Both count `page_reads` / `batch_reads` alike,
+//! in atomics: a reader never queues behind a WAL append for a statistic.
+//!
+//! # Data-file handles
+//!
+//! Each `f<N>.rdb` is opened once, on first use, and the handle lives as
+//! long as the store (data files are never deleted or renamed under an
+//! open store; WAL segments are not in this table). Readers and the
+//! checkpoint writer share a handle, so every access through it is
+//! **positioned** (`pread` / `pwrite`): nothing may depend on or move a
+//! file cursor. Where the platform has no positioned I/O the seek + read
+//! pair is serialised per file. `sync` fsyncs through the same handles.
 
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::{FileId, PageId};
 use crate::error::StorageError;
 use crate::lsn::WalTail;
 use crate::page::Page;
 use crate::store::{lock, PageStore, StoreStats};
-use crate::wal::{checksum64, decode_stream, encode_entry, Lsn, WalRecord, WalView};
+use crate::wal::{
+    checksum64, checksum64_seeded, decode_stream, encode_entry, Lsn, WalRecord, WalView,
+};
 
 /// Size of one on-disk data frame, header included.
 pub const FRAME_BYTES: usize = 4096;
@@ -80,8 +119,8 @@ pub const WAL_SEGMENT_HEADER: usize = 24;
 const FRAME_MAGIC: u32 = 0x5042_4452; // "RDBP" little-endian
 const META_MAGIC: u32 = 0x4D42_4452; // "RDBM"
 const WAL_MAGIC: u32 = 0x5742_4452; // "RDBW"
-const WAL_VERSION: u32 = 1;
-const META_VERSION: u32 = 2; // v2: segmented WAL (wal-<seq>.rdb)
+const WAL_VERSION: u32 = 2; // v2: word-wise checksum64
+const META_VERSION: u32 = 3; // v2: segmented WAL; v3: word-wise checksum64
 
 #[derive(Debug)]
 struct Inner {
@@ -92,9 +131,77 @@ struct Inner {
     /// Bytes in the current segment, header included (the rotation gauge).
     wal_len: u64,
     base_lsn: Lsn,
+    /// Write-side counters; the read counters are the store's atomics.
     stats: StoreStats,
-    /// Data files written since the last sync (flushed by `sync`).
-    touched: Vec<FileId>,
+    /// Data files written since their last successful fsync: `sync`'s
+    /// worklist. A file leaves it only once its `sync_data` returned `Ok`.
+    touched: Vec<(FileId, Arc<DataFile>)>,
+    /// The append path's encode buffer, reused record after record.
+    entry: Vec<u8>,
+}
+
+/// One open data file, shared by every reader and the checkpoint writer
+/// (see the module docs: positioned I/O only).
+#[derive(Debug)]
+struct DataFile {
+    file: File,
+    /// Without positioned I/O a read is seek-then-read on the one shared
+    /// cursor; this serialises the pair.
+    #[cfg(not(unix))]
+    cursor: Mutex<()>,
+}
+
+impl DataFile {
+    fn new(file: File) -> DataFile {
+        DataFile {
+            file,
+            #[cfg(not(unix))]
+            cursor: Mutex::new(()),
+        }
+    }
+
+    /// Reads into `buf` from `offset` until it is full or the file ends,
+    /// returning the bytes read (a short read near EOF is not an error
+    /// here; callers decide what a partial frame means).
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        #[cfg(not(unix))]
+        let _cursor = lock(&self.cursor);
+        let mut done = 0usize;
+        while let Some(rest) = buf.get_mut(done..).filter(|r| !r.is_empty()) {
+            #[cfg(unix)]
+            let n = {
+                use std::os::unix::fs::FileExt;
+                self.file.read_at(rest, offset + done as u64)?
+            };
+            #[cfg(not(unix))]
+            let n = {
+                use std::io::{Read, Seek, SeekFrom};
+                (&self.file).seek(SeekFrom::Start(offset + done as u64))?;
+                (&self.file).read(rest)?
+            };
+            if n == 0 {
+                break;
+            }
+            done += n;
+        }
+        Ok(done)
+    }
+
+    /// Writes all of `buf` at `offset`.
+    fn write_all_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<()> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            self.file.write_all_at(buf, offset)
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Seek, SeekFrom};
+            let _cursor = lock(&self.cursor);
+            (&self.file).seek(SeekFrom::Start(offset))?;
+            (&self.file).write_all(buf)
+        }
+    }
 }
 
 /// The file-backed page store. See the module docs for the layout.
@@ -110,6 +217,12 @@ pub struct FilePageStore {
     /// read without the mutex (see [`crate::lsn::WalTail`]).
     tail: WalTail,
     inner: Mutex<Inner>,
+    /// The data-file handle table, keyed by `FileId.0`.
+    files: Mutex<BTreeMap<u32, Arc<DataFile>>>,
+    /// Frames read and verified (`StoreStats::page_reads`).
+    page_reads: AtomicU64,
+    /// Batched run reads issued (`StoreStats::batch_reads`).
+    batch_reads: AtomicU64,
 }
 
 fn io_err<'a>(
@@ -117,54 +230,6 @@ fn io_err<'a>(
     path: &'a Path,
 ) -> impl FnOnce(std::io::Error) -> StorageError + 'a {
     move |e| StorageError::io(op, path, &e)
-}
-
-/// Reads exactly `buf.len()` bytes at `offset`, or reports how many bytes
-/// were available (a short read near EOF is not an error here; callers
-/// decide what a partial frame means).
-fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        let mut done = 0usize;
-        while let Some(rest) = buf.get_mut(done..).filter(|r| !r.is_empty()) {
-            let n = file.read_at(rest, offset + done as u64)?;
-            if n == 0 {
-                break;
-            }
-            done += n;
-        }
-        Ok(done)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Seek, SeekFrom};
-        file.seek(SeekFrom::Start(offset))?;
-        let mut done = 0usize;
-        while let Some(rest) = buf.get_mut(done..).filter(|r| !r.is_empty()) {
-            let n = file.read(rest)?;
-            if n == 0 {
-                break;
-            }
-            done += n;
-        }
-        Ok(done)
-    }
-}
-
-/// Writes all of `buf` at `offset`.
-fn write_at(file: &mut File, offset: u64, buf: &[u8]) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(buf, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Seek, SeekFrom};
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(buf)
-    }
 }
 
 /// Atomically replaces `path` with `bytes` via a tmp file and rename.
@@ -314,7 +379,11 @@ impl FilePageStore {
                 base_lsn,
                 stats: StoreStats::default(),
                 touched: Vec::new(),
+                entry: Vec::new(),
             }),
+            files: Mutex::new(BTreeMap::new()),
+            page_reads: AtomicU64::new(0),
+            batch_reads: AtomicU64::new(0),
         })
     }
 
@@ -388,26 +457,41 @@ impl FilePageStore {
         Ok((f, WAL_SEGMENT_HEADER as u64))
     }
 
+    /// Reads `rdb.meta`. The version test precedes the checksum test: an
+    /// older format sums with another function, and must be named as what
+    /// it is — an unsupported version — before anything else is read.
     fn read_meta(path: &Path) -> Result<(usize, Lsn), StorageError> {
         let bytes = fs::read(path).map_err(io_err("read", path))?;
+        let corrupt = StorageError::Corrupt("database header (rdb.meta)");
+        let (Some(magic), Some(version)) = (le32(&bytes, 0), le32(&bytes, 4)) else {
+            return Err(corrupt);
+        };
+        if magic != META_MAGIC {
+            return Err(corrupt);
+        }
+        if version != META_VERSION {
+            return Err(StorageError::Corrupt(
+                "database header (rdb.meta): unsupported format version \
+                 (written by another build; nothing in the directory was touched)",
+            ));
+        }
         let parsed = (|| {
-            let magic = le32(&bytes, 0)?;
-            let version = le32(&bytes, 4)?;
             let page_bytes = le32(&bytes, 8)? as usize;
             let base_lsn = le64(&bytes, 12)?;
             let crc = le64(&bytes, 20)?;
-            if magic != META_MAGIC || version != META_VERSION {
-                return None;
-            }
-            if checksum64(bytes.get(0..20)?) != crc {
-                return None;
-            }
-            Some((page_bytes, base_lsn))
+            (checksum64(bytes.get(0..20)?) == crc).then_some((page_bytes, base_lsn))
         })();
-        parsed.ok_or(StorageError::Corrupt("database header (rdb.meta)"))
+        parsed.ok_or(corrupt)
     }
 
-    fn frame_file(&self, file: FileId, create: bool) -> Result<Option<File>, StorageError> {
+    /// The shared handle of `file`'s data file, opened on first use (and
+    /// created, with `create`) and kept for the life of the store. `None`
+    /// when the file does not exist and was not to be created.
+    fn data_file(&self, file: FileId, create: bool) -> Result<Option<Arc<DataFile>>, StorageError> {
+        let mut files = lock(&self.files);
+        if let Some(handle) = files.get(&file.0) {
+            return Ok(Some(handle.clone()));
+        }
         let path = Self::data_path(&self.dir, file);
         let open = OpenOptions::new()
             .read(true)
@@ -415,60 +499,170 @@ impl FilePageStore {
             .create(create)
             .open(&path);
         match open {
-            Ok(f) => Ok(Some(f)),
+            Ok(f) => {
+                let handle = Arc::new(DataFile::new(f));
+                files.insert(file.0, handle.clone());
+                Ok(Some(handle))
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound && !create => Ok(None),
             Err(e) => Err(StorageError::io("open", &path, &e)),
         }
     }
 
-    /// Decodes one on-disk frame into what [`PageStore::read_page`] returns
-    /// for `page`. `frame` may be short (a read past EOF — no frame) or
-    /// all-zero (a hole); both read as `None`. Pure — counters are the
-    /// caller's job.
+    /// What [`PageStore::read_page`] returns for `page` given its on-disk
+    /// `frame`: [`check_frame`], then the image decoded into a [`Page`].
     fn decode_frame(&self, page: PageId, frame: &[u8]) -> Result<Option<(Page, Lsn)>, StorageError> {
-        if frame.len() < FRAME_HEADER {
-            return Ok(None); // past EOF: no frame for this page
-        }
-        let torn = Err(StorageError::TornPage {
-            file: page.file,
-            page: page.page,
-        });
-        let Some(magic) = le32(frame, 0) else {
-            return torn;
+        let Some((payload, lsn)) = check_frame(page, frame)? else {
+            return Ok(None);
         };
-        if magic == 0 && frame.iter().all(|&b| b == 0) {
-            return Ok(None); // hole: frame never written
-        }
-        if magic != FRAME_MAGIC {
-            return torn;
-        }
-        let header = (|| {
-            let file_id = le32(frame, 4)?;
-            let page_no = le32(frame, 8)?;
-            let lsn = le64(frame, 12)?;
-            let len = le32(frame, 20)? as usize;
-            let crc = le64(frame, 24)?;
-            Some((file_id, page_no, lsn, len, crc))
-        })();
-        let Some((file_id, page_no, lsn, len, crc)) = header else {
-            return torn;
-        };
-        if file_id != page.file.0 || page_no != page.page || len > FRAME_PAYLOAD_MAX {
-            return torn;
-        }
-        let Some(payload) = frame.get(FRAME_HEADER..FRAME_HEADER + len) else {
-            return torn;
-        };
-        let mut summed = frame.get(4..24).unwrap_or(&[]).to_vec();
-        summed.extend_from_slice(payload);
-        if checksum64(&summed) != crc {
-            return torn;
-        }
         match Page::decode_image(self.page_bytes, payload) {
             Ok(image) => Ok(Some((image, lsn))),
-            Err(_) => torn,
+            Err(_) => Err(torn(page)),
         }
     }
+
+    /// The single-frame read under [`PageStore::read_page`] and
+    /// [`PageStore::verify_page`]: one positioned read into a stack
+    /// buffer, `outcome` applied to what arrived, `page_reads` counted for
+    /// an intact frame.
+    fn read_one<T>(
+        &self,
+        page: PageId,
+        outcome: impl FnOnce(PageId, &[u8]) -> Result<Option<T>, StorageError>,
+    ) -> Result<Option<T>, StorageError> {
+        let Some(file) = self.data_file(page.file, false)? else {
+            return Ok(None);
+        };
+        let mut frame = [0u8; FRAME_BYTES];
+        let offset = u64::from(page.page) * FRAME_BYTES as u64;
+        let got = file
+            .read_at(offset, &mut frame)
+            .map_err(|e| StorageError::io("read", &Self::data_path(&self.dir, page.file), &e))?;
+        let out = outcome(page, frame.get(..got).unwrap_or(&[]));
+        if matches!(out, Ok(Some(_))) {
+            // Relaxed: a statistic; it publishes no other data.
+            self.page_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// The batched read under [`PageStore::read_run`] and
+    /// [`PageStore::verify_run`]: one positioned read of `n` frames into
+    /// `scratch` — the syscall batching read-ahead exists for — then
+    /// `outcome` per frame, handed to `each` in page order. Frames still
+    /// check individually, so a torn frame poisons only its own slot.
+    fn read_many<T>(
+        &self,
+        file: FileId,
+        first: u32,
+        n: u32,
+        scratch: &mut Vec<u8>,
+        outcome: impl Fn(PageId, &[u8]) -> Result<Option<T>, StorageError>,
+        mut each: impl FnMut(Result<Option<T>, StorageError>),
+    ) {
+        if n == 0 {
+            return;
+        }
+        let handle = match self.data_file(file, false) {
+            Ok(Some(handle)) => handle,
+            Ok(None) => return (0..n).for_each(|_| each(Ok(None))),
+            Err(e) => return (0..n).for_each(|_| each(Err(e.clone()))),
+        };
+        // Growing zero-fills only the new part; a window buffer that has
+        // reached its depth is reused as it is. Stale bytes past a short
+        // read are cut off below, never checked.
+        scratch.resize(n as usize * FRAME_BYTES, 0);
+        let offset = u64::from(first) * FRAME_BYTES as u64;
+        let got = match handle.read_at(offset, scratch) {
+            Ok(got) => got,
+            Err(e) => {
+                let e = StorageError::io("read", &Self::data_path(&self.dir, file), &e);
+                return (0..n).for_each(|_| each(Err(e.clone())));
+            }
+        };
+        let mut frames = scratch.get(..got).unwrap_or(&[]).chunks(FRAME_BYTES);
+        let mut read = 0u64;
+        for i in 0..n {
+            let page = PageId::new(file, first.saturating_add(i));
+            let out = outcome(page, frames.next().unwrap_or(&[]));
+            read += u64::from(matches!(out, Ok(Some(_))));
+            each(out);
+        }
+        // Relaxed: statistics; they publish no other data.
+        self.page_reads.fetch_add(read, Ordering::Relaxed);
+        self.batch_reads.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn torn(page: PageId) -> StorageError {
+    StorageError::TornPage {
+        file: page.file,
+        page: page.page,
+    }
+}
+
+/// **The** frame check, under every read and every verify: what `frame`,
+/// as read from `page`'s offset, holds. `Ok(None)` for no frame (`frame`
+/// shorter than a header — a read past EOF — or all-zero — a hole);
+/// [`StorageError::TornPage`] for a wrong magic, another page's identity,
+/// an impossible or cut-off payload length, or a checksum mismatch;
+/// otherwise the payload (the page image, still to be walked) and the
+/// frame's LSN. Pure — counters are the caller's job.
+fn check_frame(page: PageId, frame: &[u8]) -> Result<Option<(&[u8], Lsn)>, StorageError> {
+    let Some((header, body)) = frame.split_first_chunk::<FRAME_HEADER>() else {
+        return Ok(None); // past EOF: no frame for this page
+    };
+    let field32 = |at| le32(header, at).ok_or_else(|| torn(page));
+    let field64 = |at| le64(header, at).ok_or_else(|| torn(page));
+    let magic = field32(0)?;
+    if magic == 0 && frame.iter().all(|&b| b == 0) {
+        return Ok(None); // hole: frame never written
+    }
+    let len = field32(20)? as usize;
+    if magic != FRAME_MAGIC
+        || field32(4)? != page.file.0
+        || field32(8)? != page.page
+        || len > FRAME_PAYLOAD_MAX
+    {
+        return Err(torn(page));
+    }
+    let summed = header.get(4..24).ok_or_else(|| torn(page))?;
+    let payload = body.get(..len).ok_or_else(|| torn(page))?;
+    if checksum64_seeded(checksum64(summed), payload) != field64(24)? {
+        return Err(torn(page));
+    }
+    Ok(Some((payload, field64(12)?)))
+}
+
+/// What [`PageStore::verify_page`] makes of `frame`: [`check_frame`], then
+/// the image walked with nothing built. `Some(())` for an intact frame.
+fn verify_frame(page: PageId, frame: &[u8]) -> Result<Option<()>, StorageError> {
+    let Some((payload, _)) = check_frame(page, frame)? else {
+        return Ok(None);
+    };
+    match Page::check_image(payload) {
+        Ok(()) => Ok(Some(())),
+        Err(_) => Err(torn(page)),
+    }
+}
+
+/// Fsyncs the files of `pending` front to back, dropping each from the
+/// worklist only once its `sync` returned `Ok`. The first failure stops
+/// the pass and is returned; that file and every one behind it stay
+/// pending, so a retry syncs them and a later success means every file
+/// written really reached the disk.
+fn sync_pending<T>(
+    pending: &mut Vec<T>,
+    mut sync: impl FnMut(&T) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut done = 0usize;
+    let result = pending.iter().try_for_each(|file| {
+        sync(file)?;
+        done += 1;
+        Ok(())
+    });
+    pending.drain(..done);
+    result
 }
 
 fn write_meta(path: &Path, page_bytes: usize, base_lsn: Lsn) -> Result<(), StorageError> {
@@ -496,19 +690,11 @@ impl PageStore for FilePageStore {
     }
 
     fn read_page(&self, page: PageId) -> Result<Option<(Page, Lsn)>, StorageError> {
-        let Some(mut file) = self.frame_file(page.file, false)? else {
-            return Ok(None);
-        };
-        let path = Self::data_path(&self.dir, page.file);
-        let mut frame = vec![0u8; FRAME_BYTES];
-        let offset = page.page as u64 * FRAME_BYTES as u64;
-        let got = read_at(&mut file, offset, &mut frame).map_err(io_err("read", &path))?;
-        frame.truncate(got);
-        let out = self.decode_frame(page, &frame);
-        if matches!(out, Ok(Some(_))) {
-            lock(&self.inner).stats.page_reads += 1;
-        }
-        out
+        self.read_one(page, |page, frame| self.decode_frame(page, frame))
+    }
+
+    fn verify_page(&self, page: PageId) -> Result<(), StorageError> {
+        self.read_one(page, verify_frame).map(|_| ())
     }
 
     fn read_run(
@@ -517,79 +703,73 @@ impl PageStore for FilePageStore {
         first: u32,
         n: u32,
     ) -> Vec<Result<Option<(Page, Lsn)>, StorageError>> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let pages = || (0..n).map(|i| PageId::new(file, first.saturating_add(i)));
-        let handle = match self.frame_file(file, false) {
-            Ok(Some(f)) => f,
-            Ok(None) => return pages().map(|_| Ok(None)).collect(),
-            Err(e) => return pages().map(|_| Err(e.clone())).collect(),
-        };
-        let mut handle = handle;
-        let path = Self::data_path(&self.dir, file);
-        // One positioned read covers the whole run — this is the syscall
-        // batching the read-ahead exists for. Frames still verify
-        // individually, so a torn frame poisons only its own slot.
-        let mut buf = vec![0u8; n as usize * FRAME_BYTES];
-        let offset = first as u64 * FRAME_BYTES as u64;
-        let got = match read_at(&mut handle, offset, &mut buf).map_err(io_err("read", &path)) {
-            Ok(got) => got,
-            Err(e) => return pages().map(|_| Err(e.clone())).collect(),
-        };
-        buf.truncate(got);
-        let out: Vec<Result<Option<(Page, Lsn)>, StorageError>> = pages()
-            .enumerate()
-            .map(|(i, page)| {
-                let start = i * FRAME_BYTES;
-                let frame = buf.get(start..).map_or(&[][..], |rest| {
-                    &rest[..FRAME_BYTES.min(rest.len())]
-                });
-                self.decode_frame(page, frame)
-            })
-            .collect();
-        let read = out.iter().filter(|r| matches!(r, Ok(Some(_)))).count() as u64;
-        let mut inner = lock(&self.inner);
-        inner.stats.page_reads += read;
-        inner.stats.batch_reads += 1;
+        let mut out = Vec::with_capacity(n as usize);
+        self.read_many(
+            file,
+            first,
+            n,
+            &mut Vec::new(),
+            |page, frame| self.decode_frame(page, frame),
+            |outcome| out.push(outcome),
+        );
         out
     }
 
+    fn verify_run(
+        &self,
+        file: FileId,
+        first: u32,
+        n: u32,
+        scratch: &mut Vec<u8>,
+        each: &mut dyn FnMut(Result<(), StorageError>),
+    ) {
+        self.read_many(file, first, n, scratch, verify_frame, |outcome| {
+            each(outcome.map(|_| ()))
+        });
+    }
+
     fn write_page(&self, page: PageId, image: &Page, lsn: Lsn) -> Result<(), StorageError> {
-        let mut payload = Vec::with_capacity(image.image_len());
-        image.encode_image(&mut payload)?;
+        // Header, then the image encoded straight behind it; the length
+        // and checksum words are patched once the payload is in place.
+        let mut frame = Vec::with_capacity(FRAME_BYTES);
+        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        frame.extend_from_slice(&page.file.0.to_le_bytes());
+        frame.extend_from_slice(&page.page.to_le_bytes());
+        frame.extend_from_slice(&lsn.to_le_bytes());
+        frame.extend_from_slice(&[0u8; FRAME_HEADER - 20]);
+        image.encode_image(&mut frame)?;
+        let Some((header, payload)) = frame.split_first_chunk_mut::<FRAME_HEADER>() else {
+            return Err(StorageError::Corrupt("page frame header"));
+        };
         if payload.len() > FRAME_PAYLOAD_MAX {
             return Err(StorageError::RecordTooLarge {
                 size: payload.len(),
                 max: FRAME_PAYLOAD_MAX,
             });
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&page.file.0.to_le_bytes());
-        frame.extend_from_slice(&page.page.to_le_bytes());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut summed = frame.get(4..24).unwrap_or(&[]).to_vec();
-        summed.extend_from_slice(&payload);
-        frame.extend_from_slice(&checksum64(&summed).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let (fields, crc) = header.split_at_mut(24);
+        if let Some(len) = fields.get_mut(20..) {
+            len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        }
+        let sum = checksum64_seeded(checksum64(fields.get(4..).unwrap_or(&[])), payload);
+        crc.copy_from_slice(&sum.to_le_bytes());
         frame.resize(FRAME_BYTES, 0);
 
         let path = Self::data_path(&self.dir, page.file);
-        let Some(mut file) = self.frame_file(page.file, true)? else {
+        let Some(file) = self.data_file(page.file, true)? else {
             return Err(StorageError::Io {
                 op: "open",
                 path: path.display().to_string(),
                 detail: "data file vanished".into(),
             });
         };
-        let offset = page.page as u64 * FRAME_BYTES as u64;
-        write_at(&mut file, offset, &frame).map_err(io_err("write", &path))?;
+        let offset = u64::from(page.page) * FRAME_BYTES as u64;
+        file.write_all_at(offset, &frame)
+            .map_err(io_err("write", &path))?;
         let mut inner = lock(&self.inner);
         inner.stats.page_writes += 1;
-        if !inner.touched.contains(&page.file) {
-            inner.touched.push(page.file);
+        if !inner.touched.iter().any(|(id, _)| *id == page.file) {
+            inner.touched.push((page.file, file));
         }
         Ok(())
     }
@@ -624,17 +804,17 @@ impl PageStore for FilePageStore {
 
     fn append(&self, record: &WalRecord) -> Result<Lsn, StorageError> {
         let mut inner = lock(&self.inner);
+        let inner = &mut *inner;
         // The mutex serializes appends, so allocation order is log order;
         // publication below is the lock-free handoff a checkpoint trusts.
         let lsn = self.tail.allocate();
-        let mut bytes = Vec::with_capacity(64);
-        encode_entry(lsn, record, &mut bytes);
+        inner.entry.clear();
+        encode_entry(lsn, record, &mut inner.entry);
+        let len = inner.entry.len() as u64;
         // Rotate when this record would push the segment past its cap —
         // unless the segment is still empty (a record larger than the cap
         // gets an oversize segment to itself rather than rotating forever).
-        if inner.wal_len > WAL_SEGMENT_HEADER as u64
-            && inner.wal_len + bytes.len() as u64 > self.segment_bytes
-        {
+        if inner.wal_len > WAL_SEGMENT_HEADER as u64 && inner.wal_len + len > self.segment_bytes {
             let old_path = Self::segment_path(&self.dir, inner.wal_seq);
             inner
                 .wal
@@ -645,12 +825,10 @@ impl PageStore for FilePageStore {
             inner.wal_seq += 1;
             inner.wal_len = len;
         }
-        let path = Self::segment_path(&self.dir, inner.wal_seq);
-        inner
-            .wal
-            .write_all(&bytes)
-            .map_err(io_err("append", &path))?;
-        inner.wal_len += bytes.len() as u64;
+        inner.wal.write_all(&inner.entry).map_err(|e| {
+            StorageError::io("append", &Self::segment_path(&self.dir, inner.wal_seq), &e)
+        })?;
+        inner.wal_len += len;
         inner.stats.wal_appends += 1;
         // Only now — the frame is on the segment — may the LSN be
         // published as framed (the harness (d) invariant).
@@ -757,21 +935,23 @@ impl PageStore for FilePageStore {
         let mut inner = lock(&self.inner);
         let path = Self::segment_path(&self.dir, inner.wal_seq);
         inner.wal.sync_data().map_err(io_err("sync", &path))?;
-        let touched = std::mem::take(&mut inner.touched);
-        for file in touched {
-            let path = Self::data_path(&self.dir, file);
-            match File::open(&path) {
-                Ok(f) => f.sync_data().map_err(io_err("sync", &path))?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(StorageError::io("open", &path, &e)),
-            }
-        }
+        sync_pending(&mut inner.touched, |(id, handle)| {
+            handle
+                .file
+                .sync_data()
+                .map_err(|e| StorageError::io("sync", &Self::data_path(&self.dir, *id), &e))
+        })?;
         inner.stats.syncs += 1;
         Ok(())
     }
 
     fn stats(&self) -> StoreStats {
-        lock(&self.inner).stats
+        StoreStats {
+            // Relaxed: statistics; they publish no other data.
+            page_reads: self.page_reads.load(Ordering::Relaxed),
+            batch_reads: self.batch_reads.load(Ordering::Relaxed),
+            ..lock(&self.inner).stats
+        }
     }
 }
 
@@ -834,6 +1014,110 @@ mod tests {
                 page: 0
             })
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `dir`, by name, with its bytes.
+    fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name().into_string().unwrap(), fs::read(e.path()).unwrap()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn older_format_directory_is_refused_and_left_as_it_was() {
+        let dir = temp_dir("oldformat");
+        fs::create_dir_all(&dir).unwrap();
+        // A version-2 directory: its header, one WAL segment with a record
+        // stream and one data file. Every checksum in it came from the old
+        // function, so to this build the segment and the frame look like
+        // damage — which is why the version test has to come first.
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&META_MAGIC.to_le_bytes());
+        meta.extend_from_slice(&2u32.to_le_bytes());
+        meta.extend_from_slice(&(DURABLE_PAGE_BYTES as u32).to_le_bytes());
+        meta.extend_from_slice(&7u64.to_le_bytes());
+        meta.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        fs::write(dir.join("rdb.meta"), &meta).unwrap();
+        let mut segment = Vec::new();
+        segment.extend_from_slice(&WAL_MAGIC.to_le_bytes());
+        segment.extend_from_slice(&1u32.to_le_bytes());
+        segment.extend_from_slice(&1u64.to_le_bytes());
+        segment.extend_from_slice(&[0x5A; 8 + 57]); // header sum + a record stream
+        fs::write(FilePageStore::segment_path(&dir, 1), &segment).unwrap();
+        fs::write(FilePageStore::segment_path(&dir, 2), &segment).unwrap();
+        let mut frame = vec![0xC3u8; FRAME_BYTES + 100]; // one frame and a torn tail
+        frame[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+        fs::write(FilePageStore::data_path(&dir, FileId(0)), &frame).unwrap();
+        fs::write(dir.join("catalog.rdb"), b"old catalog").unwrap();
+
+        let before = snapshot(&dir);
+        for _ in 0..2 {
+            match FilePageStore::open(&dir, DURABLE_PAGE_BYTES) {
+                Err(StorageError::Corrupt(what)) => assert!(
+                    what.contains("unsupported format version"),
+                    "the error must name the cause: {what}"
+                ),
+                other => panic!("a version-2 directory must be refused, got {other:?}"),
+            }
+            assert_eq!(
+                snapshot(&dir),
+                before,
+                "no segment deleted, no tail truncated, no meta rewritten, nothing added"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_fsync_keeps_its_file_and_the_rest_on_the_worklist() {
+        let disk_full = || StorageError::Io {
+            op: "sync",
+            path: "f2.rdb".into(),
+            detail: "disk full".into(),
+        };
+        let mut pending = vec![1u32, 2, 3];
+        let mut attempted = Vec::new();
+        let result = sync_pending(&mut pending, |file| {
+            attempted.push(*file);
+            if *file == 2 {
+                Err(disk_full())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(result, Err(disk_full()), "the failure is the caller's");
+        assert_eq!(attempted, vec![1, 2], "the pass stops at the failure");
+        assert_eq!(pending, vec![2, 3], "only the file that synced left the list");
+        // The retry syncs exactly what is still owed, then the list is dry.
+        let mut retried = Vec::new();
+        let result = sync_pending(&mut pending, |file| {
+            retried.push(*file);
+            Ok(())
+        });
+        assert_eq!(result, Ok(()));
+        assert_eq!(retried, vec![2, 3]);
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn sync_drains_the_worklist_through_the_cached_handles() {
+        let dir = temp_dir("syncdrain");
+        let store = FilePageStore::open(&dir, DURABLE_PAGE_BYTES).unwrap();
+        for f in [0u32, 1, 0, 2] {
+            store
+                .write_page(PageId::new(FileId(f), 0), &page_with(b"x"), 1)
+                .unwrap();
+        }
+        assert_eq!(lock(&store.inner).touched.len(), 3, "one entry per file");
+        assert_eq!(lock(&store.files).len(), 3, "one handle per file, opened once");
+        store.sync().unwrap();
+        assert!(lock(&store.inner).touched.is_empty());
+        assert_eq!(store.stats().syncs, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

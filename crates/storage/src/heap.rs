@@ -289,7 +289,9 @@ impl HeapTable {
             }
             n += 1;
         }
-        ra.fill(page_no, ctx.verify_read_run(self.file, page_no, n));
+        ra.fill(page_no, |buf, each| {
+            ctx.verify_read_run(self.file, page_no, n, buf, each);
+        });
         self.pool.note_prefetch(u64::from(n));
         let out = ra.take(page_no).unwrap_or(Ok(()));
         self.pool.note_prefetch_consumed();

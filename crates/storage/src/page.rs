@@ -154,39 +154,62 @@ impl Page {
         Ok(())
     }
 
+    /// **The** walk over an encoded image (see [`Page::encode_image`]):
+    /// calls `visit` once per slot in slot order — `Some(bytes)` for a live
+    /// record, `None` for a tombstone — and checks the image's structure
+    /// on the way (every length word and payload inside `buf`, nothing
+    /// left over). [`Page::decode_image`] builds a page with it; a frame
+    /// verify runs it with [`Page::check_image`]'s no-op visitor, so both
+    /// accept exactly the same images.
+    fn walk_image(
+        buf: &[u8],
+        mut visit: impl FnMut(Option<&[u8]>),
+    ) -> Result<(), StorageError> {
+        const TOMBSTONE: u16 = u16::MAX;
+        fn word(rest: &[u8]) -> Result<(u16, &[u8]), StorageError> {
+            let (word, rest) = rest
+                .split_first_chunk::<2>()
+                .ok_or(StorageError::Corrupt("truncated page image"))?;
+            Ok((u16::from_le_bytes(*word), rest))
+        }
+        let (slot_count, mut rest) = word(buf)?;
+        for _ in 0..slot_count {
+            let (len, after) = word(rest)?;
+            rest = after;
+            if len == TOMBSTONE {
+                visit(None);
+                continue;
+            }
+            let (bytes, after) = rest
+                .split_at_checked(len as usize)
+                .ok_or(StorageError::Corrupt("truncated page image payload"))?;
+            rest = after;
+            visit(Some(bytes));
+        }
+        if !rest.is_empty() {
+            return Err(StorageError::Corrupt("trailing bytes after page image"));
+        }
+        Ok(())
+    }
+
+    /// Checks that `buf` is a well-formed page image without building the
+    /// page: `Ok` exactly when [`Page::decode_image`] would succeed.
+    pub fn check_image(buf: &[u8]) -> Result<(), StorageError> {
+        Self::walk_image(buf, |_| {})
+    }
+
     /// Reconstructs a page of `capacity` payload bytes from an image
     /// produced by [`Page::encode_image`]. Byte accounting (`used`, live
     /// count) is recomputed from the decoded slots.
     pub fn decode_image(capacity: usize, buf: &[u8]) -> Result<Page, StorageError> {
-        const TOMBSTONE: u16 = u16::MAX;
-        let word = |at: usize| -> Result<u16, StorageError> {
-            let bytes: [u8; 2] = buf
-                .get(at..at + 2)
-                .and_then(|b| b.try_into().ok())
-                .ok_or(StorageError::Corrupt("truncated page image"))?;
-            Ok(u16::from_le_bytes(bytes))
-        };
-        let slot_count = word(0)? as usize;
         let mut page = Page::new(capacity);
-        let mut at = 2usize;
-        for _ in 0..slot_count {
-            let len = word(at)?;
-            at += 2;
-            if len == TOMBSTONE {
-                page.slots.push(None);
-                continue;
+        Self::walk_image(buf, |slot| {
+            if let Some(bytes) = slot {
+                page.used += bytes.len() + SLOT_OVERHEAD;
+                page.live += 1;
             }
-            let bytes = buf
-                .get(at..at + len as usize)
-                .ok_or(StorageError::Corrupt("truncated page image payload"))?;
-            at += len as usize;
-            page.used += bytes.len() + SLOT_OVERHEAD;
-            page.live += 1;
-            page.slots.push(Some(bytes.to_vec()));
-        }
-        if at != buf.len() {
-            return Err(StorageError::Corrupt("trailing bytes after page image"));
-        }
+            page.slots.push(slot.map(<[u8]>::to_vec));
+        })?;
         Ok(page)
     }
 
@@ -306,6 +329,11 @@ mod tests {
         let mut long = buf.clone();
         long.push(0);
         assert!(Page::decode_image(DEFAULT_PAGE_BYTES, &long).is_err());
+        // The no-op walk accepts and rejects exactly the same images.
+        assert!(Page::check_image(&buf).is_ok());
+        assert!(Page::check_image(&buf[..buf.len() - 1]).is_err());
+        assert!(Page::check_image(&long).is_err());
+        assert!(Page::check_image(&[]).is_err());
     }
 
     #[test]

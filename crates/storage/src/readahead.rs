@@ -2,14 +2,21 @@
 //! batched disk reads.
 //!
 //! A beyond-RAM sequential scan misses on page after page; without
-//! batching every miss performs its own positioned read (and, in the file
-//! store, its own file open). [`ReadAhead`] turns that into one batched
-//! [`read_run`](crate::store::PageStore::read_run) per *window*: when the
-//! scan misses on a page with no window coverage, the heap builds a run of
-//! upcoming clean, on-disk, non-resident pages, reads them all at once,
-//! and parks the per-frame outcomes here. Subsequent misses consume their
-//! parked outcome instead of touching the store — a torn frame surfaces
-//! exactly when the scan reaches the page it belongs to, never earlier.
+//! batching every miss performs its own positioned read. [`ReadAhead`]
+//! turns that into one batched
+//! [`verify_run`](crate::store::PageStore::verify_run) per *window*: when
+//! the scan misses on a page with no window coverage, the heap builds a
+//! run of upcoming clean, on-disk, non-resident pages, reads them all at
+//! once, and parks the per-frame outcomes here. Subsequent misses consume
+//! their parked outcome instead of touching the store — a torn frame
+//! surfaces exactly when the scan reaches the page it belongs to, never
+//! earlier.
+//!
+//! The window owns what a batched read needs: one byte buffer the store
+//! stages the run's frames in, and the outcome vector. Both are reused
+//! from window to window, so a scan allocates while its depth grows and
+//! not at all once it has settled — a fresh 256 KiB buffer per 64-page
+//! window would cost more than the reads it batches.
 //!
 //! # Adaptive depth
 //!
@@ -43,6 +50,9 @@ pub struct ReadAhead {
     /// Next window size, in frames (0 until the first `fill`, which
     /// initializes it to [`MIN_DEPTH`]).
     depth: u32,
+    /// The store's staging buffer for a window's frames, kept across
+    /// windows (contents are the store's business, never read here).
+    buf: Vec<u8>,
 }
 
 impl ReadAhead {
@@ -53,6 +63,7 @@ impl ReadAhead {
             outcomes: Vec::new(),
             taken: 0,
             depth: MIN_DEPTH,
+            buf: Vec::new(),
         }
     }
 
@@ -73,10 +84,16 @@ impl ReadAhead {
         out
     }
 
-    /// Installs a new window of outcomes for pages `first..first + len`,
-    /// adapting the depth to the fate of the window being replaced:
-    /// fully consumed doubles it, any unused frame halves it.
-    pub fn fill(&mut self, first: u32, outcomes: Vec<Result<(), StorageError>>) {
+    /// Installs a new window starting at page `first`, adapting the depth
+    /// to the fate of the window being replaced: fully consumed doubles
+    /// it, any unused frame halves it. `read` performs the batched read:
+    /// it gets the window's staging buffer and a sink that takes one
+    /// outcome per frame, in page order.
+    pub fn fill(
+        &mut self,
+        first: u32,
+        read: impl FnOnce(&mut Vec<u8>, &mut dyn FnMut(Result<(), StorageError>)),
+    ) {
         if !self.outcomes.is_empty() {
             self.depth = if self.taken == self.outcomes.len() {
                 (self.depth() * 2).min(MAX_DEPTH)
@@ -85,8 +102,10 @@ impl ReadAhead {
             };
         }
         self.first = first;
-        self.outcomes = outcomes.into_iter().map(Some).collect();
         self.taken = 0;
+        let outcomes = &mut self.outcomes;
+        outcomes.clear();
+        read(&mut self.buf, &mut |outcome| outcomes.push(Some(outcome)));
     }
 }
 
@@ -99,11 +118,15 @@ mod tests {
         vec![Ok(()); n]
     }
 
+    fn fill(ra: &mut ReadAhead, first: u32, outcomes: Vec<Result<(), StorageError>>) {
+        ra.fill(first, |_, each| outcomes.into_iter().for_each(each));
+    }
+
     #[test]
     fn take_consumes_each_frame_once() {
         let mut ra = ReadAhead::new();
         assert!(ra.take(0).is_none(), "empty window covers nothing");
-        ra.fill(10, window(3));
+        fill(&mut ra, 10, window(3));
         assert!(ra.take(9).is_none(), "below the window");
         assert!(ra.take(13).is_none(), "past the window");
         assert_eq!(ra.take(11), Some(Ok(())));
@@ -119,7 +142,7 @@ mod tests {
             file: FileId(1),
             page: 6,
         };
-        ra.fill(5, vec![Ok(()), Err(torn.clone()), Ok(())]);
+        fill(&mut ra, 5, vec![Ok(()), Err(torn.clone()), Ok(())]);
         assert_eq!(ra.take(5), Some(Ok(())));
         assert_eq!(ra.take(6), Some(Err(torn)));
         assert_eq!(ra.take(7), Some(Ok(())));
@@ -129,18 +152,18 @@ mod tests {
     fn depth_doubles_when_fully_consumed_and_halves_otherwise() {
         let mut ra = ReadAhead::new();
         assert_eq!(ra.depth(), MIN_DEPTH);
-        ra.fill(0, window(MIN_DEPTH as usize));
+        fill(&mut ra, 0, window(MIN_DEPTH as usize));
         assert_eq!(ra.depth(), MIN_DEPTH, "first window never adapts");
         for p in 0..MIN_DEPTH {
             ra.take(p);
         }
-        ra.fill(MIN_DEPTH, window(8));
+        fill(&mut ra, MIN_DEPTH, window(8));
         assert_eq!(ra.depth(), MIN_DEPTH * 2, "full consumption doubles");
         // Leave one frame unused: the next fill halves the depth.
         for p in MIN_DEPTH..MIN_DEPTH + 7 {
             ra.take(p);
         }
-        ra.fill(100, window(4));
+        fill(&mut ra, 100, window(4));
         assert_eq!(ra.depth(), MIN_DEPTH, "waste halves, floored at MIN");
     }
 
@@ -150,13 +173,13 @@ mod tests {
         let mut first = 0u32;
         for _ in 0..10 {
             let n = ra.depth();
-            ra.fill(first, window(n as usize));
+            fill(&mut ra, first, window(n as usize));
             for p in first..first + n {
                 ra.take(p);
             }
             first += n;
         }
-        ra.fill(first, window(1));
+        fill(&mut ra, first, window(1));
         assert_eq!(ra.depth(), MAX_DEPTH);
     }
 }

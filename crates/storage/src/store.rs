@@ -104,6 +104,37 @@ pub trait PageStore: Send + Sync + fmt::Debug {
             .collect()
     }
 
+    /// [`PageStore::read_page`] without the page: reads the frame and runs
+    /// every check `read_page` runs — the real I/O behind a buffer-pool
+    /// miss, whose caller already holds the page in memory and only needs
+    /// to know the frame is intact. Same outcomes (`Ok` where `read_page`
+    /// is `Ok(Some)` or `Ok(None)`, the same error otherwise) and the same
+    /// `page_reads` accounting; backends override it to skip building the
+    /// [`Page`].
+    fn verify_page(&self, page: PageId) -> Result<(), StorageError> {
+        self.read_page(page).map(|_| ())
+    }
+
+    /// [`PageStore::read_run`] without the pages: one `each` call per
+    /// frame in page order, with exactly what [`PageStore::verify_page`]
+    /// would have returned for it, counted as `read_run` counts. `scratch`
+    /// is the caller's reusable read buffer (a read-ahead window keeps one
+    /// across windows); a backend that needs staging space sizes it, its
+    /// contents afterwards are unspecified.
+    fn verify_run(
+        &self,
+        file: FileId,
+        first: u32,
+        n: u32,
+        scratch: &mut Vec<u8>,
+        each: &mut dyn FnMut(Result<(), StorageError>),
+    ) {
+        let _ = scratch;
+        for outcome in self.read_run(file, first, n) {
+            each(outcome.map(|_| ()));
+        }
+    }
+
     /// Writes the image of `page` stamped with `lsn` (checkpoint
     /// write-back).
     fn write_page(&self, page: PageId, image: &Page, lsn: Lsn) -> Result<(), StorageError>;

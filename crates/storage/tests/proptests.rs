@@ -1,9 +1,16 @@
 //! Property-based tests for the storage substrate.
 
+use std::fs;
+use std::path::PathBuf;
+
 use proptest::prelude::*;
+use rdb_storage::file_store::FRAME_HEADER;
+use rdb_storage::page::Page;
+use rdb_storage::wal::{checksum64, checksum64_seeded};
 use rdb_storage::{
     shared_meter, shared_pool, BufferPool, Column, CostConfig, CostMeter, EvictionPolicy, FileId,
-    HeapTable, PageId, Record, ReferencePool, Rid, Schema, StorageError, Value, ValueType,
+    FilePageStore, HeapTable, PageId, PageStore, Record, ReferencePool, Rid, Schema, StorageError,
+    StoreStats, Value, ValueType, DURABLE_PAGE_BYTES, FRAME_BYTES,
 };
 
 fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
@@ -323,6 +330,262 @@ proptest! {
         prop_assert_eq!(count, n);
         prop_assert_eq!(d.records_examined as usize, n);
         prop_assert_eq!(d.page_reads as u32, table.page_count());
+    }
+}
+
+/// A fresh database directory for one test case.
+fn frame_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "rdb-frameprop-{tag}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Pages of every shape a frame has to carry: empty, a few slots with
+/// tombstones among them, and filled until nothing more fits.
+fn arb_page() -> impl Strategy<Value = Page> {
+    let slot = (prop::collection::vec(any::<u8>(), 0..120), any::<bool>());
+    (0usize..3, prop::collection::vec(slot, 0..24)).prop_map(
+        |(shape, slots): (usize, Vec<(Vec<u8>, bool)>)| {
+            let mut page = Page::new(DURABLE_PAGE_BYTES);
+            match shape {
+                0 => {}
+                1 => {
+                    for (bytes, dead) in slots {
+                        let slot = page.insert(bytes).unwrap();
+                        if dead {
+                            page.delete(slot).unwrap();
+                        }
+                    }
+                }
+                _ => {
+                    let filler = slots.first().map_or(40, |(b, _)| b.len() + 1);
+                    while page.fits(filler) {
+                        page.insert(vec![0xA5; filler]).unwrap();
+                    }
+                }
+            }
+            page
+        },
+    )
+}
+
+fn torn(pid: PageId) -> StorageError {
+    StorageError::TornPage {
+        file: pid.file,
+        page: pid.page,
+    }
+}
+
+/// `verify_run` gathered into the shape `read_run` has once its pages
+/// are dropped.
+fn verify_run_vec(
+    store: &FilePageStore,
+    file: FileId,
+    first: u32,
+    n: u32,
+    scratch: &mut Vec<u8>,
+) -> Vec<Result<(), StorageError>> {
+    let mut out = Vec::new();
+    store.verify_run(file, first, n, scratch, &mut |r| out.push(r));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Nothing inside the checked part of a frame can change unseen: one
+    /// flipped bit anywhere in `[0, 32 + len)`, a cut anywhere inside the
+    /// payload, or the frame sitting under another page's identity is a
+    /// `TornPage` from the materialising read and from the verify alike,
+    /// while a flip in the uncovered padding changes neither answer.
+    #[test]
+    fn damaged_frames_are_torn_for_read_and_verify_alike(
+        page in arb_page(),
+        file in 0u32..3,
+        page_no in 0u32..3,
+        lsn in any::<u64>(),
+        picks in prop::collection::vec(any::<usize>(), 6),
+    ) {
+        let dir = frame_dir("damage");
+        let pid = PageId::new(FileId(file), page_no);
+        let store = FilePageStore::open(&dir, DURABLE_PAGE_BYTES).unwrap();
+        store.write_page(pid, &page, lsn).unwrap();
+        let path = FilePageStore::data_path(&dir, pid.file);
+        let clean = fs::read(&path).unwrap();
+        let at = page_no as usize * FRAME_BYTES;
+        let checked = FRAME_HEADER + page.image_len();
+        prop_assert_eq!(clean.len(), at + FRAME_BYTES);
+        let intact = Ok(Some((page.clone(), lsn)));
+        prop_assert_eq!(&store.read_page(pid), &intact);
+        prop_assert_eq!(store.verify_page(pid), Ok(()));
+        let reads_clean = store.stats().page_reads;
+
+        // The store keeps its handle; the file is damaged underneath it.
+        for pick in &picks {
+            let bit = pick % (checked * 8);
+            let mut bytes = clean.clone();
+            bytes[at + bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            prop_assert_eq!(store.read_page(pid), Err(torn(pid)), "bit {bit} (read)");
+            prop_assert_eq!(store.verify_page(pid), Err(torn(pid)), "bit {bit} (verify)");
+
+            let pad = checked * 8 + pick % ((FRAME_BYTES - checked) * 8);
+            let mut bytes = clean.clone();
+            bytes[at + pad / 8] ^= 1 << (pad % 8);
+            fs::write(&path, &bytes).unwrap();
+            prop_assert_eq!(&store.read_page(pid), &intact, "padding bit {pad} (read)");
+            prop_assert_eq!(store.verify_page(pid), Ok(()), "padding bit {pad} (verify)");
+
+            let cut = FRAME_HEADER + pick % (checked - FRAME_HEADER);
+            fs::write(&path, &clean[..at + cut]).unwrap();
+            prop_assert_eq!(store.read_page(pid), Err(torn(pid)), "cut at {cut} (read)");
+            prop_assert_eq!(store.verify_page(pid), Err(torn(pid)), "cut at {cut} (verify)");
+        }
+        // A cut inside the header leaves no frame at all, for both.
+        fs::write(&path, &clean[..at + picks[0] % FRAME_HEADER]).unwrap();
+        prop_assert_eq!(store.read_page(pid), Ok(None));
+        prop_assert_eq!(store.verify_page(pid), Ok(()));
+
+        // The same frame one slot further, and under another file's name.
+        let mut moved = clean.clone();
+        moved.extend_from_slice(&clean[at..]);
+        fs::write(&path, &moved).unwrap();
+        let next = PageId::new(pid.file, page_no + 1);
+        prop_assert_eq!(store.read_page(next), Err(torn(next)));
+        prop_assert_eq!(store.verify_page(next), Err(torn(next)));
+        let other = PageId::new(FileId(file + 1), page_no);
+        fs::write(FilePageStore::data_path(&dir, other.file), &clean).unwrap();
+        prop_assert_eq!(store.read_page(other), Err(torn(other)));
+        prop_assert_eq!(store.verify_page(other), Err(torn(other)));
+
+        // Only intact frames were ever counted: twice per padding flip.
+        prop_assert_eq!(
+            store.stats().page_reads,
+            reads_clean + 2 * picks.len() as u64
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `verify_page(p)` is `read_page(p).map(|_| ())` and `verify_run` is
+    /// `read_run` mapped the same way, slot by slot, over files holding
+    /// intact frames, holes, poked bytes and a cut-off tail — with the
+    /// same `StoreStats` deltas, and with one scratch buffer carried from
+    /// window to window (stale bytes behind a short read are never
+    /// checked).
+    #[test]
+    fn verify_matches_read_with_identical_stats(
+        frames in prop::collection::vec((arb_page(), 0usize..4, any::<usize>()), 1..10),
+        tail_cut in any::<usize>(),
+        windows in prop::collection::vec((0u32..12, 0u32..14), 1..8),
+    ) {
+        let dir = frame_dir("equiv");
+        let fid = FileId(1);
+        let store = FilePageStore::open(&dir, DURABLE_PAGE_BYTES).unwrap();
+        for (p, (page, fate, _)) in frames.iter().enumerate() {
+            if *fate != 0 {
+                // fate 0: never written — a hole, or EOF if it is last.
+                store.write_page(PageId::new(fid, p as u32), page, p as u64 + 1).unwrap();
+            }
+        }
+        let path = FilePageStore::data_path(&dir, fid);
+        if let Ok(mut bytes) = fs::read(&path) {
+            for (p, (_, fate, at)) in frames.iter().enumerate() {
+                // fate 1: intact; 2: a byte poked somewhere in the frame;
+                // 3: a bit flipped in the header.
+                let frame = p * FRAME_BYTES;
+                match fate {
+                    2 => bytes[frame + at % FRAME_BYTES] ^= 0x40,
+                    3 => bytes[frame + at % FRAME_HEADER] ^= 1 << (at % 8),
+                    _ => {}
+                }
+            }
+            if tail_cut.is_multiple_of(3) {
+                bytes.truncate(bytes.len() - tail_cut % FRAME_BYTES);
+            }
+            fs::write(&path, &bytes).unwrap();
+        }
+
+        let delta = |before: StoreStats| store.stats().since(&before);
+        let pages = frames.len() as u32 + 2; // two past EOF
+        let before = store.stats();
+        let read: Vec<_> = (0..pages).map(|p| store.read_page(PageId::new(fid, p))).collect();
+        let read_stats = delta(before);
+        let before = store.stats();
+        let verified: Vec<_> = (0..pages).map(|p| store.verify_page(PageId::new(fid, p))).collect();
+        prop_assert_eq!(delta(before), read_stats);
+        let expect: Vec<_> = read.iter().map(|r| r.clone().map(|_| ())).collect();
+        prop_assert_eq!(&verified, &expect);
+
+        let mut scratch = Vec::new();
+        for &(first, n) in &windows {
+            for file in [fid, FileId(9)] {
+                // FileId(9) has no data file: every slot reads as a hole.
+                let before = store.stats();
+                let run = store.read_run(file, first, n);
+                let run_stats = delta(before);
+                let before = store.stats();
+                let got = verify_run_vec(&store, file, first, n, &mut scratch);
+                prop_assert_eq!(delta(before), run_stats, "window {first}+{n}");
+                let expect: Vec<_> = run.into_iter().map(|r| r.map(|_| ())).collect();
+                prop_assert_eq!(&got, &expect, "window {first}+{n}");
+                if file == fid {
+                    // ... and each slot is what the single-page path says.
+                    for (i, outcome) in got.iter().enumerate() {
+                        let p = first + i as u32;
+                        let single = store.verify_page(PageId::new(fid, p));
+                        prop_assert_eq!(outcome, &single, "page {p}");
+                    }
+                }
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+fn sum_pattern(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i * 131 + 7) as u8).collect()
+}
+
+/// The on-disk checksum cannot drift silently: these sums are in every
+/// frame, WAL record and header ever written by this format version.
+/// Lengths straddle the 32-byte block (tail only, exact block, block +
+/// tail) and cover a full frame payload.
+#[test]
+fn checksum64_pinned_vectors() {
+    assert_eq!(checksum64(b""), 0xd209_9249_f6c7_bf69);
+    assert_eq!(checksum64(b"abc"), 0x9ff7_ba61_695e_bbf8);
+    assert_eq!(checksum64(&sum_pattern(31)), 0x03e5_1a09_49a3_2918);
+    assert_eq!(checksum64(&sum_pattern(32)), 0xaf4f_09b8_f815_6174);
+    assert_eq!(checksum64(&sum_pattern(33)), 0xce7d_37b7_7fcd_644a);
+    assert_eq!(checksum64(&sum_pattern(4064)), 0x29ae_2de8_4426_9956);
+    assert_eq!(
+        checksum64_seeded(checksum64(&sum_pattern(20)), &sum_pattern(100)),
+        0x58fa_9746_c04d_30a2
+    );
+    assert_eq!(checksum64_seeded(0, b"abc"), checksum64(b"abc"));
+}
+
+/// The bijection argument as a test: every one of the 32 512 single-bit
+/// flips of a full frame payload changes the sum, and so does every
+/// single-bit flip of the seed.
+#[test]
+fn every_single_bit_flip_changes_the_checksum() {
+    let mut buf = sum_pattern(4064);
+    let clean = checksum64(&buf);
+    for bit in 0..buf.len() * 8 {
+        buf[bit / 8] ^= 1 << (bit % 8);
+        assert_ne!(checksum64(&buf), clean, "flip of bit {bit} went unseen");
+        buf[bit / 8] ^= 1 << (bit % 8);
+    }
+    assert_eq!(checksum64(&buf), clean);
+    for bit in 0..64 {
+        assert_ne!(checksum64_seeded(1 << bit, &buf), clean, "seed bit {bit}");
     }
 }
 
