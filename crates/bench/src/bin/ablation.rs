@@ -18,7 +18,7 @@ use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::{
     DynamicConfig, DynamicOptimizer, IndexChoice, Jscan, JscanConfig, JscanIndex, JscanOutcome,
-    OptimizeGoal, RecordPred, RetrievalRequest,
+    KillRules, OptimizeGoal, RecordPred, RetrievalRequest,
 };
 use rdb_storage::{FileId, Record, Value};
 
@@ -58,11 +58,13 @@ fn threshold_sweep() {
                 limit: None,
             };
             let optimizer = DynamicOptimizer::new(DynamicConfig {
-                jscan: JscanConfig {
+                rules: KillRules {
                     switch_threshold: threshold,
                     // Disable the direct spend criterion so the ablation
                     // isolates the two-stage threshold.
-                    scan_spend_limit: 1e9,
+                    spend_limit: 1e9,
+                },
+                jscan: JscanConfig {
                     tiny_list_shortcut: 0,
                     ..JscanConfig::default()
                 },
@@ -169,10 +171,13 @@ fn simultaneous() {
             ],
             JscanConfig {
                 simultaneous_adjacent: simultaneous,
-                switch_threshold: 10.0, // isolate ordering from abandonment
-                scan_spend_limit: 100.0,
                 tiny_list_shortcut: 0,
                 ..JscanConfig::default()
+            },
+            // Isolate ordering from abandonment.
+            KillRules {
+                switch_threshold: 10.0,
+                spend_limit: 100.0,
             },
             f.table.pool().cost().clone(),
         );

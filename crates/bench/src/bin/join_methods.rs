@@ -43,7 +43,7 @@ use std::time::Instant;
 use rdb_bench::report::print_table;
 use rdb_btree::BTree;
 use rdb_core::{
-    run_join, run_join_method, JoinConfig, JoinMethod, JoinOp, JoinRequest, JoinSide, RecordPred,
+    run_join, run_join_method, JoinMethod, JoinOp, JoinRequest, JoinSide, KillRules, RecordPred,
     SideId, Tracer,
 };
 use rdb_storage::{
@@ -245,7 +245,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.5);
     let mut gate_violations: Vec<String> = Vec::new();
-    let cfg = JoinConfig::default();
+    let rules = KillRules::default();
     let methods = [
         JoinMethod::NestedLoop { outer: SideId::Left },
         JoinMethod::IndexNested { outer: SideId::Left },
@@ -264,7 +264,7 @@ fn main() {
                 // previous method left resident would otherwise subsidise
                 // whoever happens to run next.
                 shape.pool.clear();
-                let out = run_join_method(&shape.request(), method, &cfg).expect("forced method");
+                let out = run_join_method(&shape.request(), method).expect("forced method");
                 (out.pairs.len(), out.cost)
             }));
         }
@@ -276,7 +276,7 @@ fn main() {
         runs.push(time_run("dynamic".into(), || {
             shape.pool.clear();
             let out =
-                run_join(&shape.request(), &cfg, &Tracer::disabled()).expect("join competition");
+                run_join(&shape.request(), &rules, &Tracer::disabled()).expect("join competition");
             assert_eq!(out.pairs.len(), truth, "dynamic disagrees on pairs");
             winner = out.strategy.clone();
             (out.pairs.len(), out.cost)

@@ -23,14 +23,15 @@
 //!   moment it no longer does.
 //!
 //! [`CostDist`] supplies the cost-distribution families (including the
-//! truncated hyperbola the paper fits everywhere), and [`sched`]/[`race`]
-//! provide the runtime machinery — a deterministic proportional-speed
-//! quantum scheduler and a generic race controller — that `rdb-core`'s
-//! scan strategies plug into.
+//! truncated hyperbola the paper fits everywhere). [`rules`] and [`sched`]
+//! are the two pieces the engine runs on: [`KillRules::judge`], the one
+//! function that decides the paper's 95 % / 50 % switch criteria for every
+//! competition in the workspace, and the deterministic proportional-speed
+//! quantum scheduler that interleaves the competitors.
 
 pub mod direct;
 pub mod dist;
-pub mod race;
+pub mod rules;
 pub mod sched;
 pub mod two_stage;
 
@@ -39,6 +40,6 @@ pub use direct::{
     DirectOutcome,
 };
 pub use dist::CostDist;
-pub use race::{Competitor, Race, RaceConfig, RaceOutcome, StepOutcome};
+pub use rules::{Kill, KillRules};
 pub use sched::ProportionalScheduler;
 pub use two_stage::{two_stage_cost, TwoStageConfig, TwoStageOutcome};

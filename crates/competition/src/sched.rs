@@ -1,14 +1,16 @@
 //! Deterministic proportional-speed quantum scheduling.
 //!
 //! The paper runs competing strategies "simultaneously with the
-//! proportional speed". In the engine's cooperative mode (the default —
-//! the opt-in OS-thread background stage lives in `rdb_core::parallel`
-//! and needs no scheduler) that means interleaving their `step()` calls
-//! so that over any window the number of
-//! quanta granted to each competitor tracks its speed weight. The
-//! [`ProportionalScheduler`] implements this with deficit counters — the
-//! classic weighted-round-robin construction — so the interleaving is
-//! deterministic and exactly proportional in the long run.
+//! proportional speed". On one thread that means interleaving their
+//! `step()` calls so that over any window the number of quanta granted to
+//! each competitor tracks its speed weight. The [`ProportionalScheduler`]
+//! implements this with deficit counters — the classic weighted-round-robin
+//! construction — so the interleaving is deterministic and exactly
+//! proportional in the long run. The join race schedules its lanes with
+//! it, and so does the inline background driver under the single-table
+//! tactics (`rdb_core::tactics`); the opt-in worker-thread driver
+//! (`core/src/parallel.rs`) runs the same tactic bodies but takes its turns
+//! from a channel instead.
 
 /// Weighted round-robin dispenser of quanta.
 #[derive(Debug, Clone)]

@@ -16,6 +16,7 @@
 use rand::Rng;
 
 use crate::dist::CostDist;
+use crate::rules::KillRules;
 
 /// Parameters of a two-stage competition run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,6 +86,12 @@ pub fn two_stage_cost<R: Rng>(
     trials: u32,
 ) -> TwoStageOutcome {
     let guaranteed_best = a1.mean();
+    // The model has no spend criterion: `A′` is never cut off on its own
+    // cost, only on what it predicts for `A″`.
+    let rules = KillRules {
+        switch_threshold: config.switch_threshold,
+        spend_limit: f64::INFINITY,
+    };
     let mut total = 0.0;
     let mut abandons = 0u32;
     for _ in 0..trials {
@@ -97,7 +104,7 @@ pub fn two_stage_cost<R: Rng>(
             spent = config.stage1_cost * t;
             let noise = (1.0 - t) * config.noise_amp * (2.0 * rng.gen::<f64>() - 1.0);
             let projected = true_a2 * (1.0 + noise);
-            if projected >= config.switch_threshold * guaranteed_best {
+            if rules.judge(Some(projected), spent, guaranteed_best).is_some() {
                 switched = true;
                 break;
             }

@@ -17,12 +17,11 @@ use rdb_btree::KeyRange;
 use rdb_storage::{HeapTable, Rid, StorageError};
 
 use crate::fscan::Fscan;
-use crate::jscan::Jscan;
 use crate::request::{RetrievalRequest, RetrievalResult, Sink};
 use crate::sscan::Sscan;
-use crate::tactics::final_stage;
+use crate::tactics::{drain, final_stage};
 use crate::trace::{RunTrace, TraceEvent, Tracer};
-use crate::tscan::{StrategyStep, Tscan};
+use crate::tscan::Tscan;
 
 /// Predicate shape visible at compile time (values are host variables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,21 +161,10 @@ impl StaticOptimizer {
         });
         let cost_before = meter.total();
         let mut sink = Sink::new(request.limit);
-        let deliver = |step: StrategyStep, sink: &mut Sink| match step {
-            StrategyStep::Deliver(rid, record) => sink.deliver(rid, record),
-            StrategyStep::Progress => true,
-            StrategyStep::Done => false,
-        };
         match plan {
             StaticPlan::Tscan => {
                 let mut s = Tscan::new(request.table, request.residual.clone(), meter.clone());
-                loop {
-                    let step = s.step()?;
-                    let done = matches!(step, StrategyStep::Done);
-                    if !deliver(step, &mut sink) || done {
-                        break;
-                    }
-                }
+                drain(|| s.step(), |rid, record| sink.deliver(rid, record))?;
             }
             StaticPlan::Fscan { pos } => {
                 let c = &request.indexes[pos];
@@ -187,13 +175,7 @@ impl StaticOptimizer {
                     request.residual.clone(),
                     meter.clone(),
                 );
-                loop {
-                    let step = s.step()?;
-                    let done = matches!(step, StrategyStep::Done);
-                    if !deliver(step, &mut sink) || done {
-                        break;
-                    }
-                }
+                drain(|| s.step(), |rid, record| sink.deliver(rid, record))?;
             }
             StaticPlan::Sscan { pos } => {
                 let c = &request.indexes[pos];
@@ -202,17 +184,7 @@ impl StaticOptimizer {
                     .clone()
                     .expect("static Sscan plan for non-self-sufficient index");
                 let mut s = Sscan::new(c.tree, c.range.clone(), pred, meter.clone());
-                loop {
-                    match s.step()? {
-                        StrategyStep::Deliver(rid, record) => {
-                            if !sink.deliver_from_index(rid, record) {
-                                break;
-                            }
-                        }
-                        StrategyStep::Progress => {}
-                        StrategyStep::Done => break,
-                    }
-                }
+                drain(|| s.step(), |rid, record| sink.deliver_from_index(rid, record))?;
             }
         }
         rt.phase(match plan {
@@ -304,17 +276,7 @@ impl StaticJscan {
             // Below-threshold indexes only: sequential scan, committed.
             let mut s = Tscan::new(table, request.residual.clone(), meter.clone());
             events.push("static plan: Tscan".into());
-            loop {
-                match s.step()? {
-                    StrategyStep::Deliver(rid, record) => {
-                        if !sink.deliver(rid, record) {
-                            break;
-                        }
-                    }
-                    StrategyStep::Progress => {}
-                    StrategyStep::Done => break,
-                }
-            }
+            drain(|| s.step(), |rid, record| sink.deliver(rid, record))?;
         } else {
             // Scan every selected index to completion; intersect as we go;
             // never abandon (the defining limitation of this baseline).
@@ -381,8 +343,3 @@ pub fn estimate_all<'a>(request: &RetrievalRequest<'a>) -> Vec<(usize, KeyRange,
     v.sort_by(|a, b| a.2.total_cmp(&b.2));
     v
 }
-
-// Re-exports for the experiments' use.
-pub use crate::jscan::JscanConfig as DynamicJscanConfig;
-/// Alias pairing the dynamic Jscan with its static counterpart above.
-pub type DynamicJscan<'a> = Jscan<'a>;

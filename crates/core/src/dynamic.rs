@@ -16,30 +16,34 @@
 //! strategy for `:A1 = 200`, per run.
 
 use rdb_btree::KeyRange;
-use rdb_storage::StorageError;
+use rdb_competition::KillRules;
+use rdb_storage::{SharedCost, StorageError};
 
 use crate::fscan::Fscan;
 use crate::initial::{InitialPlan, InitialStage, ShortcutKind};
 use crate::jscan::{Jscan, JscanConfig, JscanIndex};
 use crate::request::{OptimizeGoal, RetrievalRequest, RetrievalResult, Sink};
 use crate::sscan::Sscan;
-use crate::tactics::{self, FgrConfig};
-use crate::trace::{RunTrace, TraceEvent, Tracer};
-use crate::tscan::{StrategyStep, Tscan};
+use crate::tactics::{self, Foreground, Inline, TacticReport};
+use crate::trace::{RunTrace, Stage, TraceEvent, Tracer};
+use crate::tscan::Tscan;
 
 /// Configuration of the dynamic optimizer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicConfig {
+    /// The two kill thresholds every competition is judged by: the joint
+    /// scan, the union scan, the fast-first foreground and (through
+    /// `rdb-query`) the join race.
+    pub rules: KillRules,
     /// Joint-scan tuning.
     pub jscan: JscanConfig,
-    /// Foreground-process tuning for the competitive tactics.
-    pub fgr: FgrConfig,
     /// Initial-stage tuning.
     pub initial: InitialStage,
-    /// Run the background Jscan stage of the competitive tactics on an OS
-    /// worker thread (see [`crate::parallel`]) instead of interleaving it
-    /// cooperatively. Off by default: the cooperative path is
-    /// deterministic, which the simulation oracle depends on.
+    /// Run the background Jscan of the competitive tactics on an OS
+    /// worker thread instead of interleaving it cooperatively: the same
+    /// tactic bodies over a different background driver. Off by default:
+    /// the cooperative driver is deterministic, which the simulation
+    /// oracle depends on.
     pub parallel: bool,
 }
 
@@ -164,42 +168,75 @@ impl DynamicOptimizer {
         (choice, plan)
     }
 
-    /// Builds the Jscan over the plan's ordered fetch-needed indexes,
-    /// excluding `skip` (the index claimed by the foreground strategy).
-    fn build_jscan<'a>(
-        &self,
+    /// The plan's ordered fetch-needed indexes as Jscan inputs, leaving
+    /// out `claimed` (the index the foreground strategy scans itself).
+    fn jscan_indexes<'a>(
         request: &RetrievalRequest<'a>,
         plan: &InitialPlan,
-        skip: Option<usize>,
-        cost: &rdb_storage::SharedCost,
-    ) -> Option<Jscan<'a>> {
-        let indexes: Vec<JscanIndex<'a>> = plan
-            .jscan_order
+        claimed: Option<usize>,
+    ) -> Vec<JscanIndex<'a>> {
+        plan.jscan_order
             .iter()
             .zip(&plan.jscan_estimates)
-            .filter(|(pos, _)| Some(**pos) != skip)
+            .filter(|(pos, _)| Some(**pos) != claimed)
             .map(|(&pos, &estimate)| JscanIndex {
                 tree: request.indexes[pos].tree,
                 range: request.indexes[pos].range.clone(),
                 estimate,
             })
-            .collect();
-        if indexes.is_empty() {
-            None
-        } else {
-            Some(Jscan::new(
-                request.table,
-                indexes,
-                self.config.jscan,
-                cost.clone(),
-            ))
-        }
+            .collect()
     }
 
-    /// A fresh private meter for a worker-thread background stage; the
-    /// caller absorbs it into the session meter once the stage joins.
-    fn background_meter(request: &RetrievalRequest<'_>) -> rdb_storage::SharedCost {
-        rdb_storage::shared_meter(request.table.pool().cost_config())
+    /// A Jscan over `indexes` (at least one) charging `meter` and
+    /// announcing its competition to `tracer`.
+    fn jscan<'a>(
+        &self,
+        request: &RetrievalRequest<'a>,
+        indexes: Vec<JscanIndex<'a>>,
+        meter: &SharedCost,
+        tracer: Tracer,
+    ) -> Jscan<'a> {
+        let mut jscan = Jscan::new(
+            request.table,
+            indexes,
+            self.config.jscan,
+            self.config.rules,
+            meter.clone(),
+        );
+        jscan.set_tracer(tracer);
+        jscan
+    }
+
+    /// Runs a competitive tactic: `foreground` against a background Jscan
+    /// over `indexes`, driven inline or — the one place
+    /// [`DynamicConfig::parallel`] is read — from a worker thread. With no
+    /// index left for the background the foreground competes with nobody.
+    fn compete<'a>(
+        &self,
+        request: &RetrievalRequest<'a>,
+        foreground: Foreground<'_>,
+        indexes: Vec<JscanIndex<'a>>,
+        tracer: &Tracer,
+        sink: &mut Sink,
+        rt: &mut RunTrace<'_>,
+    ) -> Result<TacticReport, StorageError> {
+        let rules = &self.config.rules;
+        if self.config.parallel && !indexes.is_empty() {
+            let borrowing = matches!(foreground, Foreground::Borrowing);
+            let worker_tracer = tracer.for_stage(Stage::Background);
+            crate::parallel::drive(
+                |meter| self.jscan(request, indexes, meter, worker_tracer),
+                borrowing,
+                &request.cost,
+                rt,
+                |bgr, rt| tactics::compete(foreground, bgr, request, rules, sink, rt),
+            )
+        } else {
+            let jscan = (!indexes.is_empty())
+                .then(|| self.jscan(request, indexes, &request.cost, tracer.clone()));
+            let mut bgr = Inline::new(jscan);
+            tactics::compete(foreground, &mut bgr, request, rules, sink, rt)
+        }
     }
 
     /// Chooses a tactic and executes the retrieval. `Err` means the data
@@ -368,36 +405,24 @@ impl DynamicOptimizer {
         };
         let mut events = vec![format!("tactic: {choice:?}")];
         let mut sscan_index = None;
-        // Detailed strategy string of the tactic that actually produced the
-        // rows (e.g. "fast-first (degraded to background-only)") — the
-        // `Winner` trace event carries this, so trace consumers can check
-        // switches against what really ran.
-        let mut winner_detail: Option<String> = None;
 
-        match choice {
+        // The competitive tactics report what they did; shortcuts and
+        // static picks have nothing to add to their name.
+        let report: Option<TacticReport> = match choice {
             TacticChoice::EndOfData => {
                 events.push("empty range detected during estimation".into());
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-range".into(),
                     detail: "empty range detected during estimation: end of data".into(),
                 });
+                None
             }
             TacticChoice::TscanOnly => {
                 let mut scan = Tscan::new(request.table, request.residual.clone(), cost.clone());
-                let outcome = loop {
-                    match scan.step() {
-                        Err(e) => break Err(e),
-                        Ok(StrategyStep::Deliver(rid, record)) => {
-                            if !sink.deliver(rid, record) {
-                                break Ok(());
-                            }
-                        }
-                        Ok(StrategyStep::Progress) => {}
-                        Ok(StrategyStep::Done) => break Ok(()),
-                    }
-                };
+                let outcome = tactics::drain(|| scan.step(), |rid, rec| sink.deliver(rid, rec));
                 rt.phase("tscan");
                 outcome?;
+                None
             }
             TacticChoice::TinyRangeFetch => {
                 let Some(ShortcutKind::TinyRange { index_pos, count }) = &plan.shortcut else {
@@ -419,20 +444,10 @@ impl DynamicOptimizer {
                     request.residual.clone(),
                     cost.clone(),
                 );
-                let outcome = loop {
-                    match f.step() {
-                        Err(e) => break Err(e),
-                        Ok(StrategyStep::Deliver(rid, record)) => {
-                            if !sink.deliver(rid, record) {
-                                break Ok(());
-                            }
-                        }
-                        Ok(StrategyStep::Progress) => {}
-                        Ok(StrategyStep::Done) => break Ok(()),
-                    }
-                };
+                let outcome = tactics::drain(|| f.step(), |rid, rec| sink.deliver(rid, rec));
                 rt.phase("fscan");
                 outcome?;
+                None
             }
             TacticChoice::SscanStatic => {
                 let (pos, _) = plan.best_self_sufficient.expect("sscan without index");
@@ -440,178 +455,56 @@ impl DynamicOptimizer {
                 let c = &request.indexes[pos];
                 let pred = c.self_sufficient.clone().expect("self-sufficient pred");
                 let mut s = Sscan::new(c.tree, c.range.clone(), pred, cost.clone());
-                let outcome = loop {
-                    match s.step() {
-                        Err(e) => break Err(e),
-                        Ok(StrategyStep::Deliver(rid, record)) => {
-                            if !sink.deliver_from_index(rid, record) {
-                                break Ok(());
-                            }
-                        }
-                        Ok(StrategyStep::Progress) => {}
-                        Ok(StrategyStep::Done) => break Ok(()),
-                    }
-                };
+                let outcome =
+                    tactics::drain(|| s.step(), |rid, rec| sink.deliver_from_index(rid, rec));
                 rt.phase("sscan");
                 outcome?;
+                None
             }
             TacticChoice::BackgroundOnly => {
-                let mut jscan = self
-                    .build_jscan(request, &plan, None, &cost)
-                    .expect("background-only requires indexes");
-                jscan.set_tracer(tracer.clone());
-                let report = tactics::background_only(
-                    request.table,
-                    jscan,
-                    &request.residual,
-                    &mut sink,
-                    &mut rt,
-                    &cost,
-                )?;
-                winner_detail = Some(report.strategy.clone());
-                events.push(report.strategy);
-                events.extend(report.events);
+                let indexes = Self::jscan_indexes(request, &plan, None);
+                let jscan = self.jscan(request, indexes, &cost, tracer.clone());
+                Some(tactics::background_only(request, jscan, &mut sink, &mut rt)?)
             }
             TacticChoice::FastFirst => {
-                let report = if self.config.parallel {
-                    let bgr_cost = Self::background_meter(request);
-                    let mut jscan = self
-                        .build_jscan(request, &plan, None, &bgr_cost)
-                        .expect("fast-first requires indexes");
-                    jscan.set_tracer(tracer.for_stage(crate::trace::Stage::Background));
-                    let outcome = crate::parallel::fast_first(
-                        request.table,
-                        jscan,
-                        &request.residual,
-                        self.config.fgr,
-                        &mut sink,
-                        &mut rt,
-                        &cost,
-                    );
-                    cost.absorb(&bgr_cost.snapshot());
-                    outcome?
-                } else {
-                    let mut jscan = self
-                        .build_jscan(request, &plan, None, &cost)
-                        .expect("fast-first requires indexes");
-                    jscan.set_tracer(tracer.clone());
-                    tactics::fast_first(
-                        request.table,
-                        jscan,
-                        &request.residual,
-                        self.config.fgr,
-                        &mut sink,
-                        &mut rt,
-                        &cost,
-                    )?
-                };
-                winner_detail = Some(report.strategy.clone());
-                events.push(report.strategy);
-                events.extend(report.events);
+                let indexes = Self::jscan_indexes(request, &plan, None);
+                let foreground = Foreground::Borrowing;
+                Some(self.compete(request, foreground, indexes, tracer, &mut sink, &mut rt)?)
             }
             TacticChoice::Sorted => {
                 let pos = plan.best_order_index.expect("sorted without order index");
                 let c = &request.indexes[pos];
-                let fscan = Fscan::with_direction(
+                let foreground = Foreground::Ordered(Fscan::with_direction(
                     request.table,
                     c.tree,
                     c.range.clone(),
                     request.residual.clone(),
                     c.descending,
                     cost.clone(),
-                );
-                let report = if self.config.parallel {
-                    let bgr_cost = Self::background_meter(request);
-                    match self.build_jscan(request, &plan, Some(pos), &bgr_cost) {
-                        Some(mut jscan) => {
-                            jscan.set_tracer(tracer.for_stage(crate::trace::Stage::Background));
-                            let outcome = crate::parallel::sorted(fscan, jscan, &mut sink, &mut rt);
-                            cost.absorb(&bgr_cost.snapshot());
-                            outcome?
-                        }
-                        None => tactics::sorted(
-                            request.table,
-                            fscan,
-                            None,
-                            self.config.fgr,
-                            &mut sink,
-                            &mut rt,
-                        )?,
-                    }
-                } else {
-                    let mut jscan = self.build_jscan(request, &plan, Some(pos), &cost);
-                    if let Some(j) = &mut jscan {
-                        j.set_tracer(tracer.clone());
-                    }
-                    tactics::sorted(
-                        request.table,
-                        fscan,
-                        jscan,
-                        self.config.fgr,
-                        &mut sink,
-                        &mut rt,
-                    )?
-                };
-                winner_detail = Some(report.strategy.clone());
-                events.push(report.strategy);
-                events.extend(report.events);
+                ));
+                let indexes = Self::jscan_indexes(request, &plan, Some(pos));
+                Some(self.compete(request, foreground, indexes, tracer, &mut sink, &mut rt)?)
             }
             TacticChoice::IndexOnly => {
                 let (pos, _) = plan.best_self_sufficient.expect("index-only without sscan");
                 sscan_index = Some(pos);
                 let c = &request.indexes[pos];
                 let pred = c.self_sufficient.clone().expect("self-sufficient pred");
-                let sscan = Sscan::new(c.tree, c.range.clone(), pred, cost.clone());
-                let report = if self.config.parallel {
-                    let bgr_cost = Self::background_meter(request);
-                    match self.build_jscan(request, &plan, Some(pos), &bgr_cost) {
-                        Some(mut jscan) => {
-                            jscan.set_tracer(tracer.for_stage(crate::trace::Stage::Background));
-                            let outcome = crate::parallel::index_only(
-                                request.table,
-                                sscan,
-                                jscan,
-                                &request.residual,
-                                self.config.fgr,
-                                &mut sink,
-                                &mut rt,
-                                &cost,
-                            );
-                            cost.absorb(&bgr_cost.snapshot());
-                            outcome?
-                        }
-                        None => tactics::index_only(
-                            request.table,
-                            sscan,
-                            None,
-                            &request.residual,
-                            self.config.fgr,
-                            &mut sink,
-                            &mut rt,
-                            &cost,
-                        )?,
-                    }
-                } else {
-                    let mut jscan = self.build_jscan(request, &plan, Some(pos), &cost);
-                    if let Some(j) = &mut jscan {
-                        j.set_tracer(tracer.clone());
-                    }
-                    tactics::index_only(
-                        request.table,
-                        sscan,
-                        jscan,
-                        &request.residual,
-                        self.config.fgr,
-                        &mut sink,
-                        &mut rt,
-                        &cost,
-                    )?
-                };
-                winner_detail = Some(report.strategy.clone());
-                events.push(report.strategy);
-                events.extend(report.events);
+                let foreground =
+                    Foreground::SelfSufficient(Sscan::new(c.tree, c.range.clone(), pred, cost.clone()));
+                let indexes = Self::jscan_indexes(request, &plan, Some(pos));
+                Some(self.compete(request, foreground, indexes, tracer, &mut sink, &mut rt)?)
             }
-        }
+        };
+        // Detailed strategy string of the tactic that actually produced the
+        // rows (e.g. "fast-first (degraded to background-only)") — the
+        // `Winner` trace event carries this, so trace consumers can check
+        // switches against what really ran.
+        let winner_detail = report.map(|report| {
+            events.push(report.strategy.clone());
+            events.extend(report.events);
+            report.strategy
+        });
 
         rt.finish();
         let cost_total = cost.total() - cost_before;
@@ -721,7 +614,7 @@ impl DynamicOptimizer {
             });
             strategy = "UnionScan (empty)".to_string();
         } else {
-            let mut scan = UnionScan::new(table, union_arms, self.config.jscan, cost.clone());
+            let mut scan = UnionScan::new(table, union_arms, self.config.rules, cost.clone());
             let outcome = scan.run();
             rt.phase("union");
             let outcome = outcome?;
@@ -775,10 +668,4 @@ impl DynamicOptimizer {
             sscan_index: None,
         })
     }
-}
-
-/// Builds the key range for a one-column comparison, shared by callers
-/// constructing [`crate::IndexChoice`]s from predicates.
-pub fn range_for_ge(v: impl Into<rdb_storage::Value>) -> KeyRange {
-    KeyRange::at_least(v)
 }

@@ -19,8 +19,6 @@
 //! 4. otherwise orders the fetch-needed indexes by ascending estimate for
 //!    Jscan and picks the cheapest self-sufficient index for Sscan.
 
-use rdb_btree::KeyRange;
-
 use crate::request::RetrievalRequest;
 use crate::sscan::Sscan;
 
@@ -146,18 +144,6 @@ impl InitialStage {
 
         plan
     }
-}
-
-/// Convenience: ranges per index for Jscan construction.
-pub fn jscan_ranges<'a>(
-    request: &RetrievalRequest<'a>,
-    plan: &InitialPlan,
-) -> Vec<(usize, KeyRange, f64)> {
-    plan.jscan_order
-        .iter()
-        .zip(&plan.jscan_estimates)
-        .map(|(&pos, &est)| (pos, request.indexes[pos].range.clone(), est))
-        .collect()
 }
 
 #[cfg(test)]

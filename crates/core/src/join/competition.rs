@@ -6,23 +6,24 @@
 //!
 //! 1. **Admission** (planning time, infallible): methods are enumerated
 //!    with closed-form estimates; anything worse than
-//!    [`JoinConfig::admission_ratio`] × the best estimate is pruned
-//!    before spending a single cost unit.
-//! 2. **Race**: admitted candidates interleave in bounded quanta. Each
-//!    candidate's projected total cost is refined from its observed
-//!    spend/progress ratio once it has consumed
-//!    [`JoinConfig::refine_fraction`] of its input; a candidate is killed
-//!    when its projection reaches [`JoinConfig::switch_threshold`] of the
-//!    best surviving projection (the paper's 95% rule), or when its raw
-//!    spend alone reaches [`JoinConfig::scan_spend_limit`] of it (the
-//!    direct criterion). The current best candidate is never killed, so
-//!    the race always terminates with a winner.
+//!    [`ADMISSION_RATIO`] × the best estimate is pruned before spending a
+//!    single cost unit.
+//! 2. **Race**: admitted candidates interleave in quanta of
+//!    [`JOIN_BATCH`] rows. Each candidate's projected total cost is
+//!    refined from its observed spend/progress ratio once it has consumed
+//!    [`REFINE_FRACTION`] of its input; after every quantum each
+//!    surviving candidate is put to [`KillRules::judge`] against the best
+//!    rival projection — the paper's 95% rule once its own projection is
+//!    refined, the direct spend criterion from the first quantum. The
+//!    current best candidate is never judged, so the race always
+//!    terminates with a winner.
 //!
 //! A storage fault kills the faulting candidate and the race continues;
 //! the error only propagates when no candidate remains — so a join under
 //! fault injection either returns exact rows or the injected fault,
 //! never corruption.
 
+use rdb_competition::KillRules;
 use rdb_storage::StorageError;
 
 use crate::jscan::DiscardReason;
@@ -32,9 +33,16 @@ use super::estimate::{enumerate, feasible, method_cost};
 use super::hash::HashJoinScan;
 use super::merge::MergeJoinScan;
 use super::nested::{partial_rids, IndexNestedScan, JoinScan, JoinStepOutcome, NestedLoopScan};
-use super::{
-    CandidateOutcome, JoinCandidateReport, JoinConfig, JoinMethod, JoinRequest, JoinResult,
-};
+use super::{CandidateOutcome, JoinCandidateReport, JoinMethod, JoinRequest, JoinResult};
+
+/// Rows consumed per scheduling quantum (see [`JoinScan::step`]).
+pub const JOIN_BATCH: usize = 16;
+/// Progress fraction below which a candidate's projection is not yet
+/// trusted (too noisy to kill on).
+pub const REFINE_FRACTION: f64 = 0.05;
+/// Planning-time admission: candidates estimated worse than this multiple
+/// of the best estimate are not raced at all.
+pub const ADMISSION_RATIO: f64 = 4.0;
 
 fn build_scan<'r, 'a>(
     req: &'r JoinRequest<'a>,
@@ -58,11 +66,10 @@ fn build_scan<'r, 'a>(
 pub fn run_join_method(
     req: &JoinRequest<'_>,
     method: JoinMethod,
-    cfg: &JoinConfig,
 ) -> Result<JoinResult, StorageError> {
     let before = req.cost.total();
     let mut scan = build_scan(req, method)?;
-    while scan.step(cfg.batch)? == JoinStepOutcome::Progress {}
+    while scan.step(JOIN_BATCH)? == JoinStepOutcome::Progress {}
     let pairs = scan.take_pairs();
     let spent = req.cost.total() - before;
     let partial = pairs.iter().map(|p| (p.left_rid, p.right_rid)).collect();
@@ -93,13 +100,22 @@ struct Lane<'r> {
 }
 
 impl Lane<'_> {
+    /// True once the scan has consumed enough input for its observed
+    /// spend/progress ratio to be trusted.
+    fn refined(&self) -> bool {
+        self.scan
+            .as_deref()
+            .is_some_and(|s| s.progress() >= REFINE_FRACTION)
+    }
+
     /// Projected total cost: observed spend extrapolated through observed
-    /// progress once past `refine_fraction`, the planning estimate before.
-    fn projection(&self, refine_fraction: f64) -> f64 {
+    /// progress once past [`REFINE_FRACTION`], the planning estimate
+    /// before.
+    fn projection(&self) -> f64 {
         match &self.scan {
             Some(scan) => {
                 let p = scan.progress();
-                if p >= refine_fraction && self.spent > 0.0 {
+                if p >= REFINE_FRACTION && self.spent > 0.0 {
                     self.spent / p.min(1.0)
                 } else {
                     self.estimate
@@ -120,7 +136,7 @@ impl Lane<'_> {
 /// optimizer emits, so `EXPLAIN ANALYZE` renders joins unchanged.
 pub fn run_join(
     req: &JoinRequest<'_>,
-    cfg: &JoinConfig,
+    rules: &KillRules,
     tracer: &Tracer,
 ) -> Result<JoinResult, StorageError> {
     let cost_cfg = req.cost.config();
@@ -137,7 +153,7 @@ pub fn run_join(
     let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(estimates.len());
     let mut reports: Vec<JoinCandidateReport> = Vec::new();
     for e in &estimates {
-        if e.cost > cfg.admission_ratio * best_est.max(f64::MIN_POSITIVE) {
+        if e.cost > ADMISSION_RATIO * best_est.max(f64::MIN_POSITIVE) {
             // Pruned at planning time: hopeless against the best estimate.
             tracer.emit_with(|| TraceEvent::JoinKilled {
                 method: e.method.label().to_string(),
@@ -195,7 +211,7 @@ pub fn run_join(
         let step = lane
             .scan
             .as_mut()
-            .map(|s| s.step(cfg.batch))
+            .map(|s| s.step(JOIN_BATCH))
             .unwrap_or(Ok(JoinStepOutcome::Done));
         let now = meter.total();
         lane.spent += now - mark;
@@ -241,7 +257,7 @@ pub fn run_join(
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| sched.is_active(j))
-                .map(|(j, lane)| (j, lane.projection(cfg.refine_fraction))),
+                .map(|(j, lane)| (j, lane.projection())),
         );
         // Emit a refinement event when this lane crossed a progress
         // quarter (bounded trace volume per candidate).
@@ -252,7 +268,7 @@ pub fn run_join(
                     let bucket = (progress * 4.0).floor() as u32;
                     if bucket > lane.refine_bucket {
                         lane.refine_bucket = bucket;
-                        let proj = lane.projection(cfg.refine_fraction);
+                        let proj = lane.projection();
                         let label = lane.method.label();
                         let best_other = projections
                             .iter()
@@ -283,19 +299,16 @@ pub fn run_join(
                 .map(|(_, p)| *p)
                 .fold(f64::INFINITY, f64::min);
             let Some(lane) = lanes.get_mut(j) else { continue };
-            let refined = lane
-                .scan
-                .as_deref()
-                .map(|s| s.progress() >= cfg.refine_fraction)
-                .unwrap_or(false);
-            let reason = if refined && proj >= cfg.switch_threshold * g {
-                Some(DiscardReason::ProjectedCost)
-            } else if lane.spent >= cfg.scan_spend_limit * g.max(1.0) {
-                Some(DiscardReason::ScanSpend)
-            } else {
-                None
+            // An unrefined projection is only the planning estimate,
+            // which admission has already judged. Projections are judged
+            // no finer than one cost unit: against a rival projecting a
+            // fraction of a page read, a lane's first quantum would
+            // already be overspent.
+            let projected = lane.refined().then_some(proj.max(1.0));
+            let Some(kill) = rules.judge(projected, lane.spent, g.max(1.0)) else {
+                continue;
             };
-            let Some(reason) = reason else { continue };
+            let reason = DiscardReason::from(kill);
             sched.deactivate(j);
             let partial = lane.scan.as_deref().map(partial_rids).unwrap_or_default();
             let spent = lane.spent;
@@ -481,7 +494,7 @@ mod tests {
             JoinMethod::Hash { build: SideId::Right },
         ] {
             let req = request(&w, JoinOp::Eq);
-            let result = run_join_method(&req, method, &JoinConfig::default()).unwrap();
+            let result = run_join_method(&req, method).unwrap();
             assert_eq!(sorted_rids(&result), expected, "{method}");
         }
     }
@@ -493,7 +506,7 @@ mod tests {
             let expected = oracle(&w, op);
             let req = request(&w, op);
             let result =
-                run_join_method(&req, JoinMethod::IndexNested { outer: SideId::Left }, &JoinConfig::default())
+                run_join_method(&req, JoinMethod::IndexNested { outer: SideId::Left })
                     .unwrap();
             assert_eq!(sorted_rids(&result), expected, "{op:?}");
         }
@@ -504,7 +517,7 @@ mod tests {
         let w = world(40, 60);
         let expected = oracle(&w, JoinOp::Eq);
         let req = request(&w, JoinOp::Eq);
-        let result = run_join(&req, &JoinConfig::default(), &Tracer::disabled()).unwrap();
+        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         assert_eq!(sorted_rids(&result), expected);
         assert!(result.strategy.starts_with("join: "));
         // Exactly one winner; every killed/losing candidate's partial
@@ -538,7 +551,7 @@ mod tests {
             w.pool.cost().clone(),
         )
         .with_pair_filter(Arc::new(|l: &Record, r: &Record| l[1] != r[1]));
-        let result = run_join(&req, &JoinConfig::default(), &Tracer::disabled()).unwrap();
+        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         let expected: Vec<(Rid, Rid)> = {
             let mut v: Vec<(Rid, Rid)> = w
                 .left_rows
@@ -561,7 +574,7 @@ mod tests {
     fn limit_caps_the_pair_count() {
         let w = world(40, 60);
         let req = request(&w, JoinOp::Eq).with_limit(Some(5));
-        let result = run_join(&req, &JoinConfig::default(), &Tracer::disabled()).unwrap();
+        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         assert_eq!(result.pairs.len(), 5);
         let expected = oracle(&w, JoinOp::Eq);
         for p in sorted_rids(&result) {
@@ -573,11 +586,11 @@ mod tests {
     fn empty_sides_join_to_empty() {
         let w = world(0, 20);
         let req = request(&w, JoinOp::Eq);
-        let result = run_join(&req, &JoinConfig::default(), &Tracer::disabled()).unwrap();
+        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         assert!(result.pairs.is_empty());
         let w = world(20, 0);
         let req = request(&w, JoinOp::Eq);
-        let result = run_join(&req, &JoinConfig::default(), &Tracer::disabled()).unwrap();
+        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         assert!(result.pairs.is_empty());
     }
 
@@ -585,7 +598,7 @@ mod tests {
     fn infeasible_method_is_a_typed_error() {
         let w = world(5, 5);
         let req = request(&w, JoinOp::Lt);
-        let err = run_join_method(&req, JoinMethod::Merge, &JoinConfig::default()).unwrap_err();
+        let err = run_join_method(&req, JoinMethod::Merge).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
     }
 
@@ -687,7 +700,7 @@ mod tests {
     #[test]
     fn no_lane_outruns_its_quantum() {
         let w = pk_fk_world(2_000, PER_PARENT);
-        let batch = JoinConfig::default().batch;
+        let batch = JOIN_BATCH;
         let units = batch as u64 + GROUP;
         for method in [
             JoinMethod::NestedLoop { outer: SideId::Left },
@@ -723,14 +736,14 @@ mod tests {
     #[test]
     fn an_admitted_merge_is_killed_within_a_quantum_of_the_spend_limit() {
         let w = pk_fk_world(2_000, PER_PARENT);
-        let cfg = JoinConfig::default();
+        let rules = KillRules::default();
         // The dearest a quantum can be: every work unit a page miss plus
         // a row. (Measuring it instead would bless whatever a step does.)
         let price = CostConfig::default();
-        let quantum = (cfg.batch as u64 + GROUP) as f64 * (price.io_read + price.cpu_record);
+        let quantum = (JOIN_BATCH as u64 + GROUP) as f64 * (price.io_read + price.cpu_record);
 
         let buffer = crate::trace::TraceBuffer::shared(4096);
-        let result = run_join(&w.request(), &cfg, &Tracer::new(buffer.clone())).unwrap();
+        let result = run_join(&w.request(), &rules, &Tracer::new(buffer.clone())).unwrap();
         assert_eq!(result.pairs.len(), 8_000);
         let (spent, guaranteed_best) = buffer
             .take()
@@ -753,10 +766,10 @@ mod tests {
         assert!(matches!(report.outcome, CandidateOutcome::Killed(_)));
         assert_eq!(report.spent, spent);
         assert!(
-            spent <= cfg.scan_spend_limit * guaranteed_best + quantum,
+            spent <= rules.spend_limit * guaranteed_best + quantum,
             "merge-rid spent {spent:.1} before its kill; the spend rule allows \
              {:.1} of the guaranteed best {guaranteed_best:.1} plus one quantum ({quantum:.2})",
-            cfg.scan_spend_limit
+            rules.spend_limit
         );
     }
 
@@ -766,7 +779,7 @@ mod tests {
         let req = request(&w, JoinOp::Eq);
         let buffer = crate::trace::TraceBuffer::shared(4096);
         let tracer = Tracer::new(buffer.clone());
-        let result = run_join(&req, &JoinConfig::default(), &tracer).unwrap();
+        let result = run_join(&req, &KillRules::default(), &tracer).unwrap();
         let events = buffer.take();
         let phase_sum: f64 = events
             .iter()

@@ -376,39 +376,6 @@ pub struct JoinResult {
     pub candidates: Vec<JoinCandidateReport>,
 }
 
-/// Knobs of the join competition. The kill thresholds are the paper's
-/// single-table ones, reused verbatim: the race dynamics are identical,
-/// only the competitors changed.
-#[derive(Debug, Clone)]
-pub struct JoinConfig {
-    /// Kill a candidate whose projected cost exceeds this fraction of the
-    /// guaranteed best (paper: 95%).
-    pub switch_threshold: f64,
-    /// Kill a candidate that has *spent* this fraction of the guaranteed
-    /// best without finishing (paper's direct criterion: 50%).
-    pub scan_spend_limit: f64,
-    /// Rows consumed per scheduling quantum.
-    pub batch: usize,
-    /// Progress fraction below which a candidate's projection is not yet
-    /// trusted (too noisy to kill on).
-    pub refine_fraction: f64,
-    /// Planning-time admission: candidates estimated worse than this
-    /// multiple of the best estimate are not raced at all.
-    pub admission_ratio: f64,
-}
-
-impl Default for JoinConfig {
-    fn default() -> Self {
-        JoinConfig {
-            switch_threshold: 0.95,
-            scan_spend_limit: 0.5,
-            batch: 16,
-            refine_fraction: 0.05,
-            admission_ratio: 4.0,
-        }
-    }
-}
-
 /// Canonical hash of a join-key value, consistent with [`Value`]'s `Ord`:
 /// values that compare `Equal` hash identically (`Int(2)` and
 /// `Float(2.0)` coerce through `f64` bits, exactly as `Ord` coerces

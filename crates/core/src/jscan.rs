@@ -5,7 +5,8 @@
 //! roughly in the ascending selectivity direction". Each scan builds a RID
 //! list (through the tiered storage of [`crate::ridlist`]), intersecting
 //! against the filter left by the previously completed scan. Two
-//! competition criteria, evaluated continuously, keep the scan honest:
+//! competition criteria, evaluated after every quantum by
+//! [`KillRules::judge`], keep the scan honest:
 //!
 //! * **Two-stage criterion**: "The scan is terminated and discarded when
 //!   the projected retrieval cost approaches (e.g. becomes 95% of) the
@@ -30,6 +31,7 @@
 use std::fmt;
 
 use rdb_btree::{BTree, KeyRange, RangeScan};
+use rdb_competition::{Kill, KillRules};
 use rdb_storage::{FileId, HeapTable, Rid, SharedCost};
 
 use crate::filter::Filter;
@@ -41,10 +43,6 @@ use crate::trace::{TraceEvent, Tracer};
 pub struct JscanConfig {
     /// RID-list tier sizing.
     pub tiers: RidTierConfig,
-    /// Two-stage switch threshold (the paper's 95%).
-    pub switch_threshold: f64,
-    /// Direct-competition spend limit as a fraction of guaranteed best.
-    pub scan_spend_limit: f64,
     /// Index entries processed per quantum.
     pub batch: usize,
     /// Enable limited simultaneous scanning of two adjacent indexes.
@@ -58,8 +56,6 @@ impl Default for JscanConfig {
     fn default() -> Self {
         JscanConfig {
             tiers: RidTierConfig::default(),
-            switch_threshold: 0.95,
-            scan_spend_limit: 0.5,
             batch: 16,
             simultaneous_adjacent: false,
             tiny_list_shortcut: 20,
@@ -120,6 +116,15 @@ pub enum DiscardReason {
     /// The index's storage died mid-scan (injected fault); the competition
     /// continues on the surviving indexes or falls back to Tscan.
     StorageFault,
+}
+
+impl From<Kill> for DiscardReason {
+    fn from(kill: Kill) -> Self {
+        match kill {
+            Kill::Projected => DiscardReason::ProjectedCost,
+            Kill::Spend => DiscardReason::ScanSpend,
+        }
+    }
 }
 
 impl fmt::Display for JscanEvent {
@@ -199,6 +204,7 @@ pub struct Jscan<'a> {
     table: &'a HeapTable,
     indexes: Vec<JscanIndex<'a>>,
     config: JscanConfig,
+    rules: KillRules,
     primary: Option<ActiveScan>,
     secondary: Option<ActiveScan>,
     flip: bool,
@@ -224,6 +230,7 @@ impl<'a> Jscan<'a> {
         table: &'a HeapTable,
         indexes: Vec<JscanIndex<'a>>,
         config: JscanConfig,
+        rules: KillRules,
         cost: SharedCost,
     ) -> Self {
         assert!(!indexes.is_empty(), "Jscan needs at least one index");
@@ -232,6 +239,7 @@ impl<'a> Jscan<'a> {
             table,
             indexes,
             config,
+            rules,
             primary: None,
             secondary: None,
             flip: false,
@@ -289,11 +297,6 @@ impl<'a> Jscan<'a> {
     /// Current guaranteed-best retrieval cost.
     pub fn guaranteed_best(&self) -> f64 {
         self.guaranteed_best
-    }
-
-    /// The full-Tscan cost used as the initial guaranteed best.
-    pub fn tscan_cost(&self) -> f64 {
-        self.tscan_cost
     }
 
     /// Completed (intersected) scans so far.
@@ -687,15 +690,9 @@ impl<'a> Jscan<'a> {
         if let Some(event) = refined {
             self.tracer.emit_with(|| event);
         }
-        let projected_bad = projected >= self.config.switch_threshold * self.guaranteed_best;
-        let spend_bad = spend >= self.config.scan_spend_limit * self.guaranteed_best;
-        if projected_bad || spend_bad {
+        if let Some(kill) = self.rules.judge(Some(projected), spend, guaranteed_best) {
             let name = self.indexes[idx].tree.name().to_owned();
-            let reason = if projected_bad {
-                DiscardReason::ProjectedCost
-            } else {
-                DiscardReason::ScanSpend
-            };
+            let reason = DiscardReason::from(kill);
             self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
                 index: name.clone(),
                 reason,
@@ -793,9 +790,24 @@ mod tests {
         indexes: Vec<JscanIndex<'a>>,
         config: JscanConfig,
     ) -> Jscan<'a> {
-        let cost = table.pool().cost().clone();
-        Jscan::new(table, indexes, config, cost)
+        jscan_with(table, indexes, config, KillRules::default())
     }
+
+    fn jscan_with<'a>(
+        table: &'a HeapTable,
+        indexes: Vec<JscanIndex<'a>>,
+        config: JscanConfig,
+        rules: KillRules,
+    ) -> Jscan<'a> {
+        let cost = table.pool().cost().clone();
+        Jscan::new(table, indexes, config, rules, cost)
+    }
+
+    /// Thresholds out of reach: keeps the kill rules out of a test.
+    const NO_KILLS: KillRules = KillRules {
+        switch_threshold: 100.0,
+        spend_limit: 1e9,
+    };
 
     #[test]
     fn intersects_two_selective_indexes() {
@@ -895,7 +907,7 @@ mod tests {
             },
         );
         let initial = j.guaranteed_best();
-        assert_eq!(initial, j.tscan_cost());
+        assert_eq!(initial, crate::tscan::Tscan::full_cost(&table));
         let _ = j.run();
         assert!(
             j.guaranteed_best() < initial,
@@ -938,7 +950,7 @@ mod tests {
         let (table, ia, ib, _ic, _) = setup(3000, (5, 300, 2));
         let big = jidx(&ia, KeyRange::eq(1)); // 600 rids
         let small = jidx(&ib, KeyRange::eq(1)); // 10 rids
-        let mut j = jscan(
+        let mut j = jscan_with(
             &table,
             vec![
                 JscanIndex {
@@ -949,11 +961,10 @@ mod tests {
             ],
             JscanConfig {
                 simultaneous_adjacent: true,
-                switch_threshold: 10.0,  // keep criteria out of this test
-                scan_spend_limit: 100.0,
                 tiny_list_shortcut: 0,
                 ..JscanConfig::default()
             },
+            NO_KILLS,
         );
         let outcome = j.run();
         assert!(j
@@ -988,13 +999,11 @@ mod tests {
         let (table, ia, ib, _ic, _) = setup(4000, (4, 2000, 2));
         let small = jidx(&ib, KeyRange::eq(1)); // 2 rids: finishes first
         let big = jidx(&ia, KeyRange::eq(1)); // 1000 rids: spills quickly
-        let mut j = jscan(
+        let mut j = jscan_with(
             &table,
             vec![small, big],
             JscanConfig {
                 simultaneous_adjacent: true,
-                switch_threshold: 100.0,
-                scan_spend_limit: 1e9,
                 tiny_list_shortcut: 0,
                 tiers: crate::ridlist::RidTierConfig {
                     inline_max: 2,
@@ -1003,6 +1012,7 @@ mod tests {
                 },
                 batch: 64, // partner racks up entries fast
             },
+            NO_KILLS,
         );
         let _ = j.run();
         // Either the partner spilled and was discarded at the win, or it
@@ -1045,7 +1055,7 @@ mod tests {
         let (table, ia, ib, ic, _) = setup(3000, (10, 15, 7));
         // a==1 (300), b==1 (200), c==1 (~428); intersection: i ≡ 1 mod
         // lcm(10,15,7)=210 → i in {1, 211, ..., 2941} → 15 rids.
-        let mut j = jscan(
+        let mut j = jscan_with(
             &table,
             vec![
                 jidx(&ib, KeyRange::eq(1)),
@@ -1054,10 +1064,9 @@ mod tests {
             ],
             JscanConfig {
                 tiny_list_shortcut: 0,
-                switch_threshold: 10.0,
-                scan_spend_limit: 100.0,
                 ..JscanConfig::default()
             },
+            NO_KILLS,
         );
         match j.run() {
             JscanOutcome::FinalList(list) => assert_eq!(list.len(), 15),

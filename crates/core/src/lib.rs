@@ -23,7 +23,13 @@
 //!   spend limit, and Tscan recommendation.
 //! * The four **retrieval tactics** of Section 7 ([`tactics`]):
 //!   background-only, fast-first, sorted, and index-only, built on the
-//!   foreground/background process structure of Figure 4.
+//!   foreground/background process structure of Figure 4 — each written
+//!   once over a background *driver* (cooperative quanta by default, a
+//!   worker thread with [`DynamicConfig::parallel`]).
+//! * The **kill rules** ([`KillRules`], from `rdb-competition`): every
+//!   competition above and below asks the one `judge` function whether a
+//!   competitor's projection or spend has reached its share of the
+//!   guaranteed best.
 //! * The **dynamic optimizer** ([`dynamic`]) that picks and drives a
 //!   tactic per run, after host variables are bound.
 //! * The **baselines** the paper argues against ([`baseline`]): a
@@ -41,7 +47,7 @@ pub mod fscan;
 pub mod initial;
 pub mod join;
 pub mod jscan;
-pub mod parallel;
+mod parallel;
 pub mod request;
 pub mod ridlist;
 pub mod sscan;
@@ -60,10 +66,11 @@ pub use initial::{InitialPlan, InitialStage, ShortcutKind};
 pub use join::competition::{run_join, run_join_method};
 pub use join::nested::{JoinScan, JoinStepOutcome};
 pub use join::{
-    CandidateOutcome, JoinCandidateReport, JoinConfig, JoinMethod, JoinOp, JoinPair, JoinRequest,
-    JoinResult, JoinSide, PairPred, SideId,
+    CandidateOutcome, JoinCandidateReport, JoinMethod, JoinOp, JoinPair, JoinRequest, JoinResult,
+    JoinSide, PairPred, SideId,
 };
 pub use jscan::{DiscardReason, Jscan, JscanConfig, JscanEvent, JscanIndex, JscanOutcome};
+pub use rdb_competition::KillRules;
 pub use request::{
     Delivery, DeliveryObserver, IndexChoice, KeyPred, OptimizeGoal, RecordPred, RetrievalRequest,
     RetrievalResult, Sink,

@@ -1,48 +1,53 @@
-//! OS-thread background stage: the Jscan competition runs on a worker
-//! thread while the foreground scan proceeds on the caller's thread.
+//! The worker-thread background driver: the Jscan competition runs on an
+//! OS thread while the tactic's foreground proceeds on the caller's.
 //!
-//! The paper's foreground/background structure (Figure 4) is cooperative
-//! in [`crate::tactics`]: one thread interleaves quanta through a
-//! proportional scheduler. This module is the *real-concurrency* variant:
-//! the background joint scan (index-range scans + RID-list builds) runs on
-//! a `std::thread::scope` worker, streaming *estimate refinements* — the
-//! current guaranteed-best cost, fresh borrowable RIDs, and finally the
-//! [`JscanOutcome`] — back through an mpsc channel. The foreground reads
-//! refinements between its own fetches and applies the same two-stage
-//! competition rules as the cooperative tactics (spend limits, buffer
-//! overflow, sure-list victory).
+//! The tactic bodies in [`crate::tactics`] are written against a
+//! [`Background`] driver. The cooperative driver interleaves quanta on
+//! one thread; [`Threaded`] is the *real-concurrency* one: [`drive`] puts
+//! the joint scan (index-range scans + RID-list builds) on a
+//! `std::thread::scope` worker that streams what it learns — a tightened
+//! guaranteed-best cost, fresh borrowable RIDs, and finally the
+//! [`JscanOutcome`](crate::jscan::JscanOutcome) with its decision log —
+//! back through an mpsc channel, and hands the tactic a driver that turns
+//! those messages into the answers the tactic asks for. Nothing about the
+//! tactics themselves lives here.
 //!
-//! Cost attribution: the worker charges a **private meter** so the
-//! foreground's direct-competition arithmetic (`fgr_spend` vs the
-//! background's guaranteed best) stays unpolluted by concurrent charging;
-//! the caller absorbs the private meter into the session meter at join
-//! (see [`rdb_storage::CostMeter::absorb`]), so the session's bill still
-//! covers all work done on its behalf.
+//! What is this module's own:
 //!
-//! Trace events from the worker are stamped [`crate::trace::Stage::Background`] by
-//! giving the Jscan a [`crate::trace::Tracer::for_stage`] handle before it moves to the
+//! * **The abandon latch.** Dropping the driver raises it, so every way
+//!   out of a tactic — limit reached, foreground finished, a storage
+//!   fault propagated with `?`, a panic — stops the worker within one
+//!   Jscan quantum instead of letting it finish a scan nobody will read.
+//! * **The private meter.** The worker charges a meter of its own so the
+//!   foreground's direct-competition arithmetic (its spend against the
+//!   background's guaranteed best) stays unpolluted by concurrent
+//!   charging; [`drive`] absorbs it into the session meter once the
+//!   worker has joined (see [`rdb_storage::CostMeter::absorb`]) and books
+//!   it to the run's `jscan` phase, so the session's bill — and the trace
+//!   — still cover all work done on its behalf, on every exit path.
+//!
+//! Trace events from the worker are stamped
+//! [`crate::trace::Stage::Background`] by giving the Jscan a
+//! [`crate::trace::Tracer::for_stage`] handle before it moves to the
 //! worker thread; sinks are `Send + Sync`, so foreground and background
 //! events interleave safely in one buffer.
 //!
 //! Determinism note: delivered *row sets* are identical to the cooperative
-//! tactics (the exclusion logic is interleaving-independent), but delivery
-//! order and per-run cost splits depend on thread timing. The simulation
-//! harness therefore keeps the cooperative path as its differential
-//! oracle; this mode is opt-in via [`crate::DynamicConfig::parallel`].
+//! driver's (the exclusion logic is interleaving-independent), but
+//! delivery order and per-run cost splits depend on thread timing. The
+//! simulation harness therefore keeps the cooperative driver as its
+//! differential oracle; this one is opt-in via
+//! [`crate::DynamicConfig::parallel`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
-use rdb_storage::{HeapTable, Rid, SharedCost, StorageError};
+use rdb_storage::{Rid, SharedCost};
 
-use crate::fscan::Fscan;
-use crate::jscan::{Jscan, JscanOutcome, JscanStatus};
-use crate::request::{RecordPred, Sink};
-use crate::sscan::Sscan;
-use crate::tactics::{final_stage, run_tscan, FgrConfig, TacticReport};
-use crate::trace::{RunTrace, TraceEvent};
-use crate::tscan::StrategyStep;
+use crate::jscan::{Jscan, JscanStatus};
+use crate::tactics::{Background, Finished, Turn};
+use crate::trace::RunTrace;
 
 /// One refinement message from the background worker to the foreground.
 enum BgrUpdate {
@@ -52,12 +57,8 @@ enum BgrUpdate {
         guaranteed_best: f64,
         fresh_rids: Vec<Rid>,
     },
-    /// The joint scan finished; its decision log rides along.
-    Done {
-        outcome: JscanOutcome,
-        events: Vec<String>,
-        spent: f64,
-    },
+    /// The joint scan finished.
+    Done(Finished),
 }
 
 /// Worker loop: steps the Jscan to completion, streaming refinements.
@@ -73,7 +74,11 @@ fn background_worker(jscan: Jscan<'_>, tx: mpsc::Sender<BgrUpdate>, abandon: &At
     pool.flush_session();
 }
 
-fn background_worker_inner(mut jscan: Jscan<'_>, tx: mpsc::Sender<BgrUpdate>, abandon: &AtomicBool) {
+fn background_worker_inner(
+    mut jscan: Jscan<'_>,
+    tx: mpsc::Sender<BgrUpdate>,
+    abandon: &AtomicBool,
+) {
     let mut cursor = 0usize;
     let mut last_best = f64::INFINITY;
     loop {
@@ -88,432 +93,171 @@ fn background_worker_inner(mut jscan: Jscan<'_>, tx: mpsc::Sender<BgrUpdate>, ab
         let fresh_rids = fresh.to_vec();
         cursor = next;
         if status == JscanStatus::Finished {
-            let outcome = jscan.take_outcome();
-            let events = jscan.events().iter().map(|e| e.to_string()).collect();
-            let spent = jscan.spent();
-            let _ = tx.send(BgrUpdate::Done {
-                outcome,
-                events,
-                spent,
-            });
+            let mut finished = Finished::take(&mut jscan);
+            finished.events.push(format!(
+                "background stage spent {:.1} on its own meter",
+                jscan.spent()
+            ));
+            let _ = tx.send(BgrUpdate::Done(finished));
             return;
         }
         let best = jscan.guaranteed_best();
         if !fresh_rids.is_empty() || best != last_best {
             last_best = best;
-            if tx
-                .send(BgrUpdate::Progress {
-                    guaranteed_best: best,
-                    fresh_rids,
-                })
-                .is_err()
-            {
+            let update = BgrUpdate::Progress {
+                guaranteed_best: best,
+                fresh_rids,
+            };
+            if tx.send(update).is_err() {
                 return; // foreground gone: nothing left to refine
             }
         }
     }
 }
 
-/// Parallel **fast-first**: the foreground borrows RIDs streamed from the
-/// worker-thread Jscan, fetches and delivers immediately; refinements of
-/// the background's guaranteed best drive the same direct-competition
-/// kill rules as [`crate::tactics::fast_first`].
+/// The worker-thread [`Background`]: turns are taken from the channel —
+/// the background's "turn" comes when it has finished — and the
+/// foreground runs whenever the channel has nothing to say.
+pub(crate) struct Threaded<'s> {
+    rx: mpsc::Receiver<BgrUpdate>,
+    abandon: &'s AtomicBool,
+    /// True until the tactic has been handed the [`Finished`] report (or
+    /// stopped the worker, or the worker vanished without one).
+    open: bool,
+    /// The report, received but not yet asked for.
+    finished: Option<Finished>,
+    fgr_active: bool,
+    /// Whether the foreground reads the borrow stream at all; if not, the
+    /// RIDs the worker streams are dropped on receipt.
+    borrowing: bool,
+    pending: VecDeque<Rid>,
+    guaranteed_best: f64,
+}
+
+impl Threaded<'_> {
+    /// Takes at most one message off the channel, waiting for it if
+    /// `block` — which is how a foreground with nothing to do sleeps
+    /// instead of spinning.
+    fn receive(&mut self, block: bool) {
+        let update = if block {
+            self.rx.recv().map_err(|_| mpsc::TryRecvError::Disconnected)
+        } else {
+            self.rx.try_recv()
+        };
+        match update {
+            Ok(BgrUpdate::Progress {
+                guaranteed_best,
+                fresh_rids,
+            }) => {
+                self.guaranteed_best = guaranteed_best;
+                if self.borrowing {
+                    self.pending.extend(fresh_rids);
+                }
+            }
+            Ok(BgrUpdate::Done(finished)) => self.finished = Some(finished),
+            Err(mpsc::TryRecvError::Empty) => {}
+            Err(mpsc::TryRecvError::Disconnected) => self.open = false,
+        }
+    }
+}
+
+impl Background for Threaded<'_> {
+    fn turn(&mut self) -> Option<Turn> {
+        loop {
+            if self.finished.is_some() {
+                return Some(Turn::Background);
+            }
+            if !self.open {
+                return self.fgr_active.then_some(Turn::Foreground);
+            }
+            // With no foreground left there is nothing to do but wait for
+            // the background's word.
+            self.receive(!self.fgr_active);
+            if self.fgr_active && self.finished.is_none() {
+                return Some(Turn::Foreground);
+            }
+        }
+    }
+
+    fn step(&mut self, _rt: &mut RunTrace<'_>) -> Option<Finished> {
+        let finished = self.finished.take()?;
+        self.open = false;
+        Some(finished)
+    }
+
+    fn borrow(&mut self) -> Option<Rid> {
+        if self.pending.is_empty() && self.open && self.finished.is_none() {
+            self.receive(true);
+        }
+        self.pending.pop_front()
+    }
+
+    fn borrow_open(&self) -> bool {
+        self.open
+    }
+
+    fn guaranteed_best(&self) -> f64 {
+        self.guaranteed_best
+    }
+
+    fn retire_foreground(&mut self) {
+        self.fgr_active = false;
+        self.borrowing = false;
+        self.pending.clear();
+    }
+
+    fn stop(&mut self) -> bool {
+        // Relaxed: advisory latch (see the worker's load).
+        self.abandon.store(true, Ordering::Relaxed);
+        self.finished = None;
+        std::mem::replace(&mut self.open, false)
+    }
+}
+
+impl Drop for Threaded<'_> {
+    fn drop(&mut self) {
+        // Relaxed: advisory latch (see the worker's load).
+        self.abandon.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Runs `body` — a tactic — against a worker-thread background.
 ///
-/// `jscan` must have been built against a private background meter; the
-/// caller absorbs that meter after this returns.
-#[allow(clippy::too_many_arguments)]
-pub fn fast_first(
-    table: &HeapTable,
-    jscan: Jscan<'_>,
-    residual: &RecordPred,
-    config: FgrConfig,
-    sink: &mut Sink,
+/// `build` makes the Jscan over the private meter it is given; the worker
+/// owns it from then on. `borrowing` says whether the tactic's foreground
+/// will [`Background::borrow`]. When `body` is done — returned or unwinding
+/// — the driver is dropped, so the worker stops within a quantum and the
+/// scope joins it; whatever `body` returned, `Err` included, the private
+/// meter is then absorbed into `session` and booked to the `jscan` phase
+/// of `rt`.
+pub(crate) fn drive<'a, R>(
+    build: impl FnOnce(&SharedCost) -> Jscan<'a>,
+    borrowing: bool,
+    session: &SharedCost,
     rt: &mut RunTrace<'_>,
-    cost: &SharedCost,
-) -> Result<TacticReport, StorageError> {
+    body: impl FnOnce(&mut Threaded<'_>, &mut RunTrace<'_>) -> R,
+) -> R {
+    let private = rdb_storage::shared_meter(session.config());
+    let jscan = build(&private);
     let abandon = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel();
-    let initial_best = jscan.guaranteed_best();
-    std::thread::scope(|s| -> Result<TacticReport, StorageError> {
+    let mut driver = Threaded {
+        rx,
+        abandon: &abandon,
+        open: true,
+        finished: None,
+        fgr_active: true,
+        borrowing,
+        pending: VecDeque::new(),
+        guaranteed_best: jscan.guaranteed_best(),
+    };
+    let result = std::thread::scope(|s| {
         s.spawn(|| background_worker(jscan, tx, &abandon));
-
-        let mut events: Vec<String> = Vec::new();
-        let mut pending: VecDeque<Rid> = VecDeque::new();
-        let mut fgr_buffer: Vec<Rid> = Vec::new();
-        let mut fgr_spend = 0.0;
-        let mut fgr_alive = true;
-        let mut guaranteed_best = initial_best;
-        let mut done: Option<(JscanOutcome, Vec<String>, f64)> = None;
-
-        while done.is_none() {
-            // Non-blocking refinement check while the foreground has work;
-            // otherwise block until the background reports.
-            let msg = if fgr_alive && !pending.is_empty() {
-                match rx.try_recv() {
-                    Ok(m) => Some(m),
-                    Err(mpsc::TryRecvError::Empty) => None,
-                    Err(mpsc::TryRecvError::Disconnected) => break,
-                }
-            } else {
-                match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                }
-            };
-            match msg {
-                Some(BgrUpdate::Progress {
-                    guaranteed_best: g,
-                    fresh_rids,
-                }) => {
-                    guaranteed_best = g;
-                    if fgr_alive {
-                        pending.extend(fresh_rids);
-                    }
-                }
-                Some(BgrUpdate::Done {
-                    outcome,
-                    events: ev,
-                    spent,
-                }) => done = Some((outcome, ev, spent)),
-                None => {}
-            }
-            if done.is_some() || !fgr_alive {
-                continue;
-            }
-            let Some(rid) = pending.pop_front() else {
-                continue;
-            };
-            let before = cost.total();
-            match table.fetch(rid, cost) {
-                Ok(record) => {
-                    if residual(&record) {
-                        fgr_buffer.push(rid);
-                        if !sink.deliver(rid, Some(record)) {
-                            events.push("limit reached by foreground".into());
-                            rt.phase("foreground");
-                            abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                            return Ok(TacticReport {
-                                strategy: "parallel fast-first (foreground satisfied)".into(),
-                                events,
-                            });
-                        }
-                    }
-                }
-                Err(e) if e.is_benign_for_scan() => {}
-                Err(e) => {
-                    abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                    return Err(e);
-                }
-            }
-            fgr_spend += cost.total() - before;
-            // Direct competition against the latest refinement: overflow
-            // or overspend kills the foreground, background-only remains.
-            if fgr_buffer.len() >= config.buffer_capacity {
-                events.push("foreground buffer overflow: switching to background-only".into());
-                rt.tracer().emit_with(|| TraceEvent::Switch {
-                    from: "fast-first".into(),
-                    to: "background-only".into(),
-                    reason: "foreground buffer overflow".into(),
-                });
-                fgr_alive = false;
-                pending.clear();
-            } else if fgr_spend >= config.spend_limit_ratio * guaranteed_best {
-                events.push(format!(
-                    "foreground spend {fgr_spend:.1} hit its competition limit: switching to background-only"
-                ));
-                rt.tracer().emit_with(|| TraceEvent::Switch {
-                    from: "fast-first".into(),
-                    to: "background-only".into(),
-                    reason: format!(
-                        "foreground spend {fgr_spend:.1} exceeded {:.0}% of guaranteed best {guaranteed_best:.1}",
-                        config.spend_limit_ratio * 100.0,
-                    ),
-                });
-                fgr_alive = false;
-                pending.clear();
-            }
-        }
-        rt.phase("foreground");
-
-        let strategy = if fgr_alive {
-            "parallel fast-first (foreground + background)"
-        } else {
-            "parallel fast-first (degraded to background-only)"
-        };
-        match done {
-            None => {}
-            Some((outcome, ev, spent)) => {
-                events.extend(ev);
-                events.push(format!("background stage spent {spent:.1} on its own meter"));
-                match outcome {
-                    JscanOutcome::Empty => {}
-                    JscanOutcome::FinalList(list) => {
-                        final_stage(
-                            table,
-                            &list,
-                            residual,
-                            &fgr_buffer,
-                            sink,
-                            &mut events,
-                            rt,
-                            cost,
-                        )?;
-                    }
-                    JscanOutcome::UseTscan => {
-                        rt.tracer().emit_with(|| TraceEvent::Switch {
-                            from: "jscan".into(),
-                            to: "tscan".into(),
-                            reason: "no surviving RID list beat the full-scan cost".into(),
-                        });
-                        run_tscan(table, residual, &fgr_buffer, sink, &mut events, rt, cost)?;
-                    }
-                }
-            }
-        }
-        Ok(TacticReport {
-            strategy: strategy.into(),
-            events,
-        })
-    })
-}
-
-/// Parallel **sorted**: the ordered foreground Fscan runs on the calling
-/// thread; the worker-thread Jscan's complete filter is installed the
-/// moment it arrives, rejecting Fscan RIDs before fetching — exactly
-/// [`crate::tactics::sorted`] with the background on real hardware.
-pub fn sorted(
-    mut fscan: Fscan<'_>,
-    jscan: Jscan<'_>,
-    sink: &mut Sink,
-    rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
-    let abandon = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| -> Result<TacticReport, StorageError> {
-        s.spawn(|| background_worker(jscan, tx, &abandon));
-
-        let mut events: Vec<String> = Vec::new();
-        let mut bgr_open = true;
-        loop {
-            if bgr_open {
-                match rx.try_recv() {
-                    Ok(BgrUpdate::Progress { .. }) => {}
-                    Ok(BgrUpdate::Done {
-                        outcome,
-                        events: ev,
-                        spent,
-                    }) => {
-                        bgr_open = false;
-                        events.extend(ev);
-                        events.push(format!("background stage spent {spent:.1} on its own meter"));
-                        match outcome {
-                            JscanOutcome::Empty => {
-                                events.push("background proved empty result".into());
-                                rt.tracer().emit_with(|| TraceEvent::Switch {
-                                    from: "fscan".into(),
-                                    to: "jscan".into(),
-                                    reason: "background proved the result empty".into(),
-                                });
-                                rt.phase("fscan");
-                                return Ok(TacticReport {
-                                    strategy: "parallel sorted (background empty shortcut)".into(),
-                                    events,
-                                });
-                            }
-                            JscanOutcome::FinalList(list) => {
-                                events.push(format!(
-                                    "background filter of {} RIDs installed into Fscan",
-                                    list.len()
-                                ));
-                                rt.tracer().emit_with(|| TraceEvent::Note {
-                                    message: format!(
-                                        "background filter of {} RIDs installed into Fscan",
-                                        list.len()
-                                    ),
-                                });
-                                fscan.set_filter(list.filter());
-                            }
-                            JscanOutcome::UseTscan => {
-                                events.push(
-                                    "background unselective: Fscan continues unfiltered".into(),
-                                );
-                            }
-                        }
-                    }
-                    Err(mpsc::TryRecvError::Empty) => {}
-                    Err(mpsc::TryRecvError::Disconnected) => bgr_open = false,
-                }
-            }
-            match fscan.step()? {
-                StrategyStep::Deliver(rid, record) => {
-                    if !sink.deliver(rid, record) {
-                        events.push("limit reached by ordered foreground".into());
-                        rt.phase("fscan");
-                        abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                        return Ok(TacticReport {
-                            strategy: "parallel sorted (Fscan satisfied)".into(),
-                            events,
-                        });
-                    }
-                }
-                StrategyStep::Progress => {}
-                StrategyStep::Done => {
-                    events.push("ordered Fscan completed; background abandoned".into());
-                    abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                    break;
-                }
-            }
-        }
-        rt.phase("fscan");
-        let strategy = if fscan.has_filter() {
-            "parallel sorted (Fscan + Jscan filter)"
-        } else {
-            "parallel sorted (Fscan alone)"
-        };
-        Ok(TacticReport {
-            strategy: strategy.into(),
-            events,
-        })
-    })
-}
-
-/// Parallel **index-only**: the self-sufficient foreground Sscan races the
-/// worker-thread Jscan. Foreground buffer overflow abandons the
-/// background (Sscan is the safer side); a sure background list first
-/// kills the Sscan in favour of final-stage retrieval.
-#[allow(clippy::too_many_arguments)]
-pub fn index_only(
-    table: &HeapTable,
-    mut sscan: Sscan<'_>,
-    jscan: Jscan<'_>,
-    residual: &RecordPred,
-    config: FgrConfig,
-    sink: &mut Sink,
-    rt: &mut RunTrace<'_>,
-    cost: &SharedCost,
-) -> Result<TacticReport, StorageError> {
-    let abandon = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| -> Result<TacticReport, StorageError> {
-        s.spawn(|| background_worker(jscan, tx, &abandon));
-
-        let mut events: Vec<String> = Vec::new();
-        let mut fgr_buffer: Vec<Rid> = Vec::new();
-        let mut bgr_open = true;
-        loop {
-            if bgr_open {
-                match rx.try_recv() {
-                    Ok(BgrUpdate::Progress { .. }) => {}
-                    Ok(BgrUpdate::Done {
-                        outcome,
-                        events: ev,
-                        spent,
-                    }) => {
-                        bgr_open = false;
-                        events.extend(ev);
-                        events.push(format!("background stage spent {spent:.1} on its own meter"));
-                        match outcome {
-                            JscanOutcome::Empty => {
-                                events.push("background proved empty result".into());
-                                rt.tracer().emit_with(|| TraceEvent::Switch {
-                                    from: "sscan".into(),
-                                    to: "jscan".into(),
-                                    reason: "background proved the result empty".into(),
-                                });
-                                rt.phase("sscan");
-                                return Ok(TacticReport {
-                                    strategy: "parallel index-only (background empty shortcut)"
-                                        .into(),
-                                    events,
-                                });
-                            }
-                            JscanOutcome::FinalList(list) => {
-                                events.push(format!(
-                                    "Jscan won with {} RIDs: Sscan abandoned",
-                                    list.len()
-                                ));
-                                rt.tracer().emit_with(|| TraceEvent::Switch {
-                                    from: "sscan".into(),
-                                    to: "jscan".into(),
-                                    reason: format!(
-                                        "Jscan finished a sure list of {} RIDs first",
-                                        list.len()
-                                    ),
-                                });
-                                rt.phase("sscan");
-                                final_stage(
-                                    table,
-                                    &list,
-                                    residual,
-                                    &fgr_buffer,
-                                    sink,
-                                    &mut events,
-                                    rt,
-                                    cost,
-                                )?;
-                                return Ok(TacticReport {
-                                    strategy: "parallel index-only (Jscan won)".into(),
-                                    events,
-                                });
-                            }
-                            JscanOutcome::UseTscan => {
-                                events.push("background unselective: Sscan continues alone".into());
-                                rt.tracer().emit_with(|| TraceEvent::Switch {
-                                    from: "jscan".into(),
-                                    to: "sscan".into(),
-                                    reason:
-                                        "background gave up (would recommend Tscan): Sscan continues"
-                                            .into(),
-                                });
-                            }
-                        }
-                    }
-                    Err(mpsc::TryRecvError::Empty) => {}
-                    Err(mpsc::TryRecvError::Disconnected) => bgr_open = false,
-                }
-            }
-            match sscan.step() {
-                Err(e) => {
-                    abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                    return Err(e);
-                }
-                Ok(StrategyStep::Deliver(rid, record)) => {
-                    fgr_buffer.push(rid);
-                    if !sink.deliver_from_index(rid, record) {
-                        events.push("limit reached by index-only foreground".into());
-                        rt.phase("sscan");
-                        abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                        return Ok(TacticReport {
-                            strategy: "parallel index-only (Sscan satisfied)".into(),
-                            events,
-                        });
-                    }
-                    if fgr_buffer.len() >= config.buffer_capacity && bgr_open {
-                        events.push(
-                            "foreground buffer overflow: Jscan terminated, Sscan continues (safer)"
-                                .into(),
-                        );
-                        rt.tracer().emit_with(|| TraceEvent::Switch {
-                            from: "jscan".into(),
-                            to: "sscan".into(),
-                            reason: "foreground buffer overflow: Jscan terminated, Sscan is safer"
-                                .into(),
-                        });
-                        abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                        bgr_open = false;
-                    }
-                }
-                Ok(StrategyStep::Progress) => {}
-                Ok(StrategyStep::Done) => {
-                    events.push("Sscan completed; background abandoned".into());
-                    abandon.store(true, Ordering::Relaxed); // Relaxed: advisory latch (see reader)
-                    rt.phase("sscan");
-                    return Ok(TacticReport {
-                        strategy: "parallel index-only (Sscan won)".into(),
-                        events,
-                    });
-                }
-            }
-        }
-    })
+        let result = body(&mut driver, rt);
+        drop(driver);
+        result
+    });
+    session.absorb(&private.snapshot());
+    rt.phase("jscan");
+    result
 }

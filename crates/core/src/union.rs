@@ -10,15 +10,18 @@
 //! [`UnionScan`] implements the unionizing half: each OR **arm** is an
 //! index range; arm scans accumulate RIDs into one list that is
 //! deduplicated, sorted, and fetched by the usual final stage. The same
-//! two-stage competition applies — here the projection is *easier* than
-//! for intersections because the union size is bounded below by the
-//! largest arm and above by the sum of arm estimates, so an unproductive
-//! union (≈ whole table) is detected early and handed to Tscan.
+//! two-stage competition applies, judged by the same [`KillRules`] against
+//! the Tscan cost (with a spend of zero: a union is never cut off for what
+//! it has scanned, only for what it projects). Here the projection is
+//! *easier* than for intersections because the union size is bounded
+//! below by the largest arm and above by the sum of arm estimates, so an
+//! unproductive union (≈ whole table) is detected early and handed to
+//! Tscan.
 
 use rdb_btree::{BTree, KeyRange};
+use rdb_competition::KillRules;
 use rdb_storage::{HeapTable, Rid, SharedCost, StorageError};
 
-use crate::jscan::JscanConfig;
 use crate::tscan::Tscan;
 
 /// One OR arm: an index with the range its disjunct implies.
@@ -45,7 +48,7 @@ pub enum UnionOutcome {
 pub struct UnionScan<'a> {
     table: &'a HeapTable,
     arms: Vec<UnionArm<'a>>,
-    config: JscanConfig,
+    rules: KillRules,
     events: Vec<String>,
     cost: SharedCost,
 }
@@ -56,13 +59,13 @@ impl<'a> UnionScan<'a> {
     pub fn new(
         table: &'a HeapTable,
         arms: Vec<UnionArm<'a>>,
-        config: JscanConfig,
+        rules: KillRules,
         cost: SharedCost,
     ) -> Self {
         UnionScan {
             table,
             arms,
-            config,
+            rules,
             events: Vec::new(),
             cost,
         }
@@ -83,7 +86,7 @@ impl<'a> UnionScan<'a> {
         // (sum of estimates, all distinct) prices out, go sequential now.
         let estimate_sum: f64 = self.arms.iter().map(|a| a.estimate).sum();
         let projected = crate::jscan::Jscan::fetch_cost(self.table, estimate_sum);
-        if projected >= self.config.switch_threshold * tscan_cost {
+        if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
             self.events.push(format!(
                 "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
             ));
@@ -115,7 +118,7 @@ impl<'a> UnionScan<'a> {
                         self.table,
                         rids.len() as f64 + remaining,
                     );
-                    if projected >= self.config.switch_threshold * tscan_cost {
+                    if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
                         self.events.push(format!(
                             "union grew past the competition threshold after {} RIDs: Tscan",
                             rids.len()
@@ -183,7 +186,7 @@ mod tests {
         let mut u = UnionScan::new(
             &table,
             vec![arm(&ia, KeyRange::eq(1)), arm(&ib, KeyRange::eq(2))],
-            JscanConfig::default(),
+            KillRules::default(),
             table.pool().cost().clone(),
         );
         match u.run().unwrap() {
@@ -199,7 +202,7 @@ mod tests {
         let mut u = UnionScan::new(
             &table,
             vec![arm(&ia, KeyRange::eq(1)), arm(&ib, KeyRange::eq(1))],
-            JscanConfig::default(),
+            KillRules::default(),
             table.pool().cost().clone(),
         );
         match u.run().unwrap() {
@@ -223,7 +226,7 @@ mod tests {
                 arm(&ia, KeyRange::at_most(1)),
                 arm(&ib, KeyRange::eq(0)),
             ],
-            JscanConfig::default(),
+            KillRules::default(),
             table.pool().cost().clone(),
         );
         assert!(matches!(u.run().unwrap(), UnionOutcome::UseTscan));
@@ -238,7 +241,7 @@ mod tests {
                 arm(&ia, KeyRange::eq(3)),
                 arm(&ib, KeyRange::closed(500, 900)), // outside the domain
             ],
-            JscanConfig::default(),
+            KillRules::default(),
             table.pool().cost().clone(),
         );
         match u.run().unwrap() {

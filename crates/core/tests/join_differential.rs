@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use rdb_btree::BTree;
 use rdb_core::join::competition::run_join_method;
-use rdb_core::join::{JoinConfig, JoinMethod, JoinOp, JoinRequest, JoinResult, JoinSide, SideId};
+use rdb_core::join::{JoinMethod, JoinOp, JoinRequest, JoinResult, JoinSide, SideId};
 use rdb_core::RecordPred;
 use rdb_storage::{
     shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Rid, Schema, Value,
@@ -130,11 +130,9 @@ const CHALLENGERS: [JoinMethod; 3] = [
 ];
 
 fn assert_methods_agree(world: &JoinWorld, even_left_only: bool) {
-    let cfg = JoinConfig::default();
     let reference = run_join_method(
         &world.request(even_left_only),
         JoinMethod::IndexNested { outer: SideId::Left },
-        &cfg,
     )
     .unwrap();
     let truth = pair_set(&reference);
@@ -143,7 +141,7 @@ fn assert_methods_agree(world: &JoinWorld, even_left_only: bool) {
     assert_eq!(deduped.len(), truth.len(), "reference delivered duplicates");
     assert!(records_match_heap(world, &reference));
     for method in CHALLENGERS {
-        let got = run_join_method(&world.request(even_left_only), method, &cfg).unwrap();
+        let got = run_join_method(&world.request(even_left_only), method).unwrap();
         assert_eq!(
             pair_set(&got),
             truth,
@@ -179,8 +177,7 @@ proptest! {
 fn empty_probe_side_yields_empty_result_everywhere() {
     for (n_l, n_r) in [(40, 0), (0, 40), (0, 0)] {
         let world = build_world(7, n_l, n_r, 8, 20);
-        let cfg = JoinConfig::default();
-        for method in [
+            for method in [
             JoinMethod::NestedLoop { outer: SideId::Left },
             JoinMethod::IndexNested { outer: SideId::Left },
             JoinMethod::IndexNested { outer: SideId::Right },
@@ -188,7 +185,7 @@ fn empty_probe_side_yields_empty_result_everywhere() {
             JoinMethod::Hash { build: SideId::Right },
             JoinMethod::Merge,
         ] {
-            let got = run_join_method(&world.request(false), method, &cfg).unwrap();
+            let got = run_join_method(&world.request(false), method).unwrap();
             assert!(
                 got.pairs.is_empty(),
                 "{} on {n_l}x{n_r} rows must be empty",
@@ -204,11 +201,9 @@ fn empty_probe_side_yields_empty_result_everywhere() {
 fn all_null_keys_never_match() {
     let world = build_world(11, 60, 60, 8, 100);
     assert_methods_agree(&world, false);
-    let cfg = JoinConfig::default();
     let got = run_join_method(
         &world.request(false),
         JoinMethod::Hash { build: SideId::Left },
-        &cfg,
     )
     .unwrap();
     assert!(got.pairs.is_empty());

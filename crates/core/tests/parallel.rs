@@ -1,17 +1,18 @@
 //! The OS-thread background stage must deliver exactly the same row sets
 //! as the cooperative tactics, bill all background work to the session
-//! meter, and stamp worker-thread trace events with `Stage::Background`.
+//! meter (under the `jscan` phase), stamp worker-thread trace events with
+//! `Stage::Background`, and stop the worker on every way out of a tactic.
 
 use std::sync::Arc;
 
 use rdb_btree::{BTree, KeyRange};
 use rdb_core::{
     DynamicConfig, DynamicOptimizer, IndexChoice, KeyPred, OptimizeGoal, RecordPred,
-    RetrievalRequest, Stage, TraceBuffer, Tracer,
+    RetrievalRequest, Stage, TraceBuffer, TraceEvent, TraceSink, Tracer,
 };
 use rdb_storage::{
-    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Rid, Schema,
-    SharedCost, Value, ValueType,
+    shared_meter, shared_pool, Column, CostConfig, FaultPolicy, FileId, HeapTable, Record, Rid,
+    Schema, SharedCost, SharedPool, StorageError, Value, ValueType,
 };
 
 struct Fixture {
@@ -247,4 +248,183 @@ fn worker_trace_events_are_stamped_background() {
         staged.iter().any(|(s, _)| *s == Stage::Foreground),
         "foreground events still present"
     );
+}
+
+fn sorted_request<'a>(f: &'a Fixture, va: i64) -> RetrievalRequest<'a> {
+    let residual: RecordPred = Arc::new(move |r: &Record| r[0] == Value::Int(va));
+    RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()).with_order(),
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
+        ],
+        residual,
+        goal: OptimizeGoal::TotalTime,
+        order_required: true,
+        limit: None,
+    }
+}
+
+fn index_only_request<'a>(f: &'a Fixture, va: i64, vb: i64) -> RetrievalRequest<'a> {
+    let residual: RecordPred =
+        Arc::new(move |r: &Record| r[0] == Value::Int(va) && r[1] == Value::Int(vb));
+    let key_pred: KeyPred = Arc::new(move |k: &[Value]| k[0] == Value::Int(vb));
+    RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(vb)).with_self_sufficient(key_pred),
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
+        ],
+        residual,
+        goal: OptimizeGoal::TotalTime,
+        order_required: false,
+        limit: None,
+    }
+}
+
+/// A trace sink that holds the worker thread at the first background
+/// event `at` matches until the armed fault has fired. How far the worker
+/// gets before the foreground dies is then decided here, not by the OS
+/// scheduler: it has done what leads up to that event, and whatever it
+/// does afterwards it does with the abandon latch about to be raised.
+struct HoldWorkerUntilFault {
+    pool: SharedPool,
+    at: fn(&TraceEvent) -> bool,
+}
+
+impl TraceSink for HoldWorkerUntilFault {
+    fn emit(&self, _event: TraceEvent) {}
+
+    fn emit_staged(&self, stage: Stage, event: TraceEvent) {
+        if stage != Stage::Background || !(self.at)(&event) {
+            return;
+        }
+        // The deadline only turns a hang (a foreground that never reads
+        // the faulted file) into the assertion failure below.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let pending = |p: FaultPolicy| p.faults_injected() == 0;
+        while self.pool.fault_policy().is_some_and(pending) && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+}
+
+#[test]
+fn a_foreground_fault_stops_the_worker() {
+    // a: ~6 000 entries per value — the scan a leaked worker would finish;
+    // b: ~300 per value.
+    let f = fixture(200_000, 33, 640);
+    let pool = f.table.pool().clone();
+    let (heap, idx_b) = (FileId(0), FileId(2));
+    let first_refinement: fn(&TraceEvent) -> bool =
+        |e| matches!(e, TraceEvent::EstimateRefined { .. });
+    let first_scan_completed: fn(&TraceEvent) -> bool =
+        |e| matches!(e, TraceEvent::ScanCompleted { .. });
+    // The dearest a Jscan quantum of 16 entries can be: two index leaves
+    // read cold, plus per-entry CPU that rounds to nothing.
+    let quantum = 2.0 * CostConfig::default().io_read + 0.1;
+
+    // (tactic, request, file that dies under the foreground, where the
+    // worker is held, what the worker has legitimately spent by then).
+    //
+    // Sorted and index-only run their foreground without the worker's
+    // help, so the worker is held inside its first quantum. The fast-first
+    // foreground can only fetch what the worker has sent it, so there the
+    // worker is held once its first index (b, ~300 entries at fanout 64:
+    // a descent and half a dozen leaves) is done — the scan that must not
+    // happen is the ~6 000 entries of a.
+    type Case<'a> = (&'static str, RetrievalRequest<'a>, FileId, fn(&TraceEvent) -> bool, f64);
+    let cases: [Case<'_>; 3] = [
+        ("sorted", sorted_request(&f, 5), heap, first_refinement, 0.0),
+        ("index-only", index_only_request(&f, 5, 7), idx_b, first_refinement, 0.0),
+        ("fast-first", fast_first_request(&f, 5, 7), heap, first_scan_completed, 12.0),
+    ];
+    for (tactic, request, dies, at, head_start) in cases {
+        let run = |parallel: bool| -> f64 {
+            let optimizer = DynamicOptimizer::new(DynamicConfig {
+                parallel,
+                ..DynamicConfig::default()
+            });
+            let tracer = Tracer::new(Arc::new(HoldWorkerUntilFault {
+                pool: pool.clone(),
+                at,
+            }));
+            pool.clear();
+            pool.set_fault_policy(Some(FaultPolicy::fail_from_nth(0).scoped_to(dies)));
+            let before = f.cost.total();
+            let outcome = optimizer.run_traced(&request, None, &tracer);
+            let billed = f.cost.total() - before;
+            pool.set_fault_policy(None);
+            assert!(
+                matches!(outcome, Err(StorageError::InjectedFault { .. })),
+                "{tactic} (parallel: {parallel}): the foreground's fault must surface, got {:?}",
+                outcome.map(|r| r.strategy)
+            );
+            billed
+        };
+        let cooperative = run(false);
+        let threaded = run(true);
+        let allowed = cooperative + head_start + 4.0 * quantum;
+        assert!(
+            threaded <= allowed,
+            "{tactic}: a failing threaded run was billed {threaded:.1} units; the cooperative \
+             run costs {cooperative:.1}, so a worker stopped within a few quanta bills at \
+             most {allowed:.1}"
+        );
+    }
+}
+
+fn phase_costs(events: &[TraceEvent]) -> Vec<(String, f64)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::PhaseCost { phase, cost } => Some((phase.clone(), *cost)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn background_bill_is_booked_to_the_jscan_phase() {
+    let f = fixture(4000, 40, 25);
+    let parallel = DynamicOptimizer::new(DynamicConfig {
+        parallel: true,
+        ..DynamicConfig::default()
+    });
+    let cases = [
+        ("fast-first", fast_first_request(&f, 3, 7)),
+        ("sorted", sorted_request(&f, 3)),
+    ];
+    for (tactic, request) in cases {
+        let buffer = TraceBuffer::shared(4096);
+        f.table.pool().clear();
+        let result = parallel
+            .run_traced(&request, None, &Tracer::new(buffer.clone()))
+            .unwrap();
+        let phases = phase_costs(&buffer.events());
+        let cost_of = |name: &str| -> f64 {
+            phases
+                .iter()
+                .filter(|(phase, _)| phase == name)
+                .map(|(_, cost)| cost)
+                .sum()
+        };
+        let noise = 1e-9 * result.cost.max(1.0);
+        assert!(
+            cost_of("jscan") > 0.0,
+            "{tactic}: the worker's bill belongs to the jscan phase: {phases:?}"
+        );
+        assert!(
+            cost_of("other") <= noise,
+            "{tactic}: nothing may be left over for `other`: {phases:?}"
+        );
+        let sum: f64 = phases.iter().map(|(_, cost)| cost).sum();
+        assert!(
+            (sum - result.cost).abs() <= noise,
+            "{tactic}: phases {phases:?} must tile the run's cost {}",
+            result.cost
+        );
+    }
 }

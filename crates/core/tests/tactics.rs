@@ -306,7 +306,7 @@ fn sorted_tactic_correct_with_bitmap_filter() {
     // handed to the ordered Fscan is an approximate bitmap: false
     // positives cause extra fetches, but the residual must keep the
     // result exact.
-    use rdb_core::{DynamicConfig, JscanConfig, RidTierConfig};
+    use rdb_core::{DynamicConfig, JscanConfig, KillRules, RidTierConfig};
     let f = fixture(4000, 8, 40);
     let residual: RecordPred = Arc::new(|r: &Record| r[0] == Value::Int(3));
     let req = RetrievalRequest {
@@ -329,9 +329,12 @@ fn sorted_tactic_correct_with_bitmap_filter() {
                 bitmap_bits: 1 << 10,
             },
             tiny_list_shortcut: 0,
-            switch_threshold: 100.0, // keep the background alive
-            scan_spend_limit: 1e9,
             ..JscanConfig::default()
+        },
+        // Keep the background alive.
+        rules: KillRules {
+            switch_threshold: 100.0,
+            spend_limit: 1e9,
         },
         ..DynamicConfig::default()
     });

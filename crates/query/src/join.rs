@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use rdb_core::{run_join, JoinConfig, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
+use rdb_core::{run_join, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
 use rdb_storage::{Record, SharedCost};
 
 use crate::db::{Db, TableEntry};
@@ -389,7 +389,7 @@ pub(crate) fn execute_join(
     let tracer = opts.tracer();
     let tail = Tail::new(spec, opts, false);
     let request = join_request(left, right, resolved, opts, tail.retrieval_limit(), cost)?;
-    let result = run_join(&request, &JoinConfig::default(), &tracer)?;
+    let result = run_join(&request, &db.config.optimizer.rules, &tracer)?;
 
     let events: Vec<String> = result
         .candidates

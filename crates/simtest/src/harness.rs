@@ -9,7 +9,8 @@ use rdb_core::baseline::{estimate_all, PredShape, StaticIndexInfo, StaticJscan, 
 use rdb_core::request::{Delivery, DeliveryObserver, OptimizeGoal, RetrievalResult};
 use rdb_core::tscan::StrategyStep;
 use rdb_core::{
-    DynamicOptimizer, Fscan, Jscan, JscanConfig, JscanIndex, JscanOutcome, Sscan, TraceBuffer,
+    DynamicOptimizer, Fscan, Jscan, JscanConfig, JscanIndex, JscanOutcome, KillRules, Sscan,
+    TraceBuffer,
     TraceEvent, Tracer, Tscan,
 };
 use rdb_storage::{FaultPolicy, StorageError, Value};
@@ -229,6 +230,7 @@ fn clean_differential(
             &scenario.table,
             jidx,
             JscanConfig::default(),
+            KillRules::default(),
             scenario.pool.cost().clone(),
         );
         let expected_indexed = oracle::expected_for_conjuncts(scenario, &indexed);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdb_core::{run_join, run_join_method, JoinConfig, JoinMethod, JoinOp, JoinRequest, JoinSide, SideId, Tracer};
+use rdb_core::{run_join, run_join_method, KillRules, JoinMethod, JoinOp, JoinRequest, JoinSide, SideId, Tracer};
 use rdb_query::prelude::*;
 use rdb_storage::{FaultPolicy, StorageError};
 
@@ -466,7 +466,7 @@ fn competition_contract(
 
     db.clear_cache();
     let dynamic = with_core_request(scenario, q, |req| {
-        run_join(req, &JoinConfig::default(), &Tracer::disabled())
+        run_join(req, &KillRules::default(), &Tracer::disabled())
     })
     .map_err(|e| SimFailure::execution(format!("dynamic join died: {e}")))?;
 
@@ -530,7 +530,7 @@ fn competition_contract(
         }
         db.clear_cache();
         let single = with_core_request(scenario, q, |req| {
-            run_join_method(req, method, &JoinConfig::default())
+            run_join_method(req, method)
         })
         .map_err(|e| SimFailure::execution(format!("static {} died: {e}", method.label())))?;
         if single.pairs.len() != oracle_len {
