@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use rdb_bench::fixtures::JscanFixture;
+use rdb_bench::fixtures::{discards, run_traced, JscanFixture};
 use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::{
@@ -71,13 +71,8 @@ fn threshold_sweep() {
                 ..DynamicConfig::default()
             });
             f.cold();
-            let run = optimizer.run(&request).unwrap();
-            let abandoned = run
-                .events
-                .iter()
-                .filter(|e| e.contains("discarded"))
-                .count();
-            (run.deliveries.len(), run.cost, abandoned)
+            let (run, events) = run_traced(&optimizer, &request);
+            (run.deliveries.len(), run.cost, discards(&events))
         };
         let (_r1, cost_right, ab1) = run_one(&right, 1);
         let (_r2, cost_wrong, ab2) = run_one(&wrong, 1);

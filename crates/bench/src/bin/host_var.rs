@@ -92,7 +92,7 @@ fn main() {
             fmt(stat_fscan.cost),
             fmt(oracle),
             fmt(dyn_run.cost / oracle.max(1e-9)),
-            dyn_run.strategy.clone(),
+            dyn_run.strategy.to_string(),
         ]);
     }
     print_table(

@@ -272,13 +272,13 @@ fn main() {
         for r in &runs {
             assert_eq!(r.pairs, truth, "{}: {} disagrees on pairs", shape.name, r.label);
         }
-        let mut winner = String::new();
+        let mut winner = "";
         runs.push(time_run("dynamic".into(), || {
             shape.pool.clear();
             let out =
                 run_join(&shape.request(), &rules, &Tracer::disabled()).expect("join competition");
             assert_eq!(out.pairs.len(), truth, "dynamic disagrees on pairs");
-            winner = out.strategy.clone();
+            winner = out.strategy;
             (out.pairs.len(), out.cost)
         }));
 

@@ -12,13 +12,14 @@
 
 use std::sync::Arc;
 
-use rdb_bench::fixtures::JscanFixture;
+use rdb_bench::fixtures::{discards, run_traced, JscanFixture};
 use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::baseline::{estimate_all, StaticJscan, StaticJscanConfig};
+use rdb_core::ridlist::RidTierConfig;
 use rdb_core::{
     DynamicOptimizer, IndexChoice, OptimizeGoal, RecordPred, RetrievalRequest, StaticOptimizer,
-    StaticPlan, Tscan,
+    StaticPlan, TraceEvent, Tscan,
 };
 use rdb_storage::{Record, Value};
 
@@ -52,7 +53,7 @@ fn sweep() {
             }
         };
         f.cold();
-        let dyn_run = dynamic.run(&request()).unwrap();
+        let (dyn_run, events) = run_traced(&dynamic, &request());
         f.cold();
         let req = request();
         let est = estimate_all(&req);
@@ -71,12 +72,7 @@ fn sweep() {
             fmt(fscan.cost),
             fmt(tscan.cost),
             fmt(dyn_run.cost / oracle.max(1e-9)),
-            dyn_run
-                .events
-                .iter()
-                .filter(|e| e.contains("discarded"))
-                .count()
-                .to_string(),
+            discards(&events).to_string(),
         ]);
     }
     print_table(
@@ -120,27 +116,24 @@ fn tiers() {
             }
         };
         f.cold();
-        let run = dynamic.run(&request).unwrap();
-        let tier = run
-            .events
+        let (run, events) = run_traced(&dynamic, &request);
+        // The final stage fetches the last completed scan's list.
+        let final_stage = events
             .iter()
-            .find_map(|e| {
-                if e.contains("final stage") {
-                    e.split('(').nth(1).and_then(|t| t.split(' ').next())
-                } else {
-                    None
-                }
-            })
-            .unwrap_or(if run.strategy == "TinyRangeFetch" {
-                "tiny-shortcut"
-            } else if run.strategy == "EndOfData" {
-                "empty-shortcut"
-            } else {
-                "(direct)"
-            });
+            .any(|e| matches!(e, TraceEvent::PhaseCost { phase, .. } if phase == "final-stage"));
+        let final_list = events.iter().rev().find_map(|e| match e {
+            TraceEvent::ScanCompleted { kept, .. } => Some(*kept),
+            _ => None,
+        });
+        let tier = match (run.strategy, final_list) {
+            ("TinyRangeFetch", _) => "tiny-shortcut",
+            ("EndOfData", _) => "empty-shortcut",
+            (_, Some(len)) if final_stage => tier_of(len),
+            _ => "(direct)",
+        };
         rows.push(vec![
             format!("{s} rids"),
-            run.strategy.clone(),
+            run.strategy.to_string(),
             tier.to_string(),
             fmt(run.cost),
         ]);
@@ -151,6 +144,17 @@ fn tiers() {
          buffer (and the tiny-range initial-stage shortcut), medium -> heap\n\
          buffer, huge -> temp table + bitmap."
     );
+}
+
+/// The tier a RID list of `len` entries lands in under the default sizing.
+fn tier_of(len: usize) -> &'static str {
+    let tiers = RidTierConfig::default();
+    match len {
+        0 => "empty",
+        n if n <= tiers.inline_max => "inline",
+        n if n <= tiers.buffer_max => "buffer",
+        _ => "spilled",
+    }
 }
 
 fn main() {

@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
-use rdb_bench::fixtures::JscanFixture;
+use rdb_bench::fixtures::{run_traced, JscanFixture};
 use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::{
     DynamicOptimizer, IndexChoice, KeyPred, OptimizeGoal, RecordPred, RetrievalRequest,
-    StaticOptimizer, StaticPlan,
+    StaticOptimizer, StaticPlan, TraceEvent,
 };
 use rdb_storage::{Record, Value};
 
@@ -54,7 +54,7 @@ fn background_only() {
             fmt(dynamic_run.cost),
             fmt(fscan.cost),
             fmt(tscan.cost),
-            dynamic_run.strategy.clone(),
+            dynamic_run.strategy.to_string(),
         ]);
     }
     print_table(
@@ -254,7 +254,7 @@ fn index_only() {
             }
         };
         f.cold();
-        let run = dynamic.run(&request()).unwrap();
+        let (run, events) = run_traced(&dynamic, &request());
         f.cold();
         // The best static fetch-based comparator for each scenario.
         let fscan = static_opt.execute(
@@ -269,11 +269,14 @@ fn index_only() {
             format!("{}", run.deliveries.len()),
             fmt(run.cost),
             fmt(fscan.cost),
-            run.events
-                .iter()
-                .find(|e| e.contains("won") || e.contains("continues"))
-                .cloned()
-                .unwrap_or_else(|| run.strategy.clone()),
+            // How the race was decided: what the winner says ran.
+            events
+                .into_iter()
+                .find_map(|e| match e {
+                    TraceEvent::Winner { strategy, .. } => Some(strategy),
+                    _ => None,
+                })
+                .unwrap_or_else(|| run.strategy.to_string()),
         ]);
     }
     print_table(

@@ -1,6 +1,9 @@
 //! Shared experiment fixtures.
 
 use rdb_btree::BTree;
+use rdb_core::{
+    DynamicOptimizer, RetrievalRequest, RetrievalResult, TraceBuffer, TraceEvent, Tracer,
+};
 use rdb_storage::{
     shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, SharedCost,
     Value, ValueType,
@@ -79,6 +82,27 @@ impl JscanFixture {
             })
             .collect()
     }
+}
+
+/// Runs `request` through `optimizer` with a trace attached: the result
+/// plus the typed log of every decision the run took.
+pub fn run_traced(
+    optimizer: &DynamicOptimizer,
+    request: &RetrievalRequest<'_>,
+) -> (RetrievalResult, Vec<TraceEvent>) {
+    let buffer = TraceBuffer::shared(1 << 16);
+    let result = optimizer
+        .run_traced(request, None, &Tracer::new(buffer.clone()))
+        .expect("in-memory retrieval");
+    (result, buffer.take())
+}
+
+/// Index scans a run's competition discarded.
+pub fn discards(events: &[TraceEvent]) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::IndexDiscarded { .. }))
+        .count()
 }
 
 #[cfg(test)]

@@ -203,8 +203,11 @@ impl StaticOptimizer {
         Ok(RetrievalResult {
             deliveries,
             cost,
-            strategy: format!("static {plan:?}"),
-            events: vec![format!("static plan {plan:?} executed as committed")],
+            strategy: match plan {
+                StaticPlan::Tscan => "static Tscan",
+                StaticPlan::Fscan { .. } => "static Fscan",
+                StaticPlan::Sscan { .. } => "static Sscan",
+            },
             sscan_index: match plan {
                 StaticPlan::Sscan { pos } => Some(pos),
                 _ => None,
@@ -259,29 +262,22 @@ impl StaticJscan {
         let mut rt = RunTrace::start(&tracer, &meter);
         let cost_before = meter.total();
         let mut sink = Sink::new(request.limit);
-        let mut events: Vec<String> = Vec::new();
 
         let card = table.cardinality() as f64;
         let selected: Vec<&(usize, KeyRange, f64)> = estimates
             .iter()
             .filter(|(_, _, est)| *est <= self.config.selectivity_threshold * card)
             .collect();
-        events.push(format!(
-            "static selection: {} of {} indexes pass the threshold",
-            selected.len(),
-            estimates.len()
-        ));
 
         if selected.is_empty() {
             // Below-threshold indexes only: sequential scan, committed.
             let mut s = Tscan::new(table, request.residual.clone(), meter.clone());
-            events.push("static plan: Tscan".into());
             drain(|| s.step(), |rid, record| sink.deliver(rid, record))?;
         } else {
             // Scan every selected index to completion; intersect as we go;
             // never abandon (the defining limitation of this baseline).
             let mut current: Option<Vec<Rid>> = None;
-            for (pos, range, est) in selected {
+            for (pos, range, _) in selected {
                 let tree = request.indexes[*pos].tree;
                 let mut rids: Vec<Rid> = Vec::new();
                 let mut scan = tree.range_scan(range.clone(), &meter);
@@ -289,11 +285,6 @@ impl StaticJscan {
                     rids.push(rid);
                 }
                 meter.charge_rid_ops(rids.len() as u64);
-                events.push(format!(
-                    "scanned {} fully: {} RIDs (estimate was {est:.0})",
-                    tree.name(),
-                    rids.len()
-                ));
                 current = Some(match current {
                     None => rids,
                     Some(mut prev) => {
@@ -311,7 +302,6 @@ impl StaticJscan {
                 &request.residual,
                 &[],
                 &mut sink,
-                &mut events,
                 &mut rt,
                 &meter,
             )?;
@@ -321,8 +311,7 @@ impl StaticJscan {
         Ok(RetrievalResult {
             deliveries: sink.into_deliveries(),
             cost,
-            strategy: "static-jscan [MoHa90]".into(),
-            events,
+            strategy: "static-jscan [MoHa90]",
             sscan_index: None,
         })
     }

@@ -24,7 +24,7 @@ use crate::initial::{InitialPlan, InitialStage, ShortcutKind};
 use crate::jscan::{Jscan, JscanConfig, JscanIndex};
 use crate::request::{OptimizeGoal, RetrievalRequest, RetrievalResult, Sink};
 use crate::sscan::Sscan;
-use crate::tactics::{self, Foreground, Inline, TacticReport};
+use crate::tactics::{self, Foreground, Inline};
 use crate::trace::{RunTrace, Stage, TraceEvent, Tracer};
 use crate::tscan::Tscan;
 
@@ -48,7 +48,7 @@ pub struct DynamicConfig {
 }
 
 /// Which tactic the optimizer chose for one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TacticChoice {
     /// No indexes: classical sequential retrieval.
     TscanOnly,
@@ -69,6 +69,23 @@ pub enum TacticChoice {
     IndexOnly,
 }
 
+impl TacticChoice {
+    /// The variant's name: what [`RetrievalResult::strategy`], `EXPLAIN`
+    /// and the `TacticChosen` trace event call this tactic.
+    pub fn name(self) -> &'static str {
+        match self {
+            TacticChoice::TscanOnly => "TscanOnly",
+            TacticChoice::EndOfData => "EndOfData",
+            TacticChoice::TinyRangeFetch => "TinyRangeFetch",
+            TacticChoice::SscanStatic => "SscanStatic",
+            TacticChoice::BackgroundOnly => "BackgroundOnly",
+            TacticChoice::FastFirst => "FastFirst",
+            TacticChoice::Sorted => "Sorted",
+            TacticChoice::IndexOnly => "IndexOnly",
+        }
+    }
+}
+
 /// A remembered winner from a previous execution of the same (prepared)
 /// statement: the tactic that produced the rows plus the candidate
 /// estimates it was chosen under. A later [`DynamicOptimizer::run_hinted`]
@@ -85,16 +102,16 @@ pub struct TacticHint {
 }
 
 /// What [`DynamicOptimizer::run_hinted`] did with the hint it was given.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HintDisposition {
     /// No hint was provided; the run chose its tactic from scratch.
     NotProvided,
     /// The hinted tactic ran (it matched the fresh choice, or was favored
     /// over it). The payload says which.
-    Applied(String),
+    Applied(&'static str),
     /// The hint was discarded; the payload says why (estimate drift,
     /// prerequisite gone, a provably-better shortcut, ...).
-    Dropped(String),
+    Dropped(&'static str),
 }
 
 /// Result bundle of a hinted run: the retrieval outcome, a refreshed hint
@@ -219,7 +236,7 @@ impl DynamicOptimizer {
         tracer: &Tracer,
         sink: &mut Sink,
         rt: &mut RunTrace<'_>,
-    ) -> Result<TacticReport, StorageError> {
+    ) -> Result<&'static str, StorageError> {
         let rules = &self.config.rules;
         if self.config.parallel && !indexes.is_empty() {
             let borrowing = matches!(foreground, Foreground::Borrowing);
@@ -311,7 +328,7 @@ impl DynamicOptimizer {
         if hint.tactic == fresh {
             return (
                 fresh,
-                HintDisposition::Applied("fresh choice confirms the cached winner".into()),
+                HintDisposition::Applied("fresh choice confirms the cached winner"),
             );
         }
         let competitive = |t: &TacticChoice| {
@@ -324,16 +341,17 @@ impl DynamicOptimizer {
             )
         };
         if !competitive(&fresh) {
-            let why = format!("fresh choice {fresh:?} is a shortcut or static pick; hint overruled");
-            return (fresh, HintDisposition::Dropped(why));
+            return (
+                fresh,
+                HintDisposition::Dropped(
+                    "fresh choice is a shortcut or static pick; hint overruled",
+                ),
+            );
         }
         if !competitive(&hint.tactic) {
             return (
                 fresh,
-                HintDisposition::Dropped(format!(
-                    "cached winner {:?} has no kill rules to recover with",
-                    hint.tactic
-                )),
+                HintDisposition::Dropped("cached winner has no kill rules to recover with"),
             );
         }
         let prereqs_hold = match hint.tactic {
@@ -345,35 +363,30 @@ impl DynamicOptimizer {
         if !prereqs_hold {
             return (
                 fresh,
-                HintDisposition::Dropped(format!(
-                    "cached winner {:?} lost its prerequisite under the new bindings",
-                    hint.tactic
-                )),
+                HintDisposition::Dropped(
+                    "cached winner lost its prerequisite under the new bindings",
+                ),
             );
         }
         if hint.estimates.len() != plan.jscan_estimates.len() {
             return (
                 fresh,
-                HintDisposition::Dropped("candidate index set changed since caching".into()),
+                HintDisposition::Dropped("candidate index set changed since caching"),
             );
         }
-        for (old, new) in hint.estimates.iter().zip(&plan.jscan_estimates) {
+        let drifted = hint.estimates.iter().zip(&plan.jscan_estimates).any(|(old, new)| {
             let ratio = (new + 1.0) / (old + 1.0);
-            if !(ratio.is_finite()
-                && (1.0 / HINT_DRIFT_FACTOR..=HINT_DRIFT_FACTOR).contains(&ratio))
-            {
-                return (
-                    fresh,
-                    HintDisposition::Dropped(format!(
-                        "estimate drift {old:.0} -> {new:.0} exceeds {HINT_DRIFT_FACTOR}x"
-                    )),
-                );
-            }
+            !(ratio.is_finite() && (1.0 / HINT_DRIFT_FACTOR..=HINT_DRIFT_FACTOR).contains(&ratio))
+        });
+        if drifted {
+            return (
+                fresh,
+                HintDisposition::Dropped("a candidate estimate drifted past the tolerated factor"),
+            );
         }
-        let tactic = hint.tactic.clone();
         (
-            tactic,
-            HintDisposition::Applied(format!("favored cached winner over fresh {fresh:?}")),
+            hint.tactic,
+            HintDisposition::Applied("favored cached winner over the fresh choice"),
         )
     }
 
@@ -395,7 +408,7 @@ impl DynamicOptimizer {
         let (fresh_choice, plan) = self.choose(request);
         let (choice, disposition) = Self::resolve_hint(request, hint, fresh_choice, &plan);
         tracer.emit_with(|| TraceEvent::TacticChosen {
-            tactic: format!("{choice:?}"),
+            tactic: choice.name().to_string(),
             estimation_nodes: plan.estimation_nodes as u64,
         });
         rt.phase("estimation");
@@ -403,14 +416,13 @@ impl DynamicOptimizer {
             Some(obs) => Sink::with_observer(request.limit, obs),
             None => Sink::new(request.limit),
         };
-        let mut events = vec![format!("tactic: {choice:?}")];
         let mut sscan_index = None;
 
-        // The competitive tactics report what they did; shortcuts and
-        // static picks have nothing to add to their name.
-        let report: Option<TacticReport> = match choice {
+        // The competitive tactics name the detailed strategy that produced
+        // the rows (e.g. "fast-first (degraded to background-only)");
+        // shortcuts and static picks have nothing to add to their name.
+        let detail: Option<&'static str> = match choice {
             TacticChoice::EndOfData => {
-                events.push("empty range detected during estimation".into());
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-range".into(),
                     detail: "empty range detected during estimation: end of data".into(),
@@ -428,7 +440,6 @@ impl DynamicOptimizer {
                 let Some(ShortcutKind::TinyRange { index_pos, count }) = &plan.shortcut else {
                     unreachable!("tiny fetch without tiny shortcut")
                 };
-                events.push(format!("tiny range of {count} RIDs on index {index_pos}"));
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "tiny-range".into(),
                     detail: format!(
@@ -496,16 +507,6 @@ impl DynamicOptimizer {
                 Some(self.compete(request, foreground, indexes, tracer, &mut sink, &mut rt)?)
             }
         };
-        // Detailed strategy string of the tactic that actually produced the
-        // rows (e.g. "fast-first (degraded to background-only)") — the
-        // `Winner` trace event carries this, so trace consumers can check
-        // switches against what really ran.
-        let winner_detail = report.map(|report| {
-            events.push(report.strategy.clone());
-            events.extend(report.events);
-            report.strategy
-        });
-
         rt.finish();
         let cost_total = cost.total() - cost_before;
         if tracer.enabled() {
@@ -516,8 +517,10 @@ impl DynamicOptimizer {
             });
         }
         let deliveries = sink.into_deliveries();
+        // The `Winner` event carries the detailed strategy, so trace
+        // consumers can check switches against what really ran.
         tracer.emit_with(|| TraceEvent::Winner {
-            strategy: winner_detail.unwrap_or_else(|| format!("{choice:?}")),
+            strategy: detail.unwrap_or(choice.name()).to_string(),
             cost: cost_total,
             rows: deliveries.len(),
         });
@@ -525,8 +528,7 @@ impl DynamicOptimizer {
             result: RetrievalResult {
                 deliveries,
                 cost: cost_total,
-                strategy: format!("{choice:?}"),
-                events,
+                strategy: choice.name(),
                 sscan_index,
             },
             hint: TacticHint {
@@ -579,7 +581,6 @@ impl DynamicOptimizer {
             estimation_nodes: 0,
         });
         let mut sink = Sink::new(limit);
-        let mut events = vec!["tactic: UnionScan (OR-connected restriction)".to_string()];
 
         // Estimate each arm; provably empty arms drop out for free.
         let mut union_arms: Vec<UnionArm<'_>> = Vec::new();
@@ -590,7 +591,6 @@ impl DynamicOptimizer {
                 estimate: est.estimate.max(0.0).round() as u64,
             });
             if est.exact && est.estimate == 0.0 {
-                events.push(format!("arm {} provably empty: dropped", tree.name()));
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-arm".into(),
                     detail: format!("arm {} provably empty: dropped", tree.name()),
@@ -605,33 +605,21 @@ impl DynamicOptimizer {
         }
         rt.phase("estimation");
 
-        let strategy;
-        if union_arms.is_empty() {
-            events.push("every arm empty: end of data".into());
+        let strategy = if union_arms.is_empty() {
             tracer.emit_with(|| TraceEvent::Shortcut {
                 kind: "empty-range".into(),
                 detail: "every arm empty: end of data".into(),
             });
-            strategy = "UnionScan (empty)".to_string();
+            "UnionScan (empty)"
         } else {
             let mut scan = UnionScan::new(table, union_arms, self.config.rules, cost.clone());
-            let outcome = scan.run();
+            let outcome = scan.run(tracer);
             rt.phase("union");
-            let outcome = outcome?;
-            events.extend(scan.events().iter().cloned());
-            if tracer.enabled() {
-                for e in scan.events() {
-                    let message = e.clone();
-                    tracer.emit_with(|| TraceEvent::Note { message });
-                }
-            }
-            match outcome {
+            match outcome? {
                 UnionOutcome::Rids(rids) => {
                     let list = RidList::from_vec(rids);
-                    tactics::final_stage(
-                        table, &list, residual, &[], &mut sink, &mut events, &mut rt, &cost,
-                    )?;
-                    strategy = "UnionScan".to_string();
+                    tactics::final_stage(table, &list, residual, &[], &mut sink, &mut rt, &cost)?;
+                    "UnionScan"
                 }
                 UnionOutcome::UseTscan => {
                     tracer.emit_with(|| TraceEvent::Switch {
@@ -639,11 +627,11 @@ impl DynamicOptimizer {
                         to: "tscan".into(),
                         reason: "union of arms priced out: full scan is cheaper".into(),
                     });
-                    tactics::run_tscan(table, residual, &[], &mut sink, &mut events, &mut rt, &cost)?;
-                    strategy = "UnionScan -> Tscan".to_string();
+                    tactics::run_tscan(table, residual, &[], &mut sink, &mut rt, &cost)?;
+                    "UnionScan -> Tscan"
                 }
             }
-        }
+        };
 
         rt.finish();
         let cost_total = cost.total() - cost_before;
@@ -656,7 +644,7 @@ impl DynamicOptimizer {
         }
         let deliveries = sink.into_deliveries();
         tracer.emit_with(|| TraceEvent::Winner {
-            strategy: strategy.clone(),
+            strategy: strategy.to_string(),
             cost: cost_total,
             rows: deliveries.len(),
         });
@@ -664,7 +652,6 @@ impl DynamicOptimizer {
             deliveries,
             cost: cost_total,
             strategy,
-            events,
             sscan_index: None,
         })
     }

@@ -76,7 +76,7 @@ pub fn run_join_method(
     Ok(JoinResult {
         pairs,
         cost: spent,
-        strategy: format!("join: {}", method.label()),
+        strategy: method.strategy(),
         candidates: vec![JoinCandidateReport {
             method,
             estimate: method_cost(req, method, &req.cost.config()),
@@ -365,16 +365,15 @@ pub fn run_join(
             misses: delta.misses,
         });
     }
-    let strategy = format!("join: {}", method.label());
     tracer.emit_with(|| TraceEvent::Winner {
-        strategy: strategy.clone(),
+        strategy: method.strategy().to_string(),
         cost: total,
         rows: pairs.len(),
     });
     Ok(JoinResult {
         pairs,
         cost: total,
-        strategy,
+        strategy: method.strategy(),
         candidates: reports,
     })
 }

@@ -305,15 +305,21 @@ pub enum JoinMethod {
 impl JoinMethod {
     /// Stable human label, used in trace events and winner strings.
     pub fn label(&self) -> &'static str {
+        self.strategy().trim_start_matches("join: ")
+    }
+
+    /// The winner string of a join this method won: `"join: "` and the
+    /// [`label`](Self::label).
+    pub fn strategy(&self) -> &'static str {
         use SideId::{Left, Right};
         match self {
-            JoinMethod::NestedLoop { outer: Left } => "nested(outer=left)",
-            JoinMethod::NestedLoop { outer: Right } => "nested(outer=right)",
-            JoinMethod::IndexNested { outer: Left } => "index-nested(outer=left)",
-            JoinMethod::IndexNested { outer: Right } => "index-nested(outer=right)",
-            JoinMethod::Hash { build: Left } => "hash(build=left)",
-            JoinMethod::Hash { build: Right } => "hash(build=right)",
-            JoinMethod::Merge => "merge-rid",
+            JoinMethod::NestedLoop { outer: Left } => "join: nested(outer=left)",
+            JoinMethod::NestedLoop { outer: Right } => "join: nested(outer=right)",
+            JoinMethod::IndexNested { outer: Left } => "join: index-nested(outer=left)",
+            JoinMethod::IndexNested { outer: Right } => "join: index-nested(outer=right)",
+            JoinMethod::Hash { build: Left } => "join: hash(build=left)",
+            JoinMethod::Hash { build: Right } => "join: hash(build=right)",
+            JoinMethod::Merge => "join: merge-rid",
         }
     }
 
@@ -370,7 +376,7 @@ pub struct JoinResult {
     /// Total cost-meter delta of the run.
     pub cost: f64,
     /// Winner description, e.g. `"join: hash(build=left)"`.
-    pub strategy: String,
+    pub strategy: &'static str,
     /// Per-candidate post-mortems (competition runs only; a forced
     /// single-method run reports just that method).
     pub candidates: Vec<JoinCandidateReport>,

@@ -28,8 +28,6 @@
 //! refiltered and continues — the paper's "limited simultaneous scanning
 //! of two adjacent indexes".
 
-use std::fmt;
-
 use rdb_btree::{BTree, KeyRange, RangeScan};
 use rdb_competition::{Kill, KillRules};
 use rdb_storage::{FileId, HeapTable, Rid, SharedCost};
@@ -123,26 +121,6 @@ impl From<Kill> for DiscardReason {
         match kill {
             Kill::Projected => DiscardReason::ProjectedCost,
             Kill::Spend => DiscardReason::ScanSpend,
-        }
-    }
-}
-
-impl fmt::Display for JscanEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JscanEvent::ScanCompleted { name, kept } => {
-                write!(f, "scan of {name} completed: {kept} RIDs")
-            }
-            JscanEvent::IndexDiscarded { name, reason } => {
-                write!(f, "index {name} discarded ({reason:?})")
-            }
-            JscanEvent::TinyListShortcut { len } => write!(f, "tiny list shortcut ({len} RIDs)"),
-            JscanEvent::EmptyIntersection => write!(f, "empty intersection"),
-            JscanEvent::RecommendTscan => write!(f, "recommend Tscan"),
-            JscanEvent::SimultaneousStart { a, b } => write!(f, "simultaneous scan of {a} and {b}"),
-            JscanEvent::SimultaneousWinner { winner } => {
-                write!(f, "simultaneous winner: {winner}")
-            }
         }
     }
 }
@@ -320,13 +298,6 @@ impl<'a> Jscan<'a> {
     /// Takes the outcome after [`JscanStatus::Finished`].
     pub fn take_outcome(&mut self) -> JscanOutcome {
         self.outcome.take().expect("jscan not finished")
-    }
-
-    /// Total cost units on this scan's meter. For a background-stage Jscan
-    /// built against a fresh private meter this is the stage's whole bill
-    /// (absorbed into the session meter at join).
-    pub fn spent(&self) -> f64 {
-        self.cost.total()
     }
 
     /// Estimated cost of fetching `n` RIDs from the table in sorted order:

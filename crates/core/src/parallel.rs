@@ -7,8 +7,7 @@
 //! the joint scan (index-range scans + RID-list builds) on a
 //! `std::thread::scope` worker that streams what it learns — a tightened
 //! guaranteed-best cost, fresh borrowable RIDs, and finally the
-//! [`JscanOutcome`](crate::jscan::JscanOutcome) with its decision log —
-//! back through an mpsc channel, and hands the tactic a driver that turns
+//! [`JscanOutcome`] — back through an mpsc channel, and hands the tactic a driver that turns
 //! those messages into the answers the tactic asks for. Nothing about the
 //! tactics themselves lives here.
 //!
@@ -45,8 +44,8 @@ use std::sync::mpsc;
 
 use rdb_storage::{Rid, SharedCost};
 
-use crate::jscan::{Jscan, JscanStatus};
-use crate::tactics::{Background, Finished, Turn};
+use crate::jscan::{Jscan, JscanOutcome, JscanStatus};
+use crate::tactics::{Background, Turn};
 use crate::trace::RunTrace;
 
 /// One refinement message from the background worker to the foreground.
@@ -57,8 +56,8 @@ enum BgrUpdate {
         guaranteed_best: f64,
         fresh_rids: Vec<Rid>,
     },
-    /// The joint scan finished.
-    Done(Finished),
+    /// The joint scan finished with this outcome.
+    Done(JscanOutcome),
 }
 
 /// Worker loop: steps the Jscan to completion, streaming refinements.
@@ -93,12 +92,7 @@ fn background_worker_inner(
         let fresh_rids = fresh.to_vec();
         cursor = next;
         if status == JscanStatus::Finished {
-            let mut finished = Finished::take(&mut jscan);
-            finished.events.push(format!(
-                "background stage spent {:.1} on its own meter",
-                jscan.spent()
-            ));
-            let _ = tx.send(BgrUpdate::Done(finished));
+            let _ = tx.send(BgrUpdate::Done(jscan.take_outcome()));
             return;
         }
         let best = jscan.guaranteed_best();
@@ -121,11 +115,11 @@ fn background_worker_inner(
 pub(crate) struct Threaded<'s> {
     rx: mpsc::Receiver<BgrUpdate>,
     abandon: &'s AtomicBool,
-    /// True until the tactic has been handed the [`Finished`] report (or
+    /// True until the tactic has been handed the Jscan's outcome (or
     /// stopped the worker, or the worker vanished without one).
     open: bool,
-    /// The report, received but not yet asked for.
-    finished: Option<Finished>,
+    /// The outcome, received but not yet asked for.
+    finished: Option<JscanOutcome>,
     fgr_active: bool,
     /// Whether the foreground reads the borrow stream at all; if not, the
     /// RIDs the worker streams are dropped on receipt.
@@ -179,7 +173,7 @@ impl Background for Threaded<'_> {
         }
     }
 
-    fn step(&mut self, _rt: &mut RunTrace<'_>) -> Option<Finished> {
+    fn step(&mut self, _rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
         let finished = self.finished.take()?;
         self.open = false;
         Some(finished)

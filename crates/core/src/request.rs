@@ -259,10 +259,9 @@ pub struct RetrievalResult {
     /// Total cost units spent on this retrieval.
     pub cost: f64,
     /// Which tactic/strategy ultimately ran (for experiment reporting).
-    pub strategy: String,
-    /// Chronological log of dynamic decisions (index discards, strategy
-    /// switches, shortcuts) for tests and experiment narration.
-    pub events: Vec<String>,
+    /// The decisions taken on the way are in the typed trace
+    /// ([`crate::trace::TraceEvent`]), when a tracer is attached.
+    pub strategy: &'static str,
     /// Position (in the request's index list) of the self-sufficient index
     /// whose key tuples appear in `from_index` deliveries, when one ran.
     pub sscan_index: Option<usize>,

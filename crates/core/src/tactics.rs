@@ -48,15 +48,6 @@ const FGR_SPEED: f64 = 1.0;
 /// scheduler slots.
 const FGR_BATCH: usize = 16;
 
-/// Outcome report of one tactic run (deliveries land in the sink).
-#[derive(Debug)]
-pub struct TacticReport {
-    /// Human-readable strategy description.
-    pub strategy: String,
-    /// Chronological decision log.
-    pub events: Vec<String>,
-}
-
 /// Steps a lone strategy to its end, handing every row it finds to
 /// `deliver`. Returns `Ok(false)` if `deliver` stopped it early (the
 /// sink's limit was reached), `Ok(true)` if the strategy ran dry.
@@ -81,18 +72,16 @@ pub(crate) fn drain(
 /// Final retrieval stage: fetch the listed RIDs in **sorted order** (one
 /// page touch per page), evaluate the total restriction, and deliver —
 /// excluding RIDs the foreground already delivered.
-#[allow(clippy::too_many_arguments)]
 pub fn final_stage(
     table: &HeapTable,
     list: &RidList,
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     rt: &mut RunTrace<'_>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
-    let result = final_stage_inner(table, list, residual, exclude, sink, events, cost);
+    let result = final_stage_inner(table, list, residual, exclude, sink, cost);
     rt.phase("final-stage");
     result
 }
@@ -103,7 +92,6 @@ fn final_stage_inner(
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
     let mut rids = list.to_vec()?;
@@ -111,12 +99,6 @@ fn final_stage_inner(
     rids.dedup();
     let mut excluded: Vec<Rid> = exclude.to_vec();
     excluded.sort_unstable();
-    events.push(format!(
-        "final stage: {} RIDs ({} tier), {} already delivered",
-        rids.len(),
-        list.tier(),
-        excluded.len()
-    ));
     for rid in rids {
         if excluded.binary_search(&rid).is_ok() {
             continue;
@@ -124,7 +106,6 @@ fn final_stage_inner(
         match table.fetch(rid, cost) {
             Ok(record) => {
                 if residual(&record) && !sink.deliver(rid, Some(record)) {
-                    events.push("limit reached during final stage".into());
                     return Ok(());
                 }
             }
@@ -142,23 +123,18 @@ pub(crate) fn run_tscan(
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     rt: &mut RunTrace<'_>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
     let mut excluded: Vec<Rid> = exclude.to_vec();
     excluded.sort_unstable();
     let mut scan = Tscan::new(table, residual.clone(), cost.clone());
-    events.push("running Tscan".into());
-    let ran_dry = drain(
+    let ran = drain(
         || scan.step(),
         |rid, record| excluded.binary_search(&rid).is_ok() || sink.deliver(rid, record),
     );
     rt.phase("tscan");
-    if !ran_dry? {
-        events.push("limit reached during Tscan".into());
-    }
-    Ok(())
+    ran.map(|_| ())
 }
 
 /// What the tactic does once the joint scan has said all it will say:
@@ -168,14 +144,13 @@ fn retrieve_by_outcome(
     outcome: JscanOutcome,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     rt: &mut RunTrace<'_>,
 ) -> Result<(), StorageError> {
     let (table, residual, cost) = (request.table, &request.residual, &request.cost);
     match outcome {
         JscanOutcome::Empty => Ok(()),
         JscanOutcome::FinalList(list) => {
-            final_stage(table, &list, residual, exclude, sink, events, rt, cost)
+            final_stage(table, &list, residual, exclude, sink, rt, cost)
         }
         JscanOutcome::UseTscan => {
             rt.tracer().emit_with(|| TraceEvent::Switch {
@@ -183,36 +158,30 @@ fn retrieve_by_outcome(
                 to: "tscan".into(),
                 reason: "no surviving RID list beat the full-scan cost".into(),
             });
-            run_tscan(table, residual, exclude, sink, events, rt, cost)
+            run_tscan(table, residual, exclude, sink, rt, cost)
         }
     }
 }
 
 /// **Background-only tactic** (Section 7): total-time optimization with
 /// fetch-needed indexes. Runs Jscan to completion, then the final stage
-/// (or Tscan if Jscan recommends it).
+/// (or Tscan if Jscan recommends it). Returns the detailed strategy that
+/// produced the rows, as every tactic does.
 pub fn background_only(
     request: &RetrievalRequest<'_>,
     mut jscan: Jscan<'_>,
     sink: &mut Sink,
     rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
+) -> Result<&'static str, StorageError> {
     let outcome = jscan.run();
     rt.phase("jscan");
-    let mut events: Vec<String> = jscan.events().iter().map(|e| e.to_string()).collect();
     let strategy = match &outcome {
-        JscanOutcome::Empty => {
-            events.push("end of data (empty intersection)".into());
-            "background-only (empty)"
-        }
+        JscanOutcome::Empty => "background-only (empty)",
         JscanOutcome::FinalList(_) => "background-only (Jscan + final stage)",
         JscanOutcome::UseTscan => "background-only (Jscan -> Tscan)",
     };
-    retrieve_by_outcome(request, outcome, &[], sink, &mut events, rt)?;
-    Ok(TacticReport {
-        strategy: strategy.into(),
-        events,
-    })
+    retrieve_by_outcome(request, outcome, &[], sink, rt)?;
+    Ok(strategy)
 }
 
 /// Whose quantum is next in a foreground/background competition.
@@ -225,22 +194,6 @@ pub(crate) enum Turn {
     Background,
 }
 
-/// The background's last word: the joint scan's outcome and decision log.
-pub(crate) struct Finished {
-    pub(crate) outcome: JscanOutcome,
-    pub(crate) events: Vec<String>,
-}
-
-impl Finished {
-    /// Takes the report out of a Jscan whose last step said `Finished`.
-    pub(crate) fn take(jscan: &mut Jscan<'_>) -> Self {
-        Finished {
-            outcome: jscan.take_outcome(),
-            events: jscan.events().iter().map(|e| e.to_string()).collect(),
-        }
-    }
-}
-
 /// The background process of Figure 4 as the tactic bodies see it.
 ///
 /// A driver decides *how* the background Jscan advances relative to the
@@ -250,9 +203,10 @@ impl Finished {
 pub(crate) trait Background {
     /// Whose quantum is next; `None` once neither side is left running.
     fn turn(&mut self) -> Option<Turn>;
-    /// Takes a [`Turn::Background`]: `Some` exactly once, when the joint
-    /// scan has finished — the background then leaves the race.
-    fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<Finished>;
+    /// Takes a [`Turn::Background`]: `Some` exactly once, with the joint
+    /// scan's outcome when it has finished — the background then leaves
+    /// the race.
+    fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome>;
     /// The next RID of the background's borrow stream (the candidates of
     /// its first index scan) not handed out yet.
     fn borrow(&mut self) -> Option<Rid>;
@@ -303,14 +257,14 @@ impl Background for Inline<'_> {
         })
     }
 
-    fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<Finished> {
+    fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
         let status = self.jscan.as_mut()?.step();
         rt.phase("jscan");
         if status == JscanStatus::Running {
             return None;
         }
         self.sched.deactivate(BGR);
-        self.jscan.take().as_mut().map(Finished::take)
+        self.jscan.take().as_mut().map(Jscan::take_outcome)
     }
 
     fn borrow(&mut self) -> Option<Rid> {
@@ -359,7 +313,7 @@ pub(crate) fn compete<B: Background>(
     rules: &KillRules,
     sink: &mut Sink,
     rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
+) -> Result<&'static str, StorageError> {
     match foreground {
         Foreground::Borrowing => fast_first(request, rules, bgr, sink, rt),
         Foreground::Ordered(fscan) => sorted(fscan, bgr, sink, rt),
@@ -377,13 +331,12 @@ pub(crate) fn fast_first<B: Background>(
     bgr: &mut B,
     sink: &mut Sink,
     rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
+) -> Result<&'static str, StorageError> {
     let (table, residual, cost) = (request.table, &request.residual, &request.cost);
-    let mut events: Vec<String> = Vec::new();
     let mut fgr_buffer: Vec<Rid> = Vec::new();
     let mut fgr_spend = 0.0;
     let mut fgr_alive = true;
-    let mut finished: Option<Finished> = None;
+    let mut finished: Option<JscanOutcome> = None;
 
     while finished.is_none() {
         let Some(turn) = bgr.turn() else { break };
@@ -397,7 +350,6 @@ pub(crate) fn fast_first<B: Background>(
                 // all it can.
                 bgr.retire_foreground();
                 fgr_alive = false;
-                events.push("foreground idle: borrow stream closed".into());
             }
             continue;
         };
@@ -407,12 +359,8 @@ pub(crate) fn fast_first<B: Background>(
                 if residual(&record) {
                     fgr_buffer.push(rid);
                     if !sink.deliver(rid, Some(record)) {
-                        events.push("limit reached by foreground".into());
                         rt.phase("foreground");
-                        return Ok(TacticReport {
-                            strategy: "fast-first (foreground satisfied)".into(),
-                            events,
-                        });
+                        return Ok("fast-first (foreground satisfied)");
                     }
                 }
             }
@@ -425,16 +373,12 @@ pub(crate) fn fast_first<B: Background>(
         // Direct competition: overflow or overspend kills Fgr.
         let guaranteed_best = bgr.guaranteed_best();
         if fgr_buffer.len() >= FGR_BUFFER_CAPACITY {
-            events.push("foreground buffer overflow: switching to background-only".into());
             rt.tracer().emit_with(|| TraceEvent::Switch {
                 from: "fast-first".into(),
                 to: "background-only".into(),
                 reason: "foreground buffer overflow".into(),
             });
         } else if rules.judge(None, fgr_spend, guaranteed_best).is_some() {
-            events.push(format!(
-                "foreground spend {fgr_spend:.1} hit its competition limit: switching to background-only"
-            ));
             rt.tracer().emit_with(|| TraceEvent::Switch {
                 from: "fast-first".into(),
                 to: "background-only".into(),
@@ -455,14 +399,10 @@ pub(crate) fn fast_first<B: Background>(
     } else {
         "fast-first (degraded to background-only)"
     };
-    if let Some(done) = finished {
-        events.extend(done.events);
-        retrieve_by_outcome(request, done.outcome, &fgr_buffer, sink, &mut events, rt)?;
+    if let Some(outcome) = finished {
+        retrieve_by_outcome(request, outcome, &fgr_buffer, sink, rt)?;
     }
-    Ok(TacticReport {
-        strategy: strategy.into(),
-        events,
-    })
+    Ok(strategy)
 }
 
 /// **Sorted tactic** (Section 7): foreground Fscan on the order-needed
@@ -474,9 +414,7 @@ pub(crate) fn sorted<B: Background>(
     bgr: &mut B,
     sink: &mut Sink,
     rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events: Vec<String> = Vec::new();
-
+) -> Result<&'static str, StorageError> {
     while let Some(turn) = bgr.turn() {
         if turn == Turn::Foreground {
             let step = fscan.step();
@@ -484,62 +422,45 @@ pub(crate) fn sorted<B: Background>(
             match step? {
                 StrategyStep::Deliver(rid, record) => {
                     if !sink.deliver(rid, record) {
-                        events.push("limit reached by ordered foreground".into());
-                        return Ok(TacticReport {
-                            strategy: "sorted (Fscan satisfied)".into(),
-                            events,
-                        });
+                        return Ok("sorted (Fscan satisfied)");
                     }
                 }
                 StrategyStep::Progress => {}
-                StrategyStep::Done => {
-                    events.push("ordered Fscan completed; background abandoned".into());
-                    break;
-                }
+                // The ordered Fscan completed: the background is abandoned.
+                StrategyStep::Done => break,
             }
             continue;
         }
-        let Some(done) = bgr.step(rt) else { continue };
-        events.extend(done.events);
-        match done.outcome {
+        let Some(outcome) = bgr.step(rt) else {
+            continue;
+        };
+        match outcome {
             JscanOutcome::Empty => {
-                events.push("background proved empty result".into());
                 rt.tracer().emit_with(|| TraceEvent::Switch {
                     from: "fscan".into(),
                     to: "jscan".into(),
                     reason: "background proved the result empty".into(),
                 });
-                return Ok(TacticReport {
-                    strategy: "sorted (background empty shortcut)".into(),
-                    events,
-                });
+                return Ok("sorted (background empty shortcut)");
             }
             JscanOutcome::FinalList(list) => {
-                let message = || {
-                    format!(
+                rt.tracer().emit_with(|| TraceEvent::Note {
+                    message: format!(
                         "background filter of {} RIDs installed into Fscan",
                         list.len()
-                    )
-                };
-                events.push(message());
-                rt.tracer()
-                    .emit_with(|| TraceEvent::Note { message: message() });
+                    ),
+                });
                 fscan.set_filter(list.filter());
             }
-            JscanOutcome::UseTscan => {
-                events.push("background unselective: Fscan continues unfiltered".into());
-            }
+            // The background was unselective: Fscan continues unfiltered.
+            JscanOutcome::UseTscan => {}
         }
     }
 
-    let strategy = if fscan.has_filter() {
+    Ok(if fscan.has_filter() {
         "sorted (Fscan + Jscan filter)"
     } else {
         "sorted (Fscan alone)"
-    };
-    Ok(TacticReport {
-        strategy: strategy.into(),
-        events,
     })
 }
 
@@ -554,8 +475,7 @@ pub(crate) fn index_only<B: Background>(
     bgr: &mut B,
     sink: &mut Sink,
     rt: &mut RunTrace<'_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events: Vec<String> = Vec::new();
+) -> Result<&'static str, StorageError> {
     let mut fgr_buffer: Vec<Rid> = Vec::new();
 
     while let Some(turn) = bgr.turn() {
@@ -568,14 +488,9 @@ pub(crate) fn index_only<B: Background>(
                         StrategyStep::Deliver(rid, record) => {
                             fgr_buffer.push(rid);
                             if !sink.deliver_from_index(rid, record) {
-                                events.push("limit reached by index-only foreground".into());
                                 return Ok(Some("index-only (Sscan satisfied)"));
                             }
                             if fgr_buffer.len() >= FGR_BUFFER_CAPACITY && bgr.stop() {
-                                events.push(
-                                    "foreground buffer overflow: Jscan terminated, Sscan continues (safer)"
-                                        .into(),
-                                );
                                 rt.tracer().emit_with(|| TraceEvent::Switch {
                                     from: "jscan".into(),
                                     to: "sscan".into(),
@@ -586,10 +501,8 @@ pub(crate) fn index_only<B: Background>(
                             }
                         }
                         StrategyStep::Progress => {}
-                        StrategyStep::Done => {
-                            events.push("Sscan completed; background abandoned".into());
-                            return Ok(Some("index-only (Sscan won)"));
-                        }
+                        // Sscan completed: the background is abandoned.
+                        StrategyStep::Done => return Ok(Some("index-only (Sscan won)")),
                     }
                 }
                 Ok(None)
@@ -597,34 +510,24 @@ pub(crate) fn index_only<B: Background>(
             let ended = quantum();
             rt.phase("sscan");
             if let Some(strategy) = ended? {
-                return Ok(TacticReport {
-                    strategy: strategy.into(),
-                    events,
-                });
+                return Ok(strategy);
             }
             continue;
         }
-        let Some(done) = bgr.step(rt) else { continue };
-        events.extend(done.events);
-        match done.outcome {
+        let Some(outcome) = bgr.step(rt) else {
+            continue;
+        };
+        match outcome {
             JscanOutcome::Empty => {
-                events.push("background proved empty result".into());
                 rt.tracer().emit_with(|| TraceEvent::Switch {
                     from: "sscan".into(),
                     to: "jscan".into(),
                     reason: "background proved the result empty".into(),
                 });
-                return Ok(TacticReport {
-                    strategy: "index-only (background empty shortcut)".into(),
-                    events,
-                });
+                return Ok("index-only (background empty shortcut)");
             }
             JscanOutcome::FinalList(list) => {
                 // Jscan finished with a sure list: abandon Sscan.
-                events.push(format!(
-                    "Jscan won with {} RIDs: Sscan abandoned",
-                    list.len()
-                ));
                 rt.tracer().emit_with(|| TraceEvent::Switch {
                     from: "sscan".into(),
                     to: "jscan".into(),
@@ -636,17 +539,12 @@ pub(crate) fn index_only<B: Background>(
                     &request.residual,
                     &fgr_buffer,
                     sink,
-                    &mut events,
                     rt,
                     &request.cost,
                 )?;
-                return Ok(TacticReport {
-                    strategy: "index-only (Jscan won)".into(),
-                    events,
-                });
+                return Ok("index-only (Jscan won)");
             }
             JscanOutcome::UseTscan => {
-                events.push("background unselective: Sscan continues alone".into());
                 rt.tracer().emit_with(|| TraceEvent::Switch {
                     from: "jscan".into(),
                     to: "sscan".into(),
@@ -655,10 +553,7 @@ pub(crate) fn index_only<B: Background>(
             }
         }
     }
-    Ok(TacticReport {
-        strategy: "index-only (Sscan completed)".into(),
-        events,
-    })
+    Ok("index-only (Sscan completed)")
 }
 
 #[cfg(test)]
@@ -715,7 +610,7 @@ mod tests {
             self.open = Some((turn, now));
             Some(turn)
         }
-        fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<Finished> {
+        fn step(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
             self.inner.step(rt)
         }
         fn borrow(&mut self) -> Option<Rid> {

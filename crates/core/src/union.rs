@@ -16,12 +16,14 @@
 //! *easier* than for intersections because the union size is bounded
 //! below by the largest arm and above by the sum of arm estimates, so an
 //! unproductive union (≈ whole table) is detected early and handed to
-//! Tscan.
+//! Tscan. What the scan decides is reported as trace notes, built only
+//! when a tracer is attached.
 
 use rdb_btree::{BTree, KeyRange};
 use rdb_competition::KillRules;
 use rdb_storage::{HeapTable, Rid, SharedCost, StorageError};
 
+use crate::trace::{TraceEvent, Tracer};
 use crate::tscan::Tscan;
 
 /// One OR arm: an index with the range its disjunct implies.
@@ -49,7 +51,6 @@ pub struct UnionScan<'a> {
     table: &'a HeapTable,
     arms: Vec<UnionArm<'a>>,
     rules: KillRules,
-    events: Vec<String>,
     cost: SharedCost,
 }
 
@@ -66,20 +67,15 @@ impl<'a> UnionScan<'a> {
             table,
             arms,
             rules,
-            events: Vec::new(),
             cost,
         }
     }
 
-    /// Decision log.
-    pub fn events(&self) -> &[String] {
-        &self.events
-    }
-
-    /// Runs the union to an outcome. `Err` when an arm's index storage
-    /// dies mid-scan: a union cannot drop an arm without losing rows, so
-    /// the fault propagates instead of degrading.
-    pub fn run(&mut self) -> Result<UnionOutcome, StorageError> {
+    /// Runs the union to an outcome, noting its decisions on `tracer`.
+    /// `Err` when an arm's index storage dies mid-scan: a union cannot
+    /// drop an arm without losing rows, so the fault propagates instead of
+    /// degrading.
+    pub fn run(&mut self, tracer: &Tracer) -> Result<UnionOutcome, StorageError> {
         let tscan_cost = Tscan::full_cost(self.table);
         // Upfront screen: the union is at least as big as its biggest arm
         // and we will pay every arm's scan; if even the optimistic total
@@ -87,9 +83,11 @@ impl<'a> UnionScan<'a> {
         let estimate_sum: f64 = self.arms.iter().map(|a| a.estimate).sum();
         let projected = crate::jscan::Jscan::fetch_cost(self.table, estimate_sum);
         if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
-            self.events.push(format!(
-                "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
-            ));
+            tracer.emit_with(|| TraceEvent::Note {
+                message: format!(
+                    "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
+                ),
+            });
             return Ok(UnionOutcome::UseTscan);
         }
 
@@ -119,26 +117,27 @@ impl<'a> UnionScan<'a> {
                         rids.len() as f64 + remaining,
                     );
                     if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
-                        self.events.push(format!(
-                            "union grew past the competition threshold after {} RIDs: Tscan",
-                            rids.len()
-                        ));
+                        tracer.emit_with(|| TraceEvent::Note {
+                            message: format!(
+                                "union grew past the competition threshold after {} RIDs: Tscan",
+                                rids.len()
+                            ),
+                        });
                         return Ok(UnionOutcome::UseTscan);
                     }
                 }
             }
-            self.events
-                .push(format!("arm {} delivered {collected} RIDs", arm.tree.name()));
+            tracer.emit_with(|| TraceEvent::Note {
+                message: format!("arm {} delivered {collected} RIDs", arm.tree.name()),
+            });
         }
         let before = rids.len();
         rids.sort_unstable();
         rids.dedup();
         self.cost.charge_rid_ops(before as u64);
-        self.events.push(format!(
-            "union of {} RIDs ({} after dedup)",
-            before,
-            rids.len()
-        ));
+        tracer.emit_with(|| TraceEvent::Note {
+            message: format!("union of {} RIDs ({} after dedup)", before, rids.len()),
+        });
         Ok(UnionOutcome::Rids(rids))
     }
 }
@@ -189,8 +188,8 @@ mod tests {
             KillRules::default(),
             table.pool().cost().clone(),
         );
-        match u.run().unwrap() {
-            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 50, "{:?}", u.events()),
+        match u.run(&Tracer::disabled()).unwrap() {
+            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 50),
             other => panic!("{other:?}"),
         }
     }
@@ -205,7 +204,7 @@ mod tests {
             KillRules::default(),
             table.pool().cost().clone(),
         );
-        match u.run().unwrap() {
+        match u.run(&Tracer::disabled()).unwrap() {
             UnionOutcome::Rids(rids) => {
                 assert_eq!(rids.len(), 30);
                 let mut sorted = rids.clone();
@@ -229,7 +228,7 @@ mod tests {
             KillRules::default(),
             table.pool().cost().clone(),
         );
-        assert!(matches!(u.run().unwrap(), UnionOutcome::UseTscan));
+        assert!(matches!(u.run(&Tracer::disabled()).unwrap(), UnionOutcome::UseTscan));
     }
 
     #[test]
@@ -244,8 +243,8 @@ mod tests {
             KillRules::default(),
             table.pool().cost().clone(),
         );
-        match u.run().unwrap() {
-            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 100, "{:?}", u.events()),
+        match u.run(&Tracer::disabled()).unwrap() {
+            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 100),
             other => panic!("{other:?}"),
         }
     }

@@ -105,7 +105,7 @@ fn background_only_matches_truth() {
     let result = opt.run(&req).unwrap();
     let got = delivered_c_values(&f.table, &result.rids());
     let want = f.truth(|a, b, _| a == 7 && b == 7);
-    assert_eq!(got, want, "events: {:?}", result.events);
+    assert_eq!(got, want, "strategy: {}", result.strategy);
 }
 
 #[test]
@@ -131,7 +131,7 @@ fn fast_first_matches_truth_and_respects_limit() {
     let result = opt.run(&req).unwrap();
     let got = delivered_c_values(&f.table, &result.rids());
     let want = f.truth(|a, b, _| a == 7 && b == 7);
-    assert_eq!(got, want, "events: {:?}", result.events);
+    assert_eq!(got, want, "strategy: {}", result.strategy);
     // Limited run: delivers exactly `limit` records (or fewer if truth is
     // smaller) at a fraction of the cost.
     let full_cost = result.cost;
@@ -171,7 +171,7 @@ fn index_only_tactic_matches_truth() {
     let result = opt.run(&req).unwrap();
     let got = delivered_c_values(&f.table, &result.rids());
     let want = f.truth(|a, _, _| a == 3);
-    assert_eq!(got, want, "events: {:?}", result.events);
+    assert_eq!(got, want, "strategy: {}", result.strategy);
 }
 
 #[test]
@@ -203,7 +203,7 @@ fn sorted_tactic_delivers_in_order_and_matches_truth() {
         .collect();
     assert!(cs.windows(2).all(|w| w[0] < w[1]), "must deliver ordered");
     let want = f.truth(|_, b, _| b == 5);
-    assert_eq!(cs, want, "events: {:?}", result.events);
+    assert_eq!(cs, want, "strategy: {}", result.strategy);
 }
 
 #[test]
@@ -237,8 +237,8 @@ fn sorted_tactic_filter_saves_fetches() {
     assert_eq!(
         delivered_c_values(&f.table, &with_filter.rids()),
         want,
-        "events: {:?}",
-        with_filter.events
+        "strategy: {}",
+        with_filter.strategy
     );
     assert_eq!(delivered_c_values(&f.table, &baseline.rids()), want);
     assert!(

@@ -78,6 +78,9 @@ impl Policy {
                 // Counting global allocator used by the zero-allocation
                 // proof; `GlobalAlloc` is an unsafe trait.
                 "crates/core/tests/alloc_free.rs".into(),
+                // Its twin: the front end's and the prepared run's
+                // allocation budget.
+                "crates/query/tests/alloc_budget.rs".into(),
             ],
             atomics_allowlist: vec![
                 // Lock-free cost metering.

@@ -20,7 +20,6 @@ use crate::catalog::{Catalog, IndexDef, TableDef};
 use crate::error::QueryError;
 use crate::exec::QueryResult;
 use crate::explain::ExplainAnalyze;
-use crate::expr::Expr;
 use crate::options::QueryOptions;
 use crate::parser::{parse_query, QuerySpec};
 use crate::prepared::{PlanCache, Prepared};
@@ -68,8 +67,21 @@ impl Default for DbConfig {
 pub(crate) struct TableEntry {
     pub(crate) heap: HeapTable,
     pub(crate) indexes: Vec<BTree>,
+    /// The schema's column names in order: the output columns of every
+    /// `select *` on this table, shared by reference count.
+    pub(crate) column_names: Arc<[String]>,
 }
 
+impl TableEntry {
+    fn new(heap: HeapTable) -> Self {
+        let column_names = heap.schema().columns().iter().map(|c| c.name.clone()).collect();
+        TableEntry {
+            heap,
+            indexes: Vec::new(),
+            column_names,
+        }
+    }
+}
 
 /// An embedded single-user database with Rdb/VMS-style dynamic single-
 /// table optimization.
@@ -120,15 +132,6 @@ pub(crate) fn unknown_column(table: &str, column: &str) -> QueryError {
         table: table.to_string(),
         column: column.to_string(),
     }
-}
-
-pub(crate) fn check_expr_columns(table: &str, schema: &Schema, expr: &Expr) -> Result<(), QueryError> {
-    for c in expr.columns() {
-        if schema.column_index(&c).is_none() {
-            return Err(unknown_column(table, &c));
-        }
-    }
-    Ok(())
 }
 
 /// The index key of `record`: its values at `key_columns`, in key order.
@@ -210,13 +213,7 @@ impl Db {
                 ctx.clone(),
                 store.file_pages(file)?,
             );
-            tables.insert(
-                def.name.clone(),
-                TableEntry {
-                    heap,
-                    indexes: Vec::new(),
-                },
-            );
+            tables.insert(def.name.clone(), TableEntry::new(heap));
         }
         // Redo-touched pages are dirty: their frames are stale until the
         // next checkpoint writes them back.
@@ -383,13 +380,7 @@ impl Db {
         if let Some(ctx) = &self.durable {
             heap.attach_durable(ctx.clone());
         }
-        self.tables.insert(
-            name,
-            TableEntry {
-                heap,
-                indexes: Vec::new(),
-            },
-        );
+        self.tables.insert(name, TableEntry::new(heap));
         self.catalog_gen += 1;
         self.log_catalog()?;
         Ok(())

@@ -71,7 +71,7 @@ fn projection_and_predicate() {
             &no_params(),
         )
         .unwrap();
-    assert_eq!(r.columns, vec!["ID"]);
+    assert_eq!(*r.columns, ["ID"]);
     // SIZE == 3 ⇔ i % 7 == 3.
     let expect: Vec<i64> = (0..500).filter(|i| i % 7 == 3).collect();
     let mut got: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
@@ -273,7 +273,7 @@ fn count_star_returns_single_row_and_total_time_goal() {
     let r = db
         .query("select count(*) from FAMILIES where SIZE = 4", &no_params())
         .unwrap();
-    assert_eq!(r.columns, vec!["COUNT"]);
+    assert_eq!(*r.columns, ["COUNT"]);
     let expect = (0..1500).filter(|i| i % 7 == 4).count() as i64;
     assert_eq!(r.rows, vec![vec![Value::Int(expect)]]);
     // COUNT with LIMIT still counts everything (aggregate controls the
@@ -458,7 +458,7 @@ fn trace_sink_observes_the_run() {
     let normalize =
         |s: &str| -> String { s.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_lowercase() };
     assert!(
-        normalize(&strategy).contains(&normalize(&r.strategy)),
+        normalize(&strategy).contains(&normalize(r.strategy)),
         "winner {strategy:?} vs strategy {:?}",
         r.strategy
     );

@@ -1,6 +1,6 @@
 //! DML on the one statement path: `insert`, `delete_where` and
 //! `update_where`. Victims of a restriction are located like any other
-//! retrieval — validate columns → [`CompiledPred::compile`] → `bind_args`
+//! retrieval — [`CompiledPred::lower`] (which validates columns) → `bind_args`
 //! → request — only with no indexes offered, so the optimizer runs a
 //! Tscan (maintenance favours simplicity over retrieval optimization);
 //! heap and index maintenance then run as load-time operations.
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rdb_core::{OptimizeGoal, RetrievalRequest};
 use rdb_storage::{Record, Rid, Value};
 
-use crate::db::{check_expr_columns, index_key, unknown_column, Db};
+use crate::db::{index_key, unknown_column, Db};
 use crate::error::QueryError;
 use crate::expr::{CompiledPred, Expr};
 use crate::options::QueryOptions;
@@ -70,8 +70,9 @@ impl Db {
     ) -> Result<Vec<Rid>, QueryError> {
         let entry = self.table(table)?;
         let schema = entry.heap.schema();
-        check_expr_columns(table, schema, predicate)?;
-        let pred = Arc::new(CompiledPred::compile(predicate, schema));
+        let pred = CompiledPred::lower(&[predicate], |c| schema.column_index(c))
+            .map_err(|c| unknown_column(table, c))?;
+        let pred = Arc::new(pred);
         let args = pred.bind_args(opts.params())?;
         let residual = pred.record_pred(&args);
         let request = RetrievalRequest::table_only(&entry.heap, residual, OptimizeGoal::TotalTime)

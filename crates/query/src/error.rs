@@ -9,11 +9,13 @@ use std::fmt;
 
 use rdb_storage::{StorageError, ValueType};
 
+use crate::parser::ParseError;
+
 /// Why a query-layer operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// The SQL text did not parse; the payload is the parser diagnostic.
-    Parse(String),
+    /// The SQL text did not parse; the payload says where and why.
+    Parse(ParseError),
     /// A statement referenced a table that does not exist.
     UnknownTable(String),
     /// A statement referenced a column that does not exist in its table.
@@ -59,7 +61,7 @@ pub enum QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::Parse(msg) => write!(f, "parse error: {msg}"),
+            QueryError::Parse(e) => write!(f, "parse error: {e}"),
             QueryError::UnknownTable(table) => write!(f, "no such table {table}"),
             QueryError::UnknownColumn { table, column } => {
                 write!(f, "no such column {column} in {table}")
@@ -95,6 +97,7 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            QueryError::Parse(e) => Some(e),
             QueryError::Storage(e) => Some(e),
             _ => None,
         }

@@ -19,7 +19,7 @@ use rdb_core::{
 };
 use rdb_storage::{SharedCost, Value};
 
-use crate::db::{check_expr_columns, unknown_column, Db, TableEntry};
+use crate::db::{unknown_column, Db, TableEntry};
 use crate::error::QueryError;
 use crate::expr::{CompiledPred, PredArgs};
 use crate::join::ResolvedJoin;
@@ -56,17 +56,16 @@ pub struct QueryMetrics {
 /// Result of one query run.
 #[derive(Debug)]
 pub struct QueryResult {
-    /// Output column names.
-    pub columns: Vec<String>,
+    /// Output column names, shared with the statement's plan skeleton.
+    pub columns: Arc<[String]>,
     /// Output rows.
     pub rows: Vec<Vec<Value>>,
     /// Simulated cost units spent (estimation + retrieval).
     pub cost: f64,
-    /// The tactic/strategy that ran.
-    pub strategy: String,
-    /// Dynamic-decision log (human-oriented; for typed events attach a
-    /// [`rdb_core::TraceSink`] via [`QueryOptions::with_trace`]).
-    pub events: Vec<String>,
+    /// The tactic/strategy that ran. The decisions behind it are in the
+    /// typed trace: attach a [`rdb_core::TraceSink`] via
+    /// [`QueryOptions::with_trace`].
+    pub strategy: &'static str,
     /// Buffer-pool activity of this run.
     pub metrics: QueryMetrics,
 }
@@ -74,12 +73,10 @@ pub struct QueryResult {
 /// Binding-independent facts about one index of the queried table,
 /// precomputed at resolve time. Only the key *ranges* (and the
 /// self-sufficient key predicate's argument values) depend on
-/// host-variable values, so each run re-derives just those.
+/// host-variable values, so each run re-derives just those, from the
+/// tree's own key columns.
 #[derive(Debug, Clone)]
 struct IndexMeta {
-    /// Record positions of the key columns, in key order (for
-    /// composite-range derivation).
-    key_cols: Vec<usize>,
     /// The restriction remapped onto this index's key-tuple positions.
     /// Present exactly when a self-sufficient scan is legal: the index
     /// covers the query *and* the key columns cover every predicate
@@ -102,7 +99,7 @@ struct IndexMeta {
 /// arguments.
 #[derive(Debug, Clone)]
 pub(crate) struct ResolvedQuery {
-    out_columns: Vec<String>,
+    out_columns: Arc<[String]>,
     /// Record positions of `out_columns` — row projection is positional,
     /// never a per-row name lookup. The flag marks the last pick of a
     /// position ([`mark_last_picks`]).
@@ -178,15 +175,14 @@ pub(crate) fn sort_key(keyed: bool, value: Option<&Value>) -> Value {
     }
 }
 
-/// Pairs each projected position with whether it is that position's last
+/// Flags each projected position with whether it is that position's last
 /// pick: the one pick that may move the value out of its record instead of
 /// cloning it ([`pick`]).
-pub(crate) fn mark_last_picks<P: Copy + PartialEq>(picks: &[P]) -> Vec<(P, bool)> {
-    picks
-        .iter()
-        .enumerate()
-        .map(|(k, &p)| (p, !picks.iter().skip(k + 1).any(|q| *q == p)))
-        .collect()
+pub(crate) fn mark_last_picks<P: Copy + PartialEq>(picks: &mut [(P, bool)]) {
+    for k in 0..picks.len() {
+        let (p, _) = picks[k];
+        picks[k].1 = !picks[k + 1..].iter().any(|(q, _)| *q == p);
+    }
 }
 
 /// Projects one value out of a record the row producer owns: moved on its
@@ -219,98 +215,76 @@ enum Retrieval<'a> {
 }
 
 /// Resolves `spec` against the current catalog: validates every referenced
-/// column and precomputes the binding-independent plan skeleton.
+/// column and precomputes the binding-independent plan skeleton. Columns
+/// are positions from here on; no name is copied except into a
+/// projection's output names.
 fn resolve_query(entry: &TableEntry, spec: &QuerySpec) -> Result<ResolvedQuery, QueryError> {
     let schema = entry.heap.schema();
-    let out_columns: Vec<String> = match &spec.projection {
-        Some(cols) => {
-            for c in cols {
-                if schema.column_index(c).is_none() {
-                    return Err(unknown_column(&spec.table, c));
-                }
-            }
-            cols.clone()
-        }
-        None => schema.columns().iter().map(|c| c.name.clone()).collect(),
+    let column = |name: &str| {
+        schema
+            .column_index(name)
+            .ok_or_else(|| unknown_column(&spec.table, name))
     };
-    check_expr_columns(&spec.table, schema, &spec.predicate)?;
-    if let Some(ob) = &spec.order_by {
-        if schema.column_index(ob).is_none() {
-            return Err(unknown_column(&spec.table, ob));
+    let (out_columns, mut out_idx) = match &spec.projection {
+        Some(cols) => {
+            let picks = cols.iter().map(|c| Ok((column(c)?, true)));
+            let out_idx = picks.collect::<Result<Vec<_>, QueryError>>()?;
+            (cols.iter().cloned().collect(), out_idx)
         }
-    }
-
-    // Columns the retrieval must cover for self-sufficiency. Binding host
-    // variables never changes the column set, so this is cacheable.
-    let mut needed: Vec<String> = out_columns.clone();
-    for c in spec.predicate.columns() {
-        if !needed.contains(&c) {
-            needed.push(c);
+        None => {
+            let out_idx = (0..schema.len()).map(|col| (col, true)).collect();
+            (Arc::clone(&entry.column_names), out_idx)
         }
-    }
-    if let Some(ob) = &spec.order_by {
-        if !needed.contains(ob) {
-            needed.push(ob.clone());
-        }
-    }
-
+    };
+    mark_last_picks(&mut out_idx);
     // Lower the restriction once: names → record positions, host
     // variables → argument slots. Ad-hoc queries rebuild this per run;
     // prepared statements reuse it from the cached skeleton — that is the
     // bulk of the per-execution work the plan cache amortizes.
-    let pred = Arc::new(CompiledPred::compile(&spec.predicate, schema));
+    let pred = CompiledPred::lower(&[&spec.predicate], |c| schema.column_index(c))
+        .map_err(|c| unknown_column(&spec.table, c))?;
+    let pred = Arc::new(pred);
+    let order_idx = spec.order_by.as_deref().map(column).transpose()?;
 
     let index_meta: Vec<IndexMeta> = entry
         .indexes
         .iter()
         .map(|tree| {
-            let key_cols: Vec<usize> = tree.key_columns().to_vec();
-            let leading = &schema.column(key_cols[0]).expect("valid column").name;
-            let provides_order = spec.order_by.as_deref() == Some(leading.as_str());
-            let key_pos = |name: &str| {
-                key_cols
-                    .iter()
-                    .position(|&k| schema.column(k).expect("valid").name == name)
-            };
-            let covered = needed.iter().all(|c| key_pos(c).is_some());
-            // Self-sufficiency needs the index to cover the query and the
-            // key to cover the predicate; remapping fails on the latter.
-            let key_pred = if covered {
-                pred.remap_columns(|col| key_cols.iter().position(|&k| k == col))
-                    .map(Arc::new)
+            let key_cols = tree.key_columns();
+            let key_pos = |col: usize| key_cols.iter().position(|&k| k == col);
+            // Self-sufficiency needs the key to cover every output, order
+            // and predicate column; remapping the predicate onto the key
+            // fails exactly when the last do not.
+            let out_and_order_covered = out_idx
+                .iter()
+                .map(|&(col, _)| col)
+                .chain(order_idx)
+                .all(|col| key_pos(col).is_some());
+            let key_pred = if out_and_order_covered {
+                pred.remap_columns(key_pos).map(Arc::new)
             } else {
                 None
             };
-            let out_key_pos = covered.then(|| {
-                out_columns
-                    .iter()
-                    .map(|c| key_pos(c).expect("covered"))
-                    .collect()
-            });
-            let order_key_pos = if covered {
-                spec.order_by.as_deref().and_then(key_pos)
-            } else {
-                None
-            };
+            let covered = key_pred.is_some();
             IndexMeta {
-                key_cols,
                 key_pred,
-                out_key_pos,
-                order_key_pos,
-                provides_order,
+                out_key_pos: covered.then(|| {
+                    out_idx
+                        .iter()
+                        .filter_map(|&(col, _)| key_pos(col))
+                        .collect()
+                }),
+                order_key_pos: order_idx.filter(|_| covered).and_then(key_pos),
+                provides_order: order_idx.is_some_and(|col| key_cols.first() == Some(&col)),
             }
         })
         .collect();
 
-    let out_idx: Vec<usize> = out_columns
-        .iter()
-        .map(|c| schema.column_index(c).expect("validated above"))
-        .collect();
     Ok(ResolvedQuery {
+        out_identity: out_idx.iter().map(|&(col, _)| col).eq(0..schema.len()),
         out_columns,
-        out_identity: out_idx.iter().copied().eq(0..schema.len()),
-        out_idx: mark_last_picks(&out_idx),
-        order_idx: spec.order_by.as_ref().and_then(|c| schema.column_index(c)),
+        out_idx,
+        order_idx,
         pred,
         index_meta,
     })
@@ -353,7 +327,7 @@ fn build_retrieval<'a>(
     let mut indexes: Vec<IndexChoice<'a>> = Vec::new();
     let mut offered: Vec<&IndexMeta> = Vec::new();
     for (tree, meta) in entry.indexes.iter().zip(&skel.index_meta) {
-        let range = skel.pred.range_for_composite(args, &meta.key_cols);
+        let range = skel.pred.range_for_composite(args, tree.key_columns());
         let self_sufficient = meta.key_pred.as_ref().map(|kp| kp.key_pred(args));
         let constrained = range != KeyRange::all();
         if !(constrained || meta.provides_order || self_sufficient.is_some()) {
@@ -490,7 +464,7 @@ impl Db {
                 // Hints never survive into the union machinery.
                 let disposition = match hint {
                     Some(_) => HintDisposition::Dropped(
-                        "OR-connected restriction runs the union machinery".into(),
+                        "OR-connected restriction runs the union machinery",
                     ),
                     None => HintDisposition::NotProvided,
                 };
@@ -502,7 +476,7 @@ impl Db {
             }
         };
         let sscan_index = found.sscan_index;
-        let outcome = (found.cost, found.strategy, found.events);
+        let outcome = (found.cost, found.strategy);
         let row = |d: Delivery, keyed: bool| {
             if d.from_index {
                 let pos = sscan_index.expect("index-only delivery without sscan index");
@@ -544,7 +518,7 @@ impl Db {
 
     /// **The** finish stage, shared by single-table, union and join
     /// results: turns the retrieved `items` (deliveries or join pairs) and
-    /// the run's `(cost units, strategy, events)` into the
+    /// the run's `(cost units, strategy)` into the
     /// [`QueryResult`]. COUNT(*) → one row; otherwise `row` projects each
     /// item, the rows are post-sorted when nothing upstream served the
     /// ORDER BY, and LIMIT truncates what a post-sort kept the retrieval
@@ -554,9 +528,9 @@ impl Db {
     pub(crate) fn finish<I>(
         &self,
         tail: Tail,
-        columns: &[String],
+        columns: &Arc<[String]>,
         items: I,
-        (units, strategy, events): (f64, String, Vec<String>),
+        (units, strategy): (f64, &'static str),
         cost: &SharedCost,
         mut row: impl FnMut(I::Item, bool) -> Result<(Value, Vec<Value>), QueryError>,
     ) -> Result<QueryResult, QueryError>
@@ -567,7 +541,7 @@ impl Db {
         let items = items.into_iter();
         let (columns, rows) = if tail.count {
             let count = vec![Value::Int(items.len() as i64)];
-            (vec!["COUNT".to_string()], vec![count])
+            (Arc::from(["COUNT".to_string()]), vec![count])
         } else if tail.post_sort {
             let mut keyed = Vec::with_capacity(items.len());
             for item in items {
@@ -583,20 +557,19 @@ impl Db {
             if let Some(limit) = tail.limit {
                 rows.truncate(limit);
             }
-            (columns.to_vec(), rows)
+            (Arc::clone(columns), rows)
         } else {
             let mut rows = Vec::with_capacity(items.len());
             for item in items {
                 rows.push(row(item, false)?.1);
             }
-            (columns.to_vec(), rows)
+            (Arc::clone(columns), rows)
         };
         Ok(QueryResult {
             columns,
             rows,
             cost: units,
             strategy,
-            events,
             metrics: QueryMetrics::default(),
         })
     }

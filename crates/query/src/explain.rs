@@ -58,7 +58,7 @@ impl ExplainAnalyze {
              \"pool\":{{\"hits\":{},\"misses\":{}}},\
              \"read_ahead\":{{\"prefetched\":{},\"consumed\":{}}},\"events\":{}}}",
             json_string(&self.sql),
-            json_string(&self.result.strategy),
+            json_string(self.result.strategy),
             self.result.rows.len(),
             self.result.cost,
             self.result.metrics.pool_hits,

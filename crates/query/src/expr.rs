@@ -11,7 +11,7 @@
 //! The name-based bind/eval/range reference the differential proptest
 //! compares against lives in this file's test module only.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -140,32 +140,6 @@ impl Expr {
     pub fn and(exprs: Vec<Expr>) -> Expr {
         Expr::And(exprs)
     }
-
-    /// All column names referenced.
-    pub fn columns(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut BTreeSet<String>) {
-        match self {
-            Expr::True => {}
-            Expr::Cmp { column, .. } | Expr::Between { column, .. } => {
-                out.insert(column.clone());
-            }
-            Expr::ColCmp { left, right, .. } => {
-                out.insert(left.clone());
-                out.insert(right.clone());
-            }
-            Expr::And(es) | Expr::Or(es) => {
-                for e in es {
-                    e.collect_columns(out);
-                }
-            }
-            Expr::Not(e) => e.collect_columns(out),
-        }
-    }
 }
 
 /// Positional argument values for one execution of a [`CompiledPred`],
@@ -177,8 +151,8 @@ pub type PredArgs = Arc<[Value]>;
 /// value positions and host variables interned into dense argument slots.
 ///
 /// This is the binding-independent half of predicate work, split out so a
-/// cached plan skeleton can amortize it. [`CompiledPred::compile`] runs
-/// once at resolve time; each execution then fills a flat argument vector
+/// cached plan skeleton can amortize it. Lowering runs once at resolve
+/// time; each execution then fills a flat argument vector
 /// with [`bind_args`](CompiledPred::bind_args) — one map lookup per
 /// distinct host variable — instead of deep-cloning the tree per run, and
 /// evaluation indexes records directly instead of re-resolving column
@@ -188,7 +162,35 @@ pub struct CompiledPred {
     root: Node,
     /// Host-variable names in argument-slot order (first occurrence in
     /// depth-first tree order, deduplicated).
-    params: Vec<String>,
+    params: ParamNames,
+}
+
+/// Host-variable names interned end to end in one string: two
+/// allocations however many variables a statement binds.
+#[derive(Debug, Clone, Default)]
+struct ParamNames {
+    text: String,
+    /// Where each name ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl ParamNames {
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.text[start..end])
+    }
+
+    /// The argument slot of `name`, interning it on first sight.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(slot) = self.iter().position(|p| p == name) {
+            return slot;
+        }
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        self.ends.len() - 1
+    }
 }
 
 /// Right-hand side of a lowered comparison: a literal kept in place or a
@@ -228,25 +230,45 @@ impl CompiledPred {
     ///
     /// # Panics
     /// If the expression references a column missing from the schema —
-    /// callers validate columns first (resolve time rejects unknown
-    /// columns with a typed error before compiling).
+    /// the statement pipeline lowers through `CompiledPred::lower`
+    /// instead, which reports it.
     pub fn compile(expr: &Expr, schema: &Schema) -> CompiledPred {
-        let mut params = Vec::new();
-        let root = lower(expr, schema, &mut params);
-        CompiledPred { root, params }
+        CompiledPred::lower(&[expr], |c| schema.column_index(c))
+            .unwrap_or_else(|c| panic!("unknown column {c}"))
+    }
+
+    /// Lowers the conjunction of `conjuncts` straight from the AST,
+    /// resolving each column name to a position with `column` (`True` for
+    /// none, the conjunct itself for one). `Err` names the first column,
+    /// in tree order, that `column` cannot resolve.
+    pub(crate) fn lower<'e>(
+        conjuncts: &[&'e Expr],
+        column: impl Fn(&str) -> Option<usize>,
+    ) -> Result<CompiledPred, &'e str> {
+        let mut params = ParamNames::default();
+        let root = match conjuncts {
+            [] => Node::True,
+            [e] => lower_node(e, &column, &mut params)?,
+            es => Node::And(
+                es.iter()
+                    .map(|e| lower_node(e, &column, &mut params))
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
+        Ok(CompiledPred { root, params })
     }
 
     /// Resolves this run's parameter values into a positional argument
     /// vector, erroring on the first host variable in tree order that has
     /// no binding.
     pub fn bind_args(&self, params: &HashMap<String, Value>) -> Result<PredArgs, QueryError> {
-        let mut out = Vec::with_capacity(self.params.len());
-        for name in &self.params {
+        let mut out = Vec::with_capacity(self.params.ends.len());
+        for name in self.params.iter() {
             out.push(
                 params
                     .get(name)
                     .cloned()
-                    .ok_or_else(|| QueryError::UnboundVar(name.clone()))?,
+                    .ok_or_else(|| QueryError::UnboundVar(name.to_owned()))?,
             );
         }
         Ok(out.into())
@@ -329,6 +351,10 @@ impl CompiledPred {
 /// index on `(region, age)`, `region = 3 AND age >= 30` yields the range
 /// `[(3, 30) .. (3, +inf))` — i.e. lo `(3, 30)`, hi prefix `(3)`.
 fn composite_range(key_len: usize, col_range: impl Fn(usize) -> KeyRange) -> KeyRange {
+    if key_len == 1 {
+        // One key column: its range is the index's, with no prefix to copy.
+        return col_range(0);
+    }
     let mut prefix: Vec<Value> = Vec::new();
     let mut range = KeyRange::all();
     for i in 0..key_len {
@@ -376,45 +402,44 @@ fn composite_range(key_len: usize, col_range: impl Fn(usize) -> KeyRange) -> Key
     range
 }
 
-fn lower(expr: &Expr, schema: &Schema, params: &mut Vec<String>) -> Node {
-    fn slot(s: &Scalar, params: &mut Vec<String>) -> Arg {
+fn lower_node<'e>(
+    expr: &'e Expr,
+    column: &impl Fn(&str) -> Option<usize>,
+    params: &mut ParamNames,
+) -> Result<Node, &'e str> {
+    fn slot(s: &Scalar, params: &mut ParamNames) -> Arg {
         match s {
             Scalar::Literal(v) => Arg::Lit(v.clone()),
-            Scalar::HostVar(name) => Arg::Var(match params.iter().position(|p| p == name) {
-                Some(i) => i,
-                None => {
-                    params.push(name.clone());
-                    params.len() - 1
-                }
-            }),
+            Scalar::HostVar(name) => Arg::Var(params.slot(name)),
         }
     }
-    let col = |c: &str| {
-        schema
-            .column_index(c)
-            .unwrap_or_else(|| panic!("unknown column {c}"))
+    let col = |c: &'e str| column(c).ok_or(c);
+    let all = |es: &'e [Expr], params: &mut ParamNames| {
+        es.iter()
+            .map(|e| lower_node(e, column, params))
+            .collect::<Result<Vec<_>, _>>()
     };
-    match expr {
+    Ok(match expr {
         Expr::True => Node::True,
         Expr::Cmp { column, op, rhs } => Node::Cmp {
-            col: col(column),
+            col: col(column)?,
             op: *op,
             rhs: slot(rhs, params),
         },
         Expr::Between { column, lo, hi } => Node::Between {
-            col: col(column),
+            col: col(column)?,
             lo: slot(lo, params),
             hi: slot(hi, params),
         },
         Expr::ColCmp { left, op, right } => Node::ColCmp {
-            left: col(left),
+            left: col(left)?,
             op: *op,
-            right: col(right),
+            right: col(right)?,
         },
-        Expr::And(es) => Node::And(es.iter().map(|e| lower(e, schema, params)).collect()),
-        Expr::Or(es) => Node::Or(es.iter().map(|e| lower(e, schema, params)).collect()),
-        Expr::Not(e) => Node::Not(Box::new(lower(e, schema, params))),
-    }
+        Expr::And(es) => Node::And(all(es, params)?),
+        Expr::Or(es) => Node::Or(all(es, params)?),
+        Expr::Not(e) => Node::Not(Box::new(lower_node(e, column, params)?)),
+    })
 }
 
 impl Node {

@@ -6,9 +6,9 @@
 //! column-to-column comparison. The first cross-table equality (falling
 //! back to the first cross-table comparison of any kind) becomes the
 //! driving join predicate; remaining cross-table conjuncts become the
-//! pair filter. Both residuals are lowered to [`CompiledPred`]s against
-//! their side's schema, so prepared statements re-bind host variables
-//! positionally exactly like single-table ones.
+//! pair filter. Both residuals are lowered straight from the statement to
+//! [`CompiledPred`]s over their side's records, so prepared statements
+//! re-bind host variables positionally exactly like single-table ones.
 //!
 //! Execution hands the request to [`rdb_core::run_join`] — dispatched
 //! from the same runner as single-table statements, and finished by the
@@ -37,7 +37,7 @@ use crate::parser::QuerySpec;
 pub(crate) struct ResolvedJoin {
     /// Output column names (display form: as written, or
     /// `TABLE.COLUMN`-qualified for `*`).
-    out_columns: Vec<String>,
+    out_columns: Arc<[String]>,
     /// Positional projection across both records; the flag marks the
     /// last pick of a position, which may move the value out of its pair.
     out_pos: Vec<((SideId, usize), bool)>,
@@ -118,65 +118,32 @@ fn flatten(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Rewrites every column reference in a one-side conjunct to its plain
-/// schema name, verifying all of them land on `side`. Returns `None`
-/// when some column resolves to the other side (the caller then knows
-/// the conjunct is cross-table).
-fn rewrite_to_side(
+/// Folds the side of every column `expr` references into `side` (set by
+/// the first one). `Ok(false)` at the first column on the other side —
+/// the conjunct is cross-table.
+fn same_side(
     expr: &Expr,
-    side: SideId,
     resolve: &impl Fn(&str) -> Result<(SideId, usize), QueryError>,
-    plain: &impl Fn(SideId, usize) -> String,
-) -> Result<Option<Expr>, QueryError> {
-    let col = |name: &str| -> Result<Option<String>, QueryError> {
-        let (s, i) = resolve(name)?;
-        Ok((s == side).then(|| plain(s, i)))
+    side: &mut Option<SideId>,
+) -> Result<bool, QueryError> {
+    let mut on_side = |name: &str| {
+        let (s, _) = resolve(name)?;
+        Ok::<_, QueryError>(*side.get_or_insert(s) == s)
     };
-    Ok(Some(match expr {
-        Expr::True => Expr::True,
-        Expr::Cmp { column, op, rhs } => match col(column)? {
-            Some(column) => Expr::Cmp {
-                column,
-                op: *op,
-                rhs: rhs.clone(),
-            },
-            None => return Ok(None),
-        },
-        Expr::Between { column, lo, hi } => match col(column)? {
-            Some(column) => Expr::Between {
-                column,
-                lo: lo.clone(),
-                hi: hi.clone(),
-            },
-            None => return Ok(None),
-        },
-        Expr::ColCmp { left, op, right } => match (col(left)?, col(right)?) {
-            (Some(left), Some(right)) => Expr::ColCmp {
-                left,
-                op: *op,
-                right,
-            },
-            _ => return Ok(None),
-        },
+    match expr {
+        Expr::True => Ok(true),
+        Expr::Cmp { column, .. } | Expr::Between { column, .. } => on_side(column),
+        Expr::ColCmp { left, right, .. } => Ok(on_side(left)? && on_side(right)?),
         Expr::And(es) | Expr::Or(es) => {
-            let mut parts = Vec::with_capacity(es.len());
             for e in es {
-                match rewrite_to_side(e, side, resolve, plain)? {
-                    Some(p) => parts.push(p),
-                    None => return Ok(None),
+                if !same_side(e, resolve, side)? {
+                    return Ok(false);
                 }
             }
-            if matches!(expr, Expr::And(_)) {
-                Expr::And(parts)
-            } else {
-                Expr::Or(parts)
-            }
+            Ok(true)
         }
-        Expr::Not(e) => match rewrite_to_side(e, side, resolve, plain)? {
-            Some(p) => Expr::Not(Box::new(p)),
-            None => return Ok(None),
-        },
-    }))
+        Expr::Not(e) => same_side(e, resolve, side),
+    }
 }
 
 fn join_op(op: CmpOp) -> JoinOp {
@@ -207,23 +174,16 @@ pub(crate) fn resolve_join(
     }
     let resolve =
         |name: &str| resolve_column(name, left_name, left, right_name, right);
-    let plain = |side: SideId, i: usize| -> String {
-        let entry = match side {
-            SideId::Left => left,
-            SideId::Right => right,
-        };
-        entry.heap.schema().column(i).expect("resolved position").name.clone()
-    };
 
     // Projection: explicit names resolve as written; `*` is every left
     // column then every right column, displayed qualified.
-    let (out_columns, out_pos) = match &spec.projection {
+    let (out_columns, mut out_pos) = match &spec.projection {
         Some(cols) => {
             let mut pos = Vec::with_capacity(cols.len());
             for c in cols {
-                pos.push(resolve(c)?);
+                pos.push((resolve(c)?, true));
             }
-            (cols.clone(), pos)
+            (cols.iter().cloned().collect(), pos)
         }
         None => {
             let mut names = Vec::new();
@@ -233,14 +193,14 @@ pub(crate) fn resolve_join(
                 (SideId::Right, right_name, right),
             ] {
                 for (i, col) in entry.heap.schema().columns().iter().enumerate() {
-                    names.push(format!("{name}.{}", col.name));
-                    pos.push((side, i));
+                    names.push([name, ".", &col.name].concat());
+                    pos.push(((side, i), true));
                 }
             }
-            (names, pos)
+            (names.into(), pos)
         }
     };
-    let out_pos = mark_last_picks(&out_pos);
+    mark_last_picks(&mut out_pos);
     let order_pos = spec
         .order_by
         .as_deref()
@@ -249,8 +209,8 @@ pub(crate) fn resolve_join(
 
     // Classify top-level conjuncts.
     let mut cross: Vec<(usize, CmpOp, usize)> = Vec::new();
-    let mut left_parts: Vec<Expr> = Vec::new();
-    let mut right_parts: Vec<Expr> = Vec::new();
+    let mut left_parts: Vec<&Expr> = Vec::new();
+    let mut right_parts: Vec<&Expr> = Vec::new();
     for conj in flatten(&spec.predicate) {
         if let Expr::ColCmp { left: l, op, right: r } = conj {
             let (ls, li) = resolve(l)?;
@@ -266,14 +226,15 @@ pub(crate) fn resolve_join(
                 continue;
             }
         }
-        if let Some(e) = rewrite_to_side(conj, SideId::Left, &resolve, &plain)? {
-            left_parts.push(e);
-        } else if let Some(e) = rewrite_to_side(conj, SideId::Right, &resolve, &plain)? {
-            right_parts.push(e);
-        } else {
+        let mut side = None;
+        if !same_side(conj, &resolve, &mut side)? {
             return Err(unsupported(
                 "a WHERE conjunct mixes both tables and is not a plain column comparison",
             ));
+        }
+        match side {
+            Some(SideId::Right) => right_parts.push(conj),
+            _ => left_parts.push(conj),
         }
     }
 
@@ -290,19 +251,14 @@ pub(crate) fn resolve_join(
     }
     let (left_col, op, right_col) = cross.remove(driving);
 
-    let conj = |parts: Vec<Expr>| match parts.len() {
-        0 => Expr::True,
-        1 => parts.into_iter().next().expect("one element"),
-        _ => Expr::And(parts),
+    // Every column of a side's conjuncts resolved to that side above.
+    let lower_side = |parts: &[&Expr]| {
+        CompiledPred::lower(parts, |name| resolve(name).ok().map(|(_, i)| i))
+            .map(Arc::new)
+            .map_err(|c| unsupported(format!("column {c} does not resolve")))
     };
-    let left_pred = Arc::new(CompiledPred::compile(
-        &conj(left_parts),
-        left.heap.schema(),
-    ));
-    let right_pred = Arc::new(CompiledPred::compile(
-        &conj(right_parts),
-        right.heap.schema(),
-    ));
+    let left_pred = lower_side(&left_parts)?;
+    let right_pred = lower_side(&right_parts)?;
 
     // A join-column index (leading key position) enables the index probe
     // and RID-merge methods on that side.
@@ -390,20 +346,6 @@ pub(crate) fn execute_join(
     let tail = Tail::new(spec, opts, false);
     let request = join_request(left, right, resolved, opts, tail.retrieval_limit(), cost)?;
     let result = run_join(&request, &db.config.optimizer.rules, &tracer)?;
-
-    let events: Vec<String> = result
-        .candidates
-        .iter()
-        .map(|c| {
-            format!(
-                "join candidate {}: estimate {:.1}, spent {:.1}, {:?}",
-                c.method.label(),
-                c.estimate,
-                c.spent,
-                c.outcome
-            )
-        })
-        .collect();
     let row = |pair: JoinPair, keyed: bool| {
         let key = sort_key(
             keyed,
@@ -423,7 +365,7 @@ pub(crate) fn execute_join(
             .collect();
         Ok((key, out))
     };
-    let outcome = (result.cost, result.strategy, events);
+    let outcome = (result.cost, result.strategy);
     db.finish(tail, &resolved.out_columns, result.pairs, outcome, cost, row)
 }
 
@@ -498,11 +440,10 @@ mod tests {
                 &no_params(),
             )
             .unwrap();
-        assert_eq!(r.columns, vec!["PARENT.ID", "CHILD.X"]);
+        assert_eq!(*r.columns, ["PARENT.ID", "CHILD.X"]);
         // Every child matches exactly one parent.
         assert_eq!(r.rows.len(), 400);
         assert!(r.strategy.starts_with("join: "), "strategy {}", r.strategy);
-        assert!(!r.events.is_empty(), "candidate log should be populated");
         for row in &r.rows {
             let (id, x) = (row[0].as_i64().unwrap(), row[1].as_i64().unwrap());
             assert_eq!(id, x % 50, "pair ({id}, {x}) violates FK correlation");
@@ -548,10 +489,7 @@ mod tests {
                 &no_params(),
             )
             .unwrap();
-        assert_eq!(
-            r.columns,
-            vec!["PARENT.ID", "PARENT.KIND", "CHILD.FK", "CHILD.X"]
-        );
+        assert_eq!(*r.columns, ["PARENT.ID", "PARENT.KIND", "CHILD.FK", "CHILD.X"]);
         let xs: Vec<i64> = r.rows.iter().map(|row| row[3].as_i64().unwrap()).collect();
         assert_eq!(xs, vec![0, 1, 2, 3, 4, 5, 6], "ordered prefix");
 

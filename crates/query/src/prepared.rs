@@ -313,8 +313,16 @@ impl Prepared<'_> {
         // (the common case) never materialize them.
         tracer.emit_with(|| plan_cache_event(outcome, detail));
 
-        let hint = lock_hint().clone();
-        let executed = db.run(&plan.spec, &resolved, hint.as_ref(), opts, &self.cost)?;
+        // The remembered winner moves into this run and its successor moves
+        // back; a failed run puts the old one back.
+        let hint = lock_hint().take();
+        let executed = match db.run(&plan.spec, &resolved, hint.as_ref(), opts, &self.cost) {
+            Ok(executed) => executed,
+            Err(e) => {
+                *lock_hint() = hint;
+                return Err(e);
+            }
+        };
         *lock_hint() = executed.hint;
         match &executed.disposition {
             HintDisposition::Applied(why) => {

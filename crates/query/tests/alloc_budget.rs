@@ -1,0 +1,220 @@
+//! The allocation budget of a warm statement: what the ad-hoc front end
+//! (parse plus resolve / lower) and a prepared run allocate.
+//!
+//! The four warm shapes of the benchmark's `adhoc-warm` mix run on a
+//! FAMILIES table whose bindings select a handful of rows. Per shape a
+//! counting allocator measures one warm prepared execution (skeleton
+//! cached, hint remembered) and one ad-hoc execution of the same statement
+//! and binding; the ad-hoc run's surplus over the prepared one is what
+//! parsing and resolving the statement cost.
+//!
+//! Counts at commit `bee4f74`, before the lexer borrowed, resolve stopped
+//! copying names and runs stopped formatting a string decision log:
+//!
+//! | shape        | parse + resolve | prepared run |
+//! |--------------|-----------------|--------------|
+//! | point-tiny   | 43              | 32           |
+//! | top10        | 52              | 54           |
+//! | conj3-tiny   | 68              | 32           |
+//! | window4-tiny | 70              | 33           |
+//!
+//! The gates below hold parse + resolve to a third of those, and a
+//! prepared run to one allocation above its count once the run stopped
+//! building a string log and strategy names, copying output names and
+//! cloning the remembered hint and its reason — so none of them can creep
+//! back unnoticed.
+//!
+//! The count is per thread, so the test harness's other threads cannot
+//! perturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rdb_query::prelude::*;
+
+struct CountingAllocator;
+
+thread_local! {
+    /// Const-initialized and without a destructor, so touching it from
+    /// inside the allocator neither allocates nor registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down may already have lost its locals.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates every operation to the system allocator unchanged;
+// the only addition is a bump of a plain thread-local counter, which
+// cannot violate the GlobalAlloc contract.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Allocations `f` makes on the calling thread, fewest of three runs.
+fn allocations(mut f: impl FnMut()) -> u64 {
+    (0..3)
+        .map(|_| {
+            let before = ALLOCATIONS.with(Cell::get);
+            f();
+            ALLOCATIONS.with(Cell::get) - before
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+fn next(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// FAMILIES(ID, AGE, CITY, REGION, INCOME_BAND) with an index on every
+/// column but ID. Nine rows in ten live in the first hundred cities; the
+/// rest spread thinly over four hundred more, so a tail city holds a
+/// handful of rows. INCOME_BAND follows AGE three times in four.
+fn families() -> (Db, i64) {
+    let mut db = Db::builder().open().unwrap();
+    let columns = ["ID", "AGE", "CITY", "REGION", "INCOME_BAND"];
+    db.create_table(
+        "FAMILIES",
+        Schema::new(columns.map(|c| Column::new(c, ValueType::Int)).to_vec()),
+    )
+    .unwrap();
+    let mut state = 1993;
+    let mut tail_rows = [0u32; 500];
+    for id in 0..10_000i64 {
+        let age = (next(&mut state) % 100) as i64;
+        let city = if next(&mut state) % 10 < 9 {
+            next(&mut state) % 100
+        } else {
+            100 + next(&mut state) % 400
+        } as i64;
+        tail_rows[city as usize] += 1;
+        let income = if next(&mut state).is_multiple_of(4) {
+            (next(&mut state) % 100) as i64
+        } else {
+            age
+        };
+        let row = [id, age, city, id / 100, income].map(Value::Int).to_vec();
+        db.insert("FAMILIES", row).unwrap();
+    }
+    for (name, column) in [
+        ("IDX_AGE", "AGE"),
+        ("IDX_CITY", "CITY"),
+        ("IDX_REGION", "REGION"),
+        ("IDX_INCOME", "INCOME_BAND"),
+    ] {
+        db.create_index(name, "FAMILIES", &[column]).unwrap();
+    }
+    let tiny_city = (100..500).find(|&c| tail_rows[c] == 2).unwrap_or(100) as i64;
+    (db, tiny_city)
+}
+
+struct Shape {
+    name: &'static str,
+    sql: &'static str,
+    /// The old counts (see the module docs) and the gates.
+    front_end_before: u64,
+    front_end_max: u64,
+    prepared_before: u64,
+    prepared_max: u64,
+}
+
+const SHAPES: [Shape; 4] = [
+    Shape {
+        name: "point-tiny",
+        sql: "select * from FAMILIES where CITY = :C",
+        front_end_before: 43,
+        front_end_max: 14,
+        prepared_before: 32,
+        prepared_max: 17,
+    },
+    Shape {
+        name: "top10",
+        sql: "select * from FAMILIES where AGE >= :A1 order by AGE limit to 10 rows",
+        front_end_before: 52,
+        front_end_max: 17,
+        prepared_before: 54,
+        prepared_max: 38,
+    },
+    Shape {
+        name: "conj3-tiny",
+        sql: "select ID, AGE, CITY from FAMILIES \
+              where AGE >= :A1 and INCOME_BAND >= :I and CITY = :C",
+        front_end_before: 68,
+        front_end_max: 22,
+        prepared_before: 32,
+        prepared_max: 17,
+    },
+    Shape {
+        name: "window4-tiny",
+        sql: "select ID, AGE from FAMILIES \
+              where AGE between :L and :H and CITY = :C and INCOME_BAND >= :I",
+        front_end_before: 70,
+        front_end_max: 23,
+        prepared_before: 33,
+        prepared_max: 18,
+    },
+];
+
+#[test]
+fn warm_statements_stay_inside_their_allocation_budget() {
+    let (db, city) = families();
+    let bind = |pairs: &[(&str, i64)]| {
+        pairs
+            .iter()
+            .fold(QueryOptions::new(), |o, &(var, v)| o.with_param(var, v))
+    };
+    let bindings = [
+        bind(&[("C", city)]),
+        bind(&[("A1", 95)]),
+        bind(&[("A1", 70), ("I", 70), ("C", city)]),
+        bind(&[("L", 20), ("H", 60), ("C", city), ("I", 60)]),
+    ];
+    let mut over = Vec::new();
+    for (shape, opts) in SHAPES.iter().zip(&bindings) {
+        let stmt = db.prepare(shape.sql).unwrap();
+        let expected = db.query(shape.sql, opts).unwrap().rows.len();
+        for _ in 0..2 {
+            assert_eq!(stmt.execute(opts).unwrap().rows.len(), expected);
+        }
+        let prepared = allocations(|| {
+            stmt.execute(opts).unwrap();
+        });
+        let adhoc = allocations(|| {
+            db.query(shape.sql, opts).unwrap();
+        });
+        let front_end = adhoc.saturating_sub(prepared);
+        println!(
+            "{:<13} parse + resolve {front_end:>3} (was {}, budget {}), prepared run {prepared:>3} \
+             (was {}, budget {})",
+            shape.name,
+            shape.front_end_before,
+            shape.front_end_max,
+            shape.prepared_before,
+            shape.prepared_max,
+        );
+        if front_end > shape.front_end_max || prepared > shape.prepared_max {
+            over.push(shape.name);
+        }
+    }
+    assert!(over.is_empty(), "over the allocation budget: {over:?}");
+}

@@ -1,9 +1,10 @@
 //! Host-variable sensitivity, end to end: the same prepared query swept
-//! over its parameter, with the optimizer's decision log printed so you
-//! can watch the strategy change — the paper's core motivation.
+//! over its parameter, with the optimizer's decision timeline printed so
+//! you can watch the strategy change — the paper's core motivation.
 //!
 //! Run: `cargo run --release -p rdb-bench --example host_variables`
 
+use rdb_core::{render_timeline, TraceBuffer};
 use rdb_query::QueryOptions;
 use rdb_workload::{families_db, FamiliesConfig};
 
@@ -18,7 +19,11 @@ fn main() {
 
     for (a1, c) in [(0i64, 0i64), (0, 450), (95, 0), (99, 450), (150, 0)] {
         db.clear_cache();
-        let opts = QueryOptions::new().with_param("A1", a1).with_param("C", c);
+        let trace = TraceBuffer::shared(4096);
+        let opts = QueryOptions::new()
+            .with_param("A1", a1)
+            .with_param("C", c)
+            .with_trace(trace.clone());
         let result = db.query(sql, &opts).expect("query");
         println!(
             ":A1={a1:>3} :C={c:>3}  {:>5} rows  cost {:>8.1}  [{}]",
@@ -26,8 +31,8 @@ fn main() {
             result.cost,
             result.strategy
         );
-        for event in result.events.iter().take(4) {
-            println!("    . {event}");
+        for line in render_timeline(&trace.take()).lines() {
+            println!("    {line}");
         }
     }
 
