@@ -156,7 +156,8 @@ impl BTree {
     /// production loading path: leaves are packed left to right at a ~2/3
     /// fill factor (leaving room for later inserts), then each internal
     /// level is built over the one below. Entries are sorted internally;
-    /// duplicates (same key *and* RID) are kept.
+    /// duplicates (same key *and* RID) are kept. Each key moves into its
+    /// leaf: the only copies made are one separator per node.
     pub fn bulk_load(
         name: impl Into<String>,
         file: FileId,
@@ -171,19 +172,22 @@ impl BTree {
         if entries.is_empty() {
             return tree;
         }
-        entries.sort_by(|a, b| {
-            Entry::new(a.0.clone(), a.1).cmp_full(&Entry::new(b.0.clone(), b.1))
-        });
+        // `(key, rid)` tuple order — the key lexicographically, a shorter
+        // key first on a common prefix, then the RID — is exactly
+        // `Entry::cmp_full`'s total order, compared in place.
+        entries.sort();
         let total = entries.len() as u64;
         let fill = (max_fanout * 2 / 3).max(2);
 
         // Build the leaf level.
         tree.nodes.clear();
         let mut level: Vec<(NodeId, Entry, u64)> = Vec::new(); // (id, min entry, count)
-        for chunk in entries.chunks(fill) {
-            let node_entries: Vec<Entry> = chunk
-                .iter()
-                .map(|(k, r)| Entry::new(k.clone(), *r))
+        let mut entries = entries.into_iter().peekable();
+        while entries.peek().is_some() {
+            let node_entries: Vec<Entry> = entries
+                .by_ref()
+                .take(fill)
+                .map(|(k, r)| Entry::new(k, r))
                 .collect();
             let min = node_entries[0].clone();
             let count = node_entries.len() as u64;

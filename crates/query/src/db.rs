@@ -12,7 +12,7 @@ use rdb_btree::BTree;
 use rdb_core::{DynamicConfig, DynamicOptimizer, TraceBuffer};
 use rdb_storage::{
     recover, shared_meter, shared_pool, CheckpointStats, CostConfig, DurableCtx, FileId,
-    FilePageStore, HeapTable, PageId, Record, RecoveryReport, Schema, SharedCost, SharedPool,
+    FilePageStore, HeapTable, PageId, Record, RecoveryReport, Rid, Schema, SharedCost, SharedPool,
     SharedStore, Value,
 };
 
@@ -139,6 +139,42 @@ pub(crate) fn index_key(key_columns: &[usize], record: &Record) -> Vec<Value> {
     key_columns.iter().map(|&c| record[c].clone()).collect()
 }
 
+/// **The** index loader, shared by open and `CREATE INDEX`: one pass over
+/// `heap` gathers the `(key, rid)` entries of every index in `defs`, then
+/// each is bulk-loaded. Rows decode into one scratch record, so the pass
+/// allocates only the keys the indexes keep.
+fn load_indexes(
+    heap: &HeapTable,
+    defs: Vec<IndexDef>,
+    pool: &SharedPool,
+    cost: &SharedCost,
+) -> Result<Vec<BTree>, QueryError> {
+    let rows = usize::try_from(heap.cardinality()).unwrap_or(0);
+    let mut entries: Vec<Vec<(Vec<Value>, Rid)>> =
+        defs.iter().map(|_| Vec::with_capacity(rows)).collect();
+    let mut scan = heap.scan();
+    let mut record = Record::default();
+    while let Some(rid) = scan.next_into(heap, cost, &mut record)? {
+        for (def, out) in defs.iter().zip(&mut entries) {
+            out.push((index_key(&def.key_columns, &record), rid));
+        }
+    }
+    Ok(defs
+        .into_iter()
+        .zip(entries)
+        .map(|(def, entries)| {
+            BTree::bulk_load(
+                def.name,
+                FileId(def.file),
+                pool.clone(),
+                def.key_columns,
+                def.fanout as usize,
+                entries,
+            )
+        })
+        .collect())
+}
+
 impl Db {
     /// Starts building a database: `Db::builder().open()` for in-memory,
     /// `Db::builder().path(dir).open()` for one that survives the process
@@ -166,10 +202,10 @@ impl Db {
     }
 
     /// Durable construction (the builder's `path` target): opens or
-    /// creates the page files under `dir`, runs redo recovery, rebuilds
-    /// every cataloged table from its recovered pages and every index from
-    /// its table, and marks redo-touched pages dirty so the next
-    /// checkpoint writes them back.
+    /// creates the page files under `dir`, runs redo recovery, moves each
+    /// cataloged table's recovered pages into its heap, rebuilds every
+    /// table's indexes in one pass over that heap, and marks redo-touched
+    /// pages dirty so the next checkpoint writes them back.
     pub(crate) fn open_durable(mut config: DbConfig, dir: &std::path::Path) -> Result<Self, QueryError> {
         let store: SharedStore = Arc::new(FilePageStore::open_with(
             dir,
@@ -178,7 +214,7 @@ impl Db {
         )?);
         // An existing database's on-disk page size wins over the config.
         config.page_bytes = store.page_bytes();
-        let recovered = recover(&store)?;
+        let mut recovered = recover(&store)?;
         let cost = shared_meter(config.cost);
         let pool = shared_pool(config.pool_pages, cost.clone());
         pool.set_read_ahead(config.read_ahead);
@@ -198,10 +234,12 @@ impl Db {
         for def in &catalog.tables {
             next_file = next_file.max(def.file + 1);
             let file = FileId(def.file);
+            // The pages move; the LSNs (read above) and the redo-dirty
+            // list (read below) stay behind in the recovered file.
             let pages = recovered
                 .files
-                .get(&def.file)
-                .map(|rec| rec.pages.clone())
+                .get_mut(&def.file)
+                .map(|rec| std::mem::take(&mut rec.pages))
                 .unwrap_or_default();
             let heap = HeapTable::from_recovered(
                 def.name.clone(),
@@ -222,28 +260,20 @@ impl Db {
                 pool.mark_dirty(PageId::new(FileId(*file), page_no));
             }
         }
-        // Indexes are definitions, not data: rebuild each from its table
-        // through the same bulk loader `CREATE INDEX` backfill uses.
-        for idef in &catalog.indexes {
+        // Indexes are definitions, not data: rebuild each table's, in
+        // catalog order, through the loader `CREATE INDEX` uses.
+        let mut by_table: BTreeMap<String, Vec<IndexDef>> = BTreeMap::new();
+        for idef in catalog.indexes {
             next_file = next_file.max(idef.file + 1);
+            by_table.entry(idef.table.clone()).or_default().push(idef);
+        }
+        for (table, defs) in by_table {
             let entry = tables
-                .get_mut(&idef.table)
+                .get_mut(&table)
                 .ok_or(QueryError::Storage(rdb_storage::StorageError::Corrupt(
                     "catalog index references unknown table",
                 )))?;
-            let mut entries: Vec<(Vec<Value>, rdb_storage::Rid)> = Vec::new();
-            let mut scan = entry.heap.scan();
-            while let Some((rid, record)) = scan.next(&entry.heap, &cost)? {
-                entries.push((index_key(&idef.key_columns, &record), rid));
-            }
-            entry.indexes.push(BTree::bulk_load(
-                idef.name.clone(),
-                FileId(idef.file),
-                pool.clone(),
-                idef.key_columns.clone(),
-                idef.fanout as usize,
-                entries,
-            ));
+            entry.indexes = load_indexes(&entry.heap, defs, &pool, &cost)?;
         }
 
         Ok(Db {
@@ -404,7 +434,7 @@ impl Db {
         columns: &[&str],
     ) -> Result<(), QueryError> {
         let file = self.alloc_file();
-        let fanout = self.config.index_fanout;
+        let fanout = self.config.index_fanout as u32;
         let pool = self.pool.clone();
         let cost = self.cost.clone();
         let entry = self.table_mut(table)?;
@@ -418,15 +448,15 @@ impl Db {
                     .ok_or_else(|| unknown_column(table, c))
             })
             .collect::<Result<_, _>>()?;
-        // Backfill from existing rows through the bulk loader (one sorted
-        // bottom-up pass instead of per-entry inserts).
-        let mut entries: Vec<(Vec<Value>, rdb_storage::Rid)> = Vec::new();
-        let mut scan = entry.heap.scan();
-        while let Some((rid, record)) = scan.next(&entry.heap, &cost)? {
-            entries.push((index_key(&key_columns, &record), rid));
-        }
-        let tree = BTree::bulk_load(index_name, file, pool, key_columns, fanout, entries);
-        entry.indexes.push(tree);
+        let def = IndexDef {
+            name: index_name.into(),
+            table: table.to_string(),
+            file: file.0,
+            fanout,
+            key_columns,
+        };
+        let tree = load_indexes(&entry.heap, vec![def], &pool, &cost)?;
+        entry.indexes.extend(tree);
         self.catalog_gen += 1;
         self.log_catalog()?;
         Ok(())

@@ -1,18 +1,15 @@
 //! DML on the one statement path: `insert`, `delete_where` and
 //! `update_where`. Victims of a restriction are located like any other
-//! retrieval — [`CompiledPred::lower`] (which validates columns) → `bind_args`
-//! → request — only with no indexes offered, so the optimizer runs a
-//! Tscan (maintenance favours simplicity over retrieval optimization);
-//! heap and index maintenance then run as load-time operations.
+//! retrieval — resolve → `bind_args` → the request builder, with the
+//! table's indexes offered, goal total-time — and run by the dynamic
+//! optimizer (`Db::locate_victims` in `exec.rs`); heap and index
+//! maintenance then run as load-time operations, in RID order.
 
-use std::sync::Arc;
-
-use rdb_core::{OptimizeGoal, RetrievalRequest};
-use rdb_storage::{Record, Rid, Value};
+use rdb_storage::{Record, Value};
 
 use crate::db::{index_key, unknown_column, Db};
 use crate::error::QueryError;
-use crate::expr::{CompiledPred, Expr};
+use crate::expr::Expr;
 use crate::options::QueryOptions;
 
 impl Db {
@@ -60,27 +57,6 @@ impl Db {
         Ok(())
     }
 
-    /// RIDs of every row of `table` matching `predicate` under `opts`'
-    /// bindings, by sequential scan on the database's default meter.
-    fn locate_victims(
-        &self,
-        table: &str,
-        predicate: &Expr,
-        opts: &QueryOptions,
-    ) -> Result<Vec<Rid>, QueryError> {
-        let entry = self.table(table)?;
-        let schema = entry.heap.schema();
-        let pred = CompiledPred::lower(&[predicate], |c| schema.column_index(c))
-            .map_err(|c| unknown_column(table, c))?;
-        let pred = Arc::new(pred);
-        let args = pred.bind_args(opts.params())?;
-        let residual = pred.record_pred(&args);
-        let request = RetrievalRequest::table_only(&entry.heap, residual, OptimizeGoal::TotalTime)
-            .with_cost(self.cost.clone());
-        let found = self.optimizer.run_traced(&request, None, &opts.tracer())?;
-        Ok(found.rids())
-    }
-
     /// Deletes every row of `table` matching the predicate (bound with
     /// `opts`' parameters), maintaining all indexes. Returns the number of
     /// rows deleted.
@@ -91,15 +67,13 @@ impl Db {
         opts: &QueryOptions,
     ) -> Result<usize, QueryError> {
         let victims = self.locate_victims(table, predicate, opts)?;
-        let cost = self.cost.clone();
         let entry = self.table_mut(table)?;
-        for &rid in &victims {
-            let record = entry.heap.fetch(rid, &cost)?;
+        for (rid, record) in &victims {
             for index in &mut entry.indexes {
-                let key = index_key(index.key_columns(), &record);
-                index.delete(&key, rid);
+                let key = index_key(index.key_columns(), record);
+                index.delete(&key, *rid);
             }
-            entry.heap.delete(rid)?;
+            entry.heap.delete(*rid)?;
         }
         Ok(victims.len())
     }
@@ -121,14 +95,8 @@ impl Db {
             .schema()
             .column_index(set_column)
             .ok_or_else(|| unknown_column(table, set_column))?;
-        let rids = self.locate_victims(table, predicate, opts)?;
-        let cost = self.cost.clone();
+        let victims = self.locate_victims(table, predicate, opts)?;
         let entry = self.table_mut(table)?;
-        // Every victim is read before the first is rewritten.
-        let victims: Vec<(Rid, Record)> = rids
-            .into_iter()
-            .map(|rid| entry.heap.fetch(rid, &cost).map(|r| (rid, r)))
-            .collect::<Result<_, _>>()?;
         let count = victims.len();
         for (rid, record) in victims {
             for index in &mut entry.indexes {

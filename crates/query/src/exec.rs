@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use rdb_btree::{BTree, KeyRange};
 use rdb_core::{
-    Delivery, HintDisposition, IndexChoice, RecordPred, RetrievalRequest, ShortcutKind,
-    TacticHint,
+    Delivery, HintDisposition, IndexChoice, RecordPred, RetrievalRequest, RetrievalResult,
+    ShortcutKind, TacticHint, Tracer,
 };
-use rdb_storage::{SharedCost, Value};
+use rdb_storage::{Record, Rid, SharedCost, Value};
 
 use crate::db::{unknown_column, Db, TableEntry};
 use crate::error::QueryError;
-use crate::expr::{CompiledPred, PredArgs};
+use crate::expr::{CompiledPred, Expr, PredArgs};
 use crate::join::ResolvedJoin;
 use crate::options::QueryOptions;
 use crate::parser::{parse_query, QuerySpec};
@@ -212,6 +212,27 @@ enum Retrieval<'a> {
         request: RetrievalRequest<'a>,
         offered: Vec<&'a IndexMeta>,
     },
+}
+
+/// What one binding's retrieval produced.
+struct Retrieved<'a> {
+    /// The optimizer's (or the union scan's) result.
+    found: RetrievalResult,
+    /// The metadata of each offered index, parallel to the request's list
+    /// (empty for a union).
+    offered: Vec<&'a IndexMeta>,
+    /// The hint to remember for the next binding.
+    hint: Option<TacticHint>,
+    /// What became of the incoming hint.
+    disposition: HintDisposition,
+}
+
+impl<'a> Retrieved<'a> {
+    /// The metadata of the index an index-only (Sscan) winner read.
+    fn sscan_meta(&self) -> Option<&'a IndexMeta> {
+        let pos = self.found.sscan_index?;
+        self.offered.get(pos).copied()
+    }
 }
 
 /// Resolves `spec` against the current catalog: validates every referenced
@@ -442,6 +463,100 @@ impl Db {
         Ok(executed)
     }
 
+    /// Runs one binding's retrieval — the union scan or the dynamic
+    /// optimizer's request — stopping at `limit`, with `hint` as the
+    /// previous winner.
+    fn retrieve<'a>(
+        &self,
+        entry: &TableEntry,
+        retrieval: Retrieval<'a>,
+        limit: Option<usize>,
+        hint: Option<&TacticHint>,
+        tracer: &Tracer,
+    ) -> Result<Retrieved<'a>, QueryError> {
+        Ok(match retrieval {
+            Retrieval::Union { arms, residual } => {
+                let found =
+                    self.optimizer
+                        .run_union_traced(&entry.heap, arms, &residual, limit, tracer)?;
+                // Hints never survive into the union machinery.
+                let disposition = match hint {
+                    Some(_) => HintDisposition::Dropped(
+                        "OR-connected restriction runs the union machinery",
+                    ),
+                    None => HintDisposition::NotProvided,
+                };
+                Retrieved {
+                    found,
+                    offered: Vec::new(),
+                    hint: None,
+                    disposition,
+                }
+            }
+            Retrieval::Request { request, offered } => {
+                let hinted = self.optimizer.run_hinted(&request, None, tracer, hint)?;
+                Retrieved {
+                    found: hinted.result,
+                    offered,
+                    hint: Some(hinted.hint),
+                    disposition: hinted.disposition,
+                }
+            }
+        })
+    }
+
+    /// Locates the victims of a DML restriction through the same request
+    /// builder as a query: `predicate` is resolved as `select count(*)`
+    /// over every column, so the table's indexes are offered for this
+    /// binding with goal total-time and no limit (an aggregate controls
+    /// the retrieval, Section 4). Maintenance needs each victim's full
+    /// record, so an index is offered fetch-needed — the optimizer prices
+    /// the fetches — unless its key covers every column, and then its key
+    /// tuple, reordered, is the record. Victims come back sorted by RID,
+    /// the order a Tscan delivers. They are all materialised before the
+    /// caller's first write, so rewriting an indexed column cannot feed
+    /// rows back into the scan.
+    pub(crate) fn locate_victims(
+        &self,
+        table: &str,
+        predicate: &Expr,
+        opts: &QueryOptions,
+    ) -> Result<Vec<(Rid, Record)>, QueryError> {
+        let entry = self.table(table)?;
+        let spec = QuerySpec {
+            count_star: true,
+            projection: None,
+            table: table.to_string(),
+            join_table: None,
+            predicate: predicate.clone(),
+            order_by: None,
+            order_desc: false,
+            limit: None,
+            goal: None,
+        };
+        let skel = resolve_query(entry, &spec)?;
+        let args = skel.pred.bind_args(opts.params())?;
+        let (retrieval, tail) = build_retrieval(entry, &spec, &skel, &args, opts, &self.cost);
+        let limit = tail.retrieval_limit();
+        let retrieved = self.retrieve(entry, retrieval, limit, None, &opts.tracer())?;
+        let key_to_record = retrieved.sscan_meta().and_then(|m| m.out_key_pos.as_ref());
+        let mut victims = retrieved.found.deliveries;
+        victims.sort_unstable_by_key(|d| d.rid);
+        victims
+            .into_iter()
+            .map(|d| {
+                let record = match (d.record, key_to_record) {
+                    (Some(key), Some(out)) if d.from_index => {
+                        Record::new(out.iter().map(|&k| key[k].clone()).collect())
+                    }
+                    (Some(record), _) if !d.from_index => record,
+                    _ => entry.heap.fetch(d.rid, &self.cost)?,
+                };
+                Ok((d.rid, record))
+            })
+            .collect()
+    }
+
     fn run_single(
         &self,
         entry: &TableEntry,
@@ -453,34 +568,20 @@ impl Db {
     ) -> Result<Executed, QueryError> {
         // One argument lookup per distinct host variable.
         let args = skel.pred.bind_args(opts.params())?;
-        let tracer = opts.tracer();
         let (retrieval, tail) = build_retrieval(entry, spec, skel, &args, opts, cost);
-        let (found, offered, hint, disposition) = match retrieval {
-            Retrieval::Union { arms, residual } => {
-                let limit = tail.retrieval_limit();
-                let found = self
-                    .optimizer
-                    .run_union_traced(&entry.heap, arms, &residual, limit, &tracer)?;
-                // Hints never survive into the union machinery.
-                let disposition = match hint {
-                    Some(_) => HintDisposition::Dropped(
-                        "OR-connected restriction runs the union machinery",
-                    ),
-                    None => HintDisposition::NotProvided,
-                };
-                (found, Vec::new(), None, disposition)
-            }
-            Retrieval::Request { request, offered } => {
-                let hinted = self.optimizer.run_hinted(&request, None, &tracer, hint)?;
-                (hinted.result, offered, Some(hinted.hint), hinted.disposition)
-            }
-        };
-        let sscan_index = found.sscan_index;
+        let limit = tail.retrieval_limit();
+        let retrieved = self.retrieve(entry, retrieval, limit, hint, &opts.tracer())?;
+        let sscan = retrieved.sscan_meta();
+        let Retrieved {
+            found,
+            hint,
+            disposition,
+            ..
+        } = retrieved;
         let outcome = (found.cost, found.strategy);
         let row = |d: Delivery, keyed: bool| {
             if d.from_index {
-                let pos = sscan_index.expect("index-only delivery without sscan index");
-                let meta = offered[pos];
+                let meta = sscan.expect("index-only delivery without sscan index");
                 let key = d.record.as_ref().expect("sscan key tuple");
                 let out = meta
                     .out_key_pos

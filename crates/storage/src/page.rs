@@ -118,13 +118,10 @@ impl Page {
 
     /// Size in bytes of this page's serialized image (see
     /// [`Page::encode_image`]): the slot-count word plus a length word per
-    /// slot (tombstones included) plus the live payload bytes.
+    /// slot (tombstones included) plus the live payload bytes. O(1): the
+    /// live payload bytes are `used` less the live slots' overhead.
     pub fn image_len(&self) -> usize {
-        2 + self
-            .slots
-            .iter()
-            .map(|s| 2 + s.as_ref().map_or(0, Vec::len))
-            .sum::<usize>()
+        2 + 2 * self.slots.len() + self.used - SLOT_OVERHEAD * usize::from(self.live)
     }
 
     /// Serializes the page into `out` as a self-describing image:

@@ -375,6 +375,63 @@ fn arb_page() -> impl Strategy<Value = Page> {
     )
 }
 
+/// One step of a page's life for the image-length property below: the
+/// mutations a running table makes, the ones WAL replay makes, and a round
+/// trip through the serialized image.
+#[derive(Debug, Clone)]
+enum PageOp {
+    Insert(Vec<u8>),
+    Delete(u16),
+    ApplyInsertAt(u16, Vec<u8>),
+    ApplyDeleteAt(u16),
+    RoundTrip,
+}
+
+fn arb_page_op() -> impl Strategy<Value = PageOp> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..90);
+    prop_oneof![
+        bytes().prop_map(PageOp::Insert),
+        (0u16..40).prop_map(PageOp::Delete),
+        (0u16..40, bytes()).prop_map(|(slot, b): (u16, Vec<u8>)| PageOp::ApplyInsertAt(slot, b)),
+        (0u16..40).prop_map(PageOp::ApplyDeleteAt),
+        Just(PageOp::RoundTrip),
+    ]
+}
+
+proptest! {
+    /// `image_len` is computed from the page's byte accounting rather
+    /// than by walking the slots; it must still equal the length of the
+    /// image `encode_image` writes after any mix of inserts, deletes,
+    /// redo applications and decode round trips.
+    #[test]
+    fn image_len_equals_encoded_length(ops in prop::collection::vec(arb_page_op(), 0..60)) {
+        let mut page = Page::new(DURABLE_PAGE_BYTES);
+        let image = |page: &Page| {
+            let mut buf = Vec::new();
+            page.encode_image(&mut buf).unwrap();
+            buf
+        };
+        for op in ops {
+            match op {
+                PageOp::Insert(bytes) => {
+                    if page.fits(bytes.len()) {
+                        page.insert(bytes).unwrap();
+                    }
+                }
+                PageOp::Delete(slot) => {
+                    let _ = page.delete(slot);
+                }
+                PageOp::ApplyInsertAt(slot, bytes) => page.apply_insert_at(slot, bytes),
+                PageOp::ApplyDeleteAt(slot) => page.apply_delete_at(slot),
+                PageOp::RoundTrip => {
+                    page = Page::decode_image(DURABLE_PAGE_BYTES, &image(&page)).unwrap();
+                }
+            }
+            prop_assert_eq!(page.image_len(), image(&page).len(), "{page:?}");
+        }
+    }
+}
+
 fn torn(pid: PageId) -> StorageError {
     StorageError::TornPage {
         file: pid.file,
