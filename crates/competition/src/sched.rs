@@ -8,9 +8,7 @@
 //! construction — so the interleaving is deterministic and exactly
 //! proportional in the long run. The join race schedules its lanes with
 //! it, and so does the inline background driver under the single-table
-//! tactics (`rdb_core::tactics`); the opt-in worker-thread driver
-//! (`core/src/parallel.rs`) runs the same tactic bodies but takes its turns
-//! from a channel instead.
+//! tactics (`rdb_core::tactics`).
 
 /// Weighted round-robin dispenser of quanta.
 #[derive(Debug, Clone)]

@@ -17,7 +17,7 @@
 
 use rdb_btree::KeyRange;
 use rdb_competition::KillRules;
-use rdb_storage::{SharedCost, StorageError};
+use rdb_storage::StorageError;
 
 use crate::fscan::Fscan;
 use crate::initial::{InitialPlan, InitialStage, ShortcutKind};
@@ -25,7 +25,7 @@ use crate::jscan::{Jscan, JscanConfig, JscanIndex};
 use crate::request::{OptimizeGoal, RetrievalRequest, RetrievalResult, Sink};
 use crate::sscan::Sscan;
 use crate::tactics::{self, Foreground, Inline};
-use crate::trace::{RunTrace, Stage, TraceEvent, Tracer};
+use crate::trace::{RunTrace, TraceEvent, Tracer};
 use crate::tscan::Tscan;
 
 /// Configuration of the dynamic optimizer.
@@ -39,12 +39,6 @@ pub struct DynamicConfig {
     pub jscan: JscanConfig,
     /// Initial-stage tuning.
     pub initial: InitialStage,
-    /// Run the background Jscan of the competitive tactics on an OS
-    /// worker thread instead of interleaving it cooperatively: the same
-    /// tactic bodies over a different background driver. Off by default:
-    /// the cooperative driver is deterministic, which the simulation
-    /// oracle depends on.
-    pub parallel: bool,
 }
 
 /// Which tactic the optimizer chose for one run.
@@ -204,30 +198,30 @@ impl DynamicOptimizer {
             .collect()
     }
 
-    /// A Jscan over `indexes` (at least one) charging `meter` and
-    /// announcing its competition to `tracer`.
+    /// A Jscan over `indexes` (at least one) charging the request's meter
+    /// and announcing its competition to `tracer`.
     fn jscan<'a>(
         &self,
         request: &RetrievalRequest<'a>,
         indexes: Vec<JscanIndex<'a>>,
-        meter: &SharedCost,
-        tracer: Tracer,
+        tracer: &Tracer,
     ) -> Jscan<'a> {
         let mut jscan = Jscan::new(
             request.table,
             indexes,
             self.config.jscan,
             self.config.rules,
-            meter.clone(),
+            request.cost.clone(),
         );
-        jscan.set_tracer(tracer);
+        jscan.set_tracer(tracer.clone());
         jscan
     }
 
     /// Runs a competitive tactic: `foreground` against a background Jscan
-    /// over `indexes`, driven inline or — the one place
-    /// [`DynamicConfig::parallel`] is read — from a worker thread. With no
-    /// index left for the background the foreground competes with nobody.
+    /// over `indexes`, interleaved by the cooperative driver. With no index
+    /// left for the background the foreground competes with nobody. Only a
+    /// borrowing foreground reads the Jscan's borrow stream, so only then
+    /// is the stream recorded.
     fn compete<'a>(
         &self,
         request: &RetrievalRequest<'a>,
@@ -237,23 +231,16 @@ impl DynamicOptimizer {
         sink: &mut Sink,
         rt: &mut RunTrace<'_>,
     ) -> Result<&'static str, StorageError> {
-        let rules = &self.config.rules;
-        if self.config.parallel && !indexes.is_empty() {
-            let borrowing = matches!(foreground, Foreground::Borrowing);
-            let worker_tracer = tracer.for_stage(Stage::Background);
-            crate::parallel::drive(
-                |meter| self.jscan(request, indexes, meter, worker_tracer),
-                borrowing,
-                &request.cost,
-                rt,
-                |bgr, rt| tactics::compete(foreground, bgr, request, rules, sink, rt),
-            )
-        } else {
-            let jscan = (!indexes.is_empty())
-                .then(|| self.jscan(request, indexes, &request.cost, tracer.clone()));
-            let mut bgr = Inline::new(jscan);
-            tactics::compete(foreground, &mut bgr, request, rules, sink, rt)
-        }
+        let borrowing = matches!(foreground, Foreground::Borrowing);
+        let jscan = (!indexes.is_empty()).then(|| {
+            let mut jscan = self.jscan(request, indexes, tracer);
+            if borrowing {
+                jscan.open_borrow_stream();
+            }
+            jscan
+        });
+        let mut bgr = Inline::new(jscan);
+        tactics::compete(foreground, &mut bgr, request, &self.config.rules, sink, rt)
     }
 
     /// Chooses a tactic and executes the retrieval. `Err` means the data
@@ -474,7 +461,7 @@ impl DynamicOptimizer {
             }
             TacticChoice::BackgroundOnly => {
                 let indexes = Self::jscan_indexes(request, &plan, None);
-                let jscan = self.jscan(request, indexes, &cost, tracer.clone());
+                let jscan = self.jscan(request, indexes, tracer);
                 Some(tactics::background_only(request, jscan, &mut sink, &mut rt)?)
             }
             TacticChoice::FastFirst => {

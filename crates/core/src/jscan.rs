@@ -230,7 +230,7 @@ impl<'a> Jscan<'a> {
             events: Vec::new(),
             outcome: None,
             borrowable: Vec::new(),
-            borrow_open: true,
+            borrow_open: false,
             temp_file_base: 1_000_000,
             tracer: Tracer::disabled(),
             cost,
@@ -264,14 +264,6 @@ impl<'a> Jscan<'a> {
         &self.events
     }
 
-    /// The buffer pool behind this scan's table. Worker threads running a
-    /// Jscan use this to flush their deferred pool session state
-    /// ([`rdb_storage::BufferPool::flush_session`]) before signalling
-    /// completion.
-    pub fn pool(&self) -> &rdb_storage::SharedPool {
-        self.table.pool()
-    }
-
     /// Current guaranteed-best retrieval cost.
     pub fn guaranteed_best(&self) -> f64 {
         self.guaranteed_best
@@ -282,8 +274,16 @@ impl<'a> Jscan<'a> {
         self.completed_scans
     }
 
+    /// Starts recording the borrow stream (see [`Jscan::borrow_rids`]).
+    /// Only the fast-first foreground borrows, so a Jscan records nothing
+    /// for it unless asked; ask before the first [`Jscan::step`].
+    pub fn open_borrow_stream(&mut self) {
+        self.borrow_open = true;
+    }
+
     /// RIDs available for foreground borrowing (fast-first tactic): the
-    /// candidate stream of the first index scan. `from` is the caller's
+    /// candidate stream of the first index scan, empty unless
+    /// [`Jscan::open_borrow_stream`] was called. `from` is the caller's
     /// cursor; returns the new cursor and any fresh RIDs.
     pub fn borrow_rids(&self, from: usize) -> (usize, &[Rid]) {
         let slice = &self.borrowable[from.min(self.borrowable.len())..];
@@ -897,6 +897,7 @@ mod tests {
                 ..JscanConfig::default()
             },
         );
+        j.open_borrow_stream();
         let mut cursor = 0;
         let mut borrowed = Vec::new();
         while j.step() == JscanStatus::Running {
@@ -911,6 +912,14 @@ mod tests {
             JscanOutcome::FinalList(list) => assert_eq!(list.to_vec().unwrap(), borrowed),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn borrow_stream_is_not_recorded_unless_opened() {
+        let (table, ia, _ib, _ic, _) = setup(1000, (10, 10, 2));
+        let mut j = jscan(&table, vec![jidx(&ia, KeyRange::eq(5))], JscanConfig::default());
+        assert!(matches!(j.run(), JscanOutcome::FinalList(_)));
+        assert!(j.borrow_rids(0).1.is_empty(), "nobody borrows: nothing kept twice");
     }
 
     #[test]

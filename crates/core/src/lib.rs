@@ -23,9 +23,8 @@
 //!   spend limit, and Tscan recommendation.
 //! * The four **retrieval tactics** of Section 7 ([`tactics`]):
 //!   background-only, fast-first, sorted, and index-only, built on the
-//!   foreground/background process structure of Figure 4 — each written
-//!   once over a background *driver* (cooperative quanta by default, a
-//!   worker thread with [`DynamicConfig::parallel`]).
+//!   foreground/background process structure of Figure 4, whose processes
+//!   take turns in cooperative quanta at proportional speeds.
 //! * The **kill rules** ([`KillRules`], from `rdb-competition`): every
 //!   competition above and below asks the one `judge` function whether a
 //!   competitor's projection or spend has reached its share of the
@@ -47,7 +46,6 @@ pub mod fscan;
 pub mod initial;
 pub mod join;
 pub mod jscan;
-mod parallel;
 pub mod request;
 pub mod ridlist;
 pub mod sscan;
@@ -78,8 +76,8 @@ pub use request::{
 pub use ridlist::{RidList, RidListBuilder, RidTierConfig};
 pub use sscan::Sscan;
 pub use trace::{
-    event_json, json_string, render_timeline, trace_json, RunTrace, Stage, TraceBuffer,
-    TraceEvent, TraceSink, Tracer,
+    event_json, json_string, render_timeline, trace_json, RunTrace, TraceBuffer, TraceEvent,
+    TraceSink, Tracer,
 };
 pub use tscan::Tscan;
 pub use union::{UnionArm, UnionOutcome, UnionScan};

@@ -20,8 +20,8 @@ pub enum OptimizeGoal {
 
 /// Predicate over a full data record (the "total restriction").
 ///
-/// `Send + Sync` so a strategy holding one can run on a background
-/// worker thread (see the parallel Jscan stage).
+/// `Send + Sync` because sessions share a `Db` across threads, so a
+/// compiled restriction may be run from any of them.
 pub type RecordPred = Arc<dyn Fn(&Record) -> bool + Send + Sync>;
 
 /// Predicate over an index key (for self-sufficient evaluation).

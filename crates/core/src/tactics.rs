@@ -9,21 +9,19 @@
 //!   delivers immediately, and is killed by direct competition once
 //!   fast-first satisfaction "becomes less realistic".
 //! * `sorted` — fast-first with a requested order: a foreground Fscan on
-//!   the order-needed index runs in parallel with a background Jscan whose
+//!   the order-needed index takes turns with a background Jscan whose
 //!   complete filter then rejects Fscan RIDs *before* fetching.
 //! * `index_only` — self-sufficient indexes available: the best Sscan
 //!   (foreground, "much safer") races Jscan (background); foreground
 //!   buffer overflow kills Jscan, a small complete RID list kills Sscan.
 //!
-//! The three competitive tactics are each written **once**, generic over
-//! a crate-private `Background` driver that answers three questions —
-//! whose turn is it, what did the background just report, and stop.
-//! `Inline` is the cooperative driver: it owns the Jscan and interleaves
-//! its quanta with the foreground's through a [`ProportionalScheduler`],
-//! deterministically. `parallel.rs` holds the other one, which runs the
-//! same Jscan on a worker thread ([`crate::DynamicConfig::parallel`]). A
-//! tactic with nothing to put in the background (no second index) runs on
-//! an `Inline` driver that holds no Jscan.
+//! The three competitive tactics are each written **once** against the
+//! cooperative driver `Inline`, which answers three questions — whose turn
+//! is it, what did the background just report, and stop. It owns the
+//! Jscan and interleaves its quanta with the foreground's through a
+//! [`ProportionalScheduler`], so a run is deterministic. A tactic with
+//! nothing to put in the background (no second index) runs on an `Inline`
+//! driver that holds no Jscan.
 
 use rdb_competition::{KillRules, ProportionalScheduler};
 use rdb_storage::{HeapTable, Record, Rid, SharedCost, StorageError};
@@ -196,10 +194,11 @@ pub(crate) enum Turn {
 
 /// The background process of Figure 4 as the tactic bodies see it.
 ///
-/// A driver decides *how* the background Jscan advances relative to the
-/// foreground — interleaved quanta on one thread ([`Inline`]) or a worker
-/// thread ([`crate::parallel::Threaded`]) — and the tactics decide
-/// everything else. Dropping a driver abandons its background.
+/// [`Inline`] is the one driver: it decides how the background Jscan
+/// advances relative to the foreground, and the tactics decide everything
+/// else. Dropping a driver abandons its background. The trait stays as the
+/// seam of `tests::no_competitor_outruns_its_quantum`, whose wrapper reads
+/// the meter around every quantum `Inline` hands out.
 pub(crate) trait Background {
     /// Whose quantum is next; `None` once neither side is left running.
     fn turn(&mut self) -> Option<Turn>;
@@ -691,7 +690,8 @@ mod tests {
         let only_a: RecordPred = Arc::new(|r| r[0] == Value::Int(3));
 
         table.pool().clear();
-        let jscan = jscan_over(&table, &[(&idx_a, 3), (&idx_b, 7)], config, &cost);
+        let mut jscan = jscan_over(&table, &[(&idx_a, 3), (&idx_b, 7)], config, &cost);
+        jscan.open_borrow_stream();
         let mut bgr = Metered::new(jscan, &cost);
         let mut rt = RunTrace::start(&tracer, &cost);
         let rules = KillRules::default();

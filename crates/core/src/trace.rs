@@ -11,9 +11,7 @@
 //! * [`TraceSink`] — the consumer contract (one method, may drop events).
 //! * [`Tracer`] — a cloneable handle that is either disabled (the default;
 //!   every emission is a single pointer-is-null branch and the event is
-//!   never even constructed) or carries an `Arc<dyn TraceSink>`. Each
-//!   handle is stamped with the [`Stage`] it reports from, so events from
-//!   a background worker thread are distinguishable from foreground ones.
+//!   never even constructed) or carries an `Arc<dyn TraceSink>`.
 //! * [`TraceBuffer`] — the bundled ring-buffer sink for tests and CLIs.
 //! * [`RunTrace`] — per-run phase cost attribution: the cost meter delta
 //!   of each execution phase, tiling the run so phase costs sum to the
@@ -354,45 +352,15 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Which execution stage emitted an event (paper Section 6's process
-/// structure: the foreground scan, the background index scans, and the
-/// final RID-list fetch stage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stage {
-    /// The session thread driving the retrieval.
-    #[default]
-    Foreground,
-    /// A background worker running index scans concurrently.
-    Background,
-    /// The final fetch stage over the winning RID list.
-    Final,
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Stage::Foreground => "fg",
-            Stage::Background => "bg",
-            Stage::Final => "final",
-        })
-    }
-}
-
 /// Consumer of trace events.
 ///
 /// Contract: `emit` must not re-enter the engine and may drop events
 /// (e.g. a full ring buffer); the engine never depends on a sink retaining
-/// anything. Sinks are `Send + Sync`: with the parallel background stage a
-/// sink receives events from the session thread and its workers at once.
+/// anything. Sinks are `Send + Sync`: sessions share a database across
+/// threads, so one sink may receive the events of concurrent queries.
 pub trait TraceSink: Send + Sync {
     /// Receives one event, in execution order.
     fn emit(&self, event: TraceEvent);
-
-    /// Receives one event with the [`Stage`] that emitted it. The default
-    /// drops the stamp; sinks that care (like [`TraceBuffer`]) override.
-    fn emit_staged(&self, _stage: Stage, event: TraceEvent) {
-        self.emit(event);
-    }
 }
 
 /// Cloneable tracing handle threaded through the engine.
@@ -403,35 +371,17 @@ pub trait TraceSink: Send + Sync {
 #[derive(Clone, Default)]
 pub struct Tracer {
     sink: Option<Arc<dyn TraceSink>>,
-    stage: Stage,
 }
 
 impl Tracer {
-    /// A tracer delivering events to `sink`, stamped [`Stage::Foreground`].
+    /// A tracer delivering events to `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        Tracer {
-            sink: Some(sink),
-            stage: Stage::Foreground,
-        }
+        Tracer { sink: Some(sink) }
     }
 
     /// The disabled tracer (no sink, near-zero overhead).
     pub fn disabled() -> Self {
         Tracer::default()
-    }
-
-    /// A handle to the same sink stamping its events with `stage` — hand
-    /// one to each background worker.
-    pub fn for_stage(&self, stage: Stage) -> Tracer {
-        Tracer {
-            sink: self.sink.clone(),
-            stage,
-        }
-    }
-
-    /// The stage this handle stamps on its events.
-    pub fn stage(&self) -> Stage {
-        self.stage
     }
 
     /// True when a sink is attached. Use to gate expensive *derived*
@@ -447,7 +397,7 @@ impl Tracer {
     #[inline]
     pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.sink {
-            sink.emit_staged(self.stage, f());
+            sink.emit(f());
         }
     }
 }
@@ -460,7 +410,6 @@ impl fmt::Debug for Tracer {
             } else {
                 "disabled"
             })
-            .field(&self.stage)
             .finish()
     }
 }
@@ -474,7 +423,7 @@ pub struct TraceBuffer {
 
 #[derive(Debug)]
 struct TraceBufferInner {
-    events: VecDeque<(Stage, TraceEvent)>,
+    events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
@@ -504,18 +453,12 @@ impl TraceBuffer {
 
     /// Copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.iter().map(|(_, e)| e.clone()).collect()
-    }
-
-    /// Copy of the retained events with their emitting [`Stage`], oldest
-    /// first.
-    pub fn staged_events(&self) -> Vec<(Stage, TraceEvent)> {
         self.lock().events.iter().cloned().collect()
     }
 
     /// Drains and returns the retained events, oldest first.
     pub fn take(&self) -> Vec<TraceEvent> {
-        self.lock().events.drain(..).map(|(_, e)| e).collect()
+        self.lock().events.drain(..).collect()
     }
 
     /// Number of events evicted because the buffer was full.
@@ -526,16 +469,12 @@ impl TraceBuffer {
 
 impl TraceSink for TraceBuffer {
     fn emit(&self, event: TraceEvent) {
-        self.emit_staged(Stage::Foreground, event);
-    }
-
-    fn emit_staged(&self, stage: Stage, event: TraceEvent) {
         let mut inner = self.lock();
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
         }
-        inner.events.push_back((stage, event));
+        inner.events.push_back(event);
     }
 }
 

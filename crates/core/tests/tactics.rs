@@ -7,11 +7,11 @@ use std::sync::Arc;
 use rdb_btree::{BTree, KeyRange};
 use rdb_core::{
     DynamicOptimizer, IndexChoice, KeyPred, OptimizeGoal, RecordPred, RetrievalRequest,
-    TacticChoice,
+    TacticChoice, TraceBuffer, TraceEvent, Tracer,
 };
 use rdb_storage::{
-    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Rid, Schema,
-    SharedCost, Value, ValueType,
+    shared_meter, shared_pool, Column, CostConfig, FaultPolicy, FileId, HeapTable, Record, Rid,
+    Schema, SharedCost, StorageError, Value, ValueType,
 };
 
 /// Test fixture: table(a, b, c) with a = i % ma, b = i % mb, c = i (unique),
@@ -84,6 +84,115 @@ fn delivered_c_values(table: &HeapTable, rids: &[Rid]) -> Vec<i64> {
     out
 }
 
+/// Fast-first: `a == va and b == vb` over both fetch-needed indexes.
+fn fast_first_request(f: &Fixture, va: i64, vb: i64) -> RetrievalRequest<'_> {
+    RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(vb)),
+        ],
+        residual: f.residual_ab(va, vb),
+        goal: OptimizeGoal::FastFirst,
+        order_required: false,
+        limit: None,
+    }
+}
+
+/// Sorted: `a == va and c even`, ordered by b, with idx_a in the background.
+fn sorted_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
+    let residual: RecordPred =
+        Arc::new(move |r: &Record| r[0] == Value::Int(va) && r[2].as_i64().unwrap() % 2 == 0);
+    RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()).with_order(),
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
+        ],
+        residual,
+        goal: OptimizeGoal::TotalTime,
+        order_required: true,
+        limit: None,
+    }
+}
+
+/// Index-only: `a == va` answered by idx_a alone; idx_b's whole range
+/// gives the background Jscan work to do.
+fn index_only_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
+    let key_pred: KeyPred = Arc::new(move |k: &[Value]| k[0] == Value::Int(va));
+    RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)).with_self_sufficient(key_pred),
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()),
+        ],
+        residual: Arc::new(move |r: &Record| r[0] == Value::Int(va)),
+        goal: OptimizeGoal::TotalTime,
+        order_required: false,
+        limit: None,
+    }
+}
+
+#[test]
+fn limit_satisfied_by_fast_first_foreground() {
+    let f = fixture(4000, 10, 10);
+    let req = RetrievalRequest {
+        table: &f.table,
+        cost: f.cost.clone(),
+        indexes: vec![
+            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(1)),
+            IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()),
+        ],
+        residual: Arc::new(|r: &Record| r[0] == Value::Int(1)),
+        goal: OptimizeGoal::FastFirst,
+        limit: Some(5),
+        order_required: false,
+    };
+    let buffer = TraceBuffer::shared(4096);
+    let result = DynamicOptimizer::default()
+        .run_traced(&req, None, &Tracer::new(buffer.clone()))
+        .unwrap();
+    assert_eq!(result.deliveries.len(), 5, "limit must cap deliveries");
+    for d in &result.deliveries {
+        let rec = d.record.as_ref().expect("fast-first fetches records");
+        assert_eq!(rec[0], Value::Int(1));
+    }
+    let winner = buffer.events().into_iter().find_map(|e| match e {
+        TraceEvent::Winner { strategy, .. } => Some(strategy),
+        _ => None,
+    });
+    assert_eq!(winner.as_deref(), Some("fast-first (foreground satisfied)"));
+}
+
+#[test]
+fn a_foreground_fault_surfaces_under_every_competitive_tactic() {
+    let f = fixture(4000, 40, 25);
+    let pool = f.table.pool().clone();
+    let (heap, idx_a) = (FileId(0), FileId(1));
+    // (tactic, request, the file its foreground reads that dies).
+    let cases = [
+        (TacticChoice::Sorted, sorted_request(&f, 5), heap),
+        (TacticChoice::IndexOnly, index_only_request(&f, 5), idx_a),
+        (TacticChoice::FastFirst, fast_first_request(&f, 5, 7), heap),
+    ];
+    let opt = DynamicOptimizer::default();
+    for (tactic, request, dies) in cases {
+        assert_eq!(opt.choose(&request).0, tactic);
+        pool.clear();
+        pool.set_fault_policy(Some(FaultPolicy::fail_from_nth(0).scoped_to(dies)));
+        let outcome = opt.run(&request);
+        pool.set_fault_policy(None);
+        assert!(
+            matches!(outcome, Err(StorageError::InjectedFault { .. })),
+            "{tactic:?}: the foreground's fault must surface, got {:?}",
+            outcome.map(|r| r.strategy)
+        );
+    }
+}
+
 #[test]
 fn background_only_matches_truth() {
     let f = fixture(3000, 50, 30);
@@ -111,33 +220,24 @@ fn background_only_matches_truth() {
 #[test]
 fn fast_first_matches_truth_and_respects_limit() {
     let f = fixture(3000, 50, 30);
-    let residual = f.residual_ab(7, 7);
-    let mut req = RetrievalRequest {
-        table: &f.table,
-        cost: f.table.pool().cost().clone(),
-        indexes: vec![
-            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(7)),
-            IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(7)),
-        ],
-        residual,
-        goal: OptimizeGoal::FastFirst,
-        order_required: false,
-        limit: None,
-    };
     let opt = DynamicOptimizer::default();
-    let (choice, _) = opt.choose(&req);
-    assert_eq!(choice, TacticChoice::FastFirst);
-    // Unlimited run: full truth, no duplicates.
-    let result = opt.run(&req).unwrap();
-    let got = delivered_c_values(&f.table, &result.rids());
-    let want = f.truth(|a, b, _| a == 7 && b == 7);
-    assert_eq!(got, want, "strategy: {}", result.strategy);
-    // Limited run: delivers exactly `limit` records (or fewer if truth is
-    // smaller) at a fraction of the cost.
-    let full_cost = result.cost;
+    // Unlimited runs: full truth, no duplicates, however the two ranges
+    // overlap ((3, 7) shares no row).
+    for (va, vb) in [(7, 7), (1, 1), (3, 7), (0, 0), (49, 29)] {
+        let req = fast_first_request(&f, va, vb);
+        assert_eq!(opt.choose(&req).0, TacticChoice::FastFirst);
+        let result = opt.run(&req).unwrap();
+        let got = delivered_c_values(&f.table, &result.rids());
+        let want = f.truth(|a, b, _| a == va && b == vb);
+        assert_eq!(got, want, "a={va} b={vb}: {}", result.strategy);
+    }
+    // Limited run: delivers exactly `limit` records at a fraction of the
+    // cost.
+    let mut req = fast_first_request(&f, 7, 7);
+    let full_cost = opt.run(&req).unwrap().cost;
     req.limit = Some(2);
     let limited = opt.run(&req).unwrap();
-    assert_eq!(limited.deliveries.len(), 2.min(want.len()));
+    assert_eq!(limited.deliveries.len(), 2);
     assert!(
         limited.cost < full_cost,
         "early termination {} must beat full {}",
@@ -149,29 +249,15 @@ fn fast_first_matches_truth_and_respects_limit() {
 #[test]
 fn index_only_tactic_matches_truth() {
     let f = fixture(2000, 40, 25);
-    let key_pred: KeyPred = Arc::new(|k: &[Value]| k[0] == Value::Int(3));
-    // The self-sufficient index answers "a == 3" alone; idx_b's range is a
-    // broad non-binding range so the background Jscan has work to do.
-    let residual: RecordPred = Arc::new(|r: &Record| r[0] == Value::Int(3));
-    let req = RetrievalRequest {
-        table: &f.table,
-        cost: f.table.pool().cost().clone(),
-        indexes: vec![
-            IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(3)).with_self_sufficient(key_pred),
-            IndexChoice::fetch_needed(&f.idx_b, KeyRange::closed(0, 24)),
-        ],
-        residual,
-        goal: OptimizeGoal::TotalTime,
-        order_required: false,
-        limit: None,
-    };
     let opt = DynamicOptimizer::default();
-    let (choice, _) = opt.choose(&req);
-    assert_eq!(choice, TacticChoice::IndexOnly);
-    let result = opt.run(&req).unwrap();
-    let got = delivered_c_values(&f.table, &result.rids());
-    let want = f.truth(|a, _, _| a == 3);
-    assert_eq!(got, want, "strategy: {}", result.strategy);
+    for va in [3, 0, 7, 39] {
+        let req = index_only_request(&f, va);
+        assert_eq!(opt.choose(&req).0, TacticChoice::IndexOnly);
+        let result = opt.run(&req).unwrap();
+        let got = delivered_c_values(&f.table, &result.rids());
+        let want = f.truth(|a, _, _| a == va);
+        assert_eq!(got, want, "a={va}: {}", result.strategy);
+    }
 }
 
 #[test]
@@ -204,6 +290,24 @@ fn sorted_tactic_delivers_in_order_and_matches_truth() {
     assert!(cs.windows(2).all(|w| w[0] < w[1]), "must deliver ordered");
     let want = f.truth(|_, b, _| b == 5);
     assert_eq!(cs, want, "strategy: {}", result.strategy);
+
+    // Ordered by a non-unique key, the restriction on the background's
+    // index: b never decreases, and the rows are the truth.
+    for va in [0, 5, 9] {
+        let req = sorted_request(&f, va);
+        assert_eq!(opt.choose(&req).0, TacticChoice::Sorted);
+        f.table.pool().clear();
+        let result = opt.run(&req).unwrap();
+        let bs: Vec<i64> = result
+            .deliveries
+            .iter()
+            .map(|d| d.record.as_ref().unwrap()[1].as_i64().unwrap())
+            .collect();
+        assert!(bs.windows(2).all(|w| w[0] <= w[1]), "a={va}: delivered in b order");
+        let want = f.truth(|a, _, c| a == va && c % 2 == 0);
+        let got = delivered_c_values(&f.table, &result.rids());
+        assert_eq!(got, want, "a={va}: {}", result.strategy);
+    }
 }
 
 #[test]

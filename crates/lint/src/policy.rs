@@ -100,8 +100,6 @@ impl Policy {
                 // Per-session deferred touch buffers: the shared
                 // absorption tally behind the lock-free hit path.
                 "crates/storage/src/touch.rs".into(),
-                // Background-stage abandon flag.
-                "crates/core/src/parallel.rs".into(),
                 // The model checker's ordering interpreter: it *consumes*
                 // `Ordering` values to simulate them.
                 "crates/check/src/engine.rs".into(),
@@ -185,7 +183,6 @@ impl Policy {
                 "crates/core/src/union.rs".into(),
                 "crates/core/src/ridlist.rs".into(),
                 "crates/core/src/filter.rs".into(),
-                "crates/core/src/parallel.rs".into(),
                 "crates/core/src/tactics.rs".into(),
                 "crates/core/src/dynamic.rs".into(),
                 "crates/core/src/baseline.rs".into(),

@@ -9,7 +9,7 @@
 //! | P002 | panic ratchet| baseline is stale (count dropped, or dead entry)          |
 //! | F001 | fallibility  | planning modules never touch `try_access`/`StorageError`  |
 //! | F002 | fallibility  | scan `pub fn step/run/execute*` return `Result`           |
-//! | A001 | atomics      | atomic `Ordering` only in meter/pool/parallel modules     |
+//! | A001 | atomics      | atomic `Ordering` only in allowlisted meter/pool modules  |
 //! | A002 | atomics      | `Ordering::Relaxed` has an adjacent justification comment |
 //! | D001 | deferred     | `thread_local!` state only in deferred-allowlisted files  |
 //! | D002 | deferred     | per-session deferred counters carry a `Drop` guard        |
@@ -538,8 +538,9 @@ fn rule_atomics(files: &[SourceFile], policy: &Policy, diags: &mut Vec<Diagnosti
                             idx + 1,
                             "A001",
                             format!("atomic `{needle}` outside the atomics allowlist"),
-                            "atomics are confined to the cost meter, buffer pool, and \
-                             parallel stage; use those abstractions instead",
+                            "atomics are confined to the cost meter, the buffer pool and \
+                             the storage protocols behind them; use those abstractions \
+                             instead",
                         );
                     } else if *variant == "Relaxed"
                         && !comment_nearby(file, idx, policy.relaxed_window, "Relaxed")

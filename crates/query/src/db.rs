@@ -107,12 +107,13 @@ impl TableEntry {
 /// # Ok::<(), QueryError>(())
 /// ```
 pub struct Db {
+    /// `config.optimizer` is the one copy of the optimizer tuning: the join
+    /// race and single-table runs (`Db::optimizer`) both read it.
     pub(crate) config: DbConfig,
     pub(crate) cost: SharedCost,
     pub(crate) pool: SharedPool,
     tables: BTreeMap<String, TableEntry>,
     next_file: u32,
-    pub(crate) optimizer: DynamicOptimizer,
     /// Statement-text-keyed cache of parsed/resolved plans for
     /// [`Db::prepare`].
     pub(crate) plan_cache: PlanCache,
@@ -192,7 +193,6 @@ impl Db {
             pool,
             tables: BTreeMap::new(),
             next_file: 0,
-            optimizer: DynamicOptimizer::new(config.optimizer),
             plan_cache: PlanCache::new(),
             catalog_gen: 0,
             config,
@@ -281,7 +281,6 @@ impl Db {
             pool,
             tables,
             next_file,
-            optimizer: DynamicOptimizer::new(config.optimizer),
             plan_cache: PlanCache::new(),
             catalog_gen: 0,
             config,
@@ -369,6 +368,11 @@ impl Db {
     /// Shared buffer pool (for cache-perturbation experiments).
     pub fn pool(&self) -> &SharedPool {
         &self.pool
+    }
+
+    /// The single-table optimizer, tuned by `config.optimizer`.
+    pub(crate) fn optimizer(&self) -> DynamicOptimizer {
+        DynamicOptimizer::new(self.config.optimizer)
     }
 
     fn alloc_file(&mut self) -> FileId {

@@ -710,32 +710,3 @@ fn concurrent_sessions_agree_with_sequential_results() {
         }
     });
 }
-
-#[test]
-fn parallel_optimizer_matches_cooperative_through_sql() {
-    // Same deterministic data in two databases: one cooperative, one
-    // with the OS-thread background stage. Row sets must agree on
-    // every binding; parallel mode only changes the mechanics.
-    let cooperative = db_with_families(3000);
-    let mut parallel = db_with_families(3000);
-    parallel.config.optimizer.parallel = true;
-    for a1 in [0i64, 50, 90, 99] {
-        let opts = params(&[("A1", a1)]);
-        let sql = "select ID from FAMILIES where AGE >= :A1 and SIZE = 2";
-        let collect = |r: QueryResult| {
-            let mut ids: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
-            ids.sort_unstable();
-            ids
-        };
-        cooperative.clear_cache();
-        parallel.clear_cache();
-        let seq = collect(cooperative.query(sql, &opts).unwrap());
-        let par_result = parallel.query(sql, &opts).unwrap();
-        assert!(par_result.cost > 0.0, "parallel run must be billed");
-        assert_eq!(
-            collect(par_result),
-            seq,
-            "AGE >= {a1}: parallel optimizer must deliver the same rows"
-        );
-    }
-}

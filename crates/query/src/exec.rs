@@ -477,7 +477,7 @@ impl Db {
         Ok(match retrieval {
             Retrieval::Union { arms, residual } => {
                 let found =
-                    self.optimizer
+                    self.optimizer()
                         .run_union_traced(&entry.heap, arms, &residual, limit, tracer)?;
                 // Hints never survive into the union machinery.
                 let disposition = match hint {
@@ -494,7 +494,7 @@ impl Db {
                 }
             }
             Retrieval::Request { request, offered } => {
-                let hinted = self.optimizer.run_hinted(&request, None, tracer, hint)?;
+                let hinted = self.optimizer().run_hinted(&request, None, tracer, hint)?;
                 Retrieved {
                     found: hinted.result,
                     offered,
@@ -699,7 +699,7 @@ impl Db {
             }
             Retrieval::Request { request, .. } => request,
         };
-        let (choice, plan) = self.optimizer.choose(&request);
+        let (choice, plan) = self.optimizer().choose(&request);
         let detail = match &plan.shortcut {
             Some(ShortcutKind::EmptyResult { index }) => {
                 format!(" (index {index} proves the result empty)")

@@ -4,10 +4,9 @@
 //! [`Scenario`]: every OS thread executes the full batch against the
 //! shared table/pool with a **private session meter**, and every
 //! delivered row set must match the sequential oracle exactly — whatever
-//! the cache interference between threads does to costs. Odd threads run
-//! the optimizer with the worker-thread background stage enabled
-//! ([`rdb_core::DynamicConfig::parallel`]), so the check covers
-//! inter-query *and* intra-query parallelism at once.
+//! the cache interference between threads does to costs. Each query runs
+//! its tactic cooperatively on its own thread, so the check covers
+//! inter-query concurrency over the shared pool.
 //!
 //! A fault round then arms the shared pool's injection policy while all
 //! threads re-run the batch: a fault observed on any thread must surface
@@ -15,7 +14,7 @@
 //! row, or a foreign error — and a sequential re-run after disarming
 //! must still match the oracle (no cross-thread state damage).
 
-use rdb_core::{DynamicConfig, DynamicOptimizer};
+use rdb_core::DynamicOptimizer;
 use rdb_storage::{shared_meter, FaultPolicy, StorageError};
 
 use crate::failure::SimFailure;
@@ -73,16 +72,9 @@ pub fn concurrency_check(
         .map(|q| oracle::expected_rids(&scenario, q))
         .collect();
 
-    // One optimizer per mode: even threads cooperative, odd threads with
-    // the OS-thread background stage.
-    let cooperative = DynamicOptimizer::default();
-    let parallel = DynamicOptimizer::new(DynamicConfig {
-        parallel: true,
-        ..DynamicConfig::default()
-    });
+    let optimizer = DynamicOptimizer::default();
 
     let run_batch = |tid: usize, faulted: bool| -> Result<ConcurrencyReport, SimFailure> {
-        let optimizer = if tid % 2 == 1 { &parallel } else { &cooperative };
         let session = shared_meter(scenario.pool.cost_config());
         let mut tally = ConcurrencyReport::default();
         for (qi, query) in queries.iter().enumerate() {
@@ -184,7 +176,7 @@ pub fn concurrency_check(
         scenario.cold();
         for (qi, query) in queries.iter().enumerate() {
             let request = scenario.request(query);
-            let result = DynamicOptimizer::default().run(&request).map_err(|e| {
+            let result = optimizer.run(&request).map_err(|e| {
                 SimFailure::fault_contract(format!(
                     "seed {seed} query {qi}: clean re-run after threaded faults died: {e}"
                 ))

@@ -172,18 +172,6 @@ impl CostMeter {
         }
     }
 
-    /// Merges a snapshot (typically the delta of a background stage's
-    /// private meter) into this meter, so a session's meter ends up with
-    /// the work done on its behalf by other threads.
-    pub fn absorb(&self, delta: &CostSnapshot) {
-        self.charge_page_reads(delta.page_reads);
-        self.charge_cache_hits(delta.cache_hits);
-        self.charge_page_writes(delta.page_writes);
-        self.charge_records(delta.records_examined);
-        self.charge_rid_ops(delta.rid_ops);
-        self.charge_index_entries(delta.index_entries);
-    }
-
     /// Resets all counters to zero (weights are kept).
     ///
     /// Relaxed stores: reset happens between experiment phases with no
@@ -199,10 +187,10 @@ impl CostMeter {
 }
 
 /// Shared handle to one [`CostMeter`]. Meters are shared across OS threads
-/// (each `Db` session owns one, and a query's background stage charges a
-/// private meter that is absorbed at join), so `Arc` over relaxed atomics
-/// is the sharing primitive; the paper's "simultaneous" strategy runs are
-/// still cooperative quanta *within* one session.
+/// (each `Db` session owns one, and the database's default meter serves
+/// every thread that queries without a session), so `Arc` over relaxed
+/// atomics is the sharing primitive; the paper's "simultaneous" strategy
+/// runs are cooperative quanta *within* one session.
 pub type SharedCost = Arc<CostMeter>;
 
 /// Creates a fresh shared meter with the given weights.
@@ -307,24 +295,6 @@ mod tests {
         });
         meter.charge_page_read();
         assert!((meter.total() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_merges_deltas() {
-        let session = CostMeter::default();
-        session.charge_page_read();
-
-        let bg = CostMeter::default();
-        bg.charge_page_reads(3);
-        bg.charge_index_entries(40);
-        let mark = bg.snapshot();
-        bg.charge_cache_hits(2);
-
-        session.absorb(&bg.snapshot().since(&mark));
-        let snap = session.snapshot();
-        assert_eq!(snap.page_reads, 1, "pre-mark bg work not absorbed");
-        assert_eq!(snap.cache_hits, 2);
-        assert_eq!(snap.index_entries, 0);
     }
 
     #[test]
