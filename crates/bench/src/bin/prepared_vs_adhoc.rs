@@ -39,7 +39,7 @@
 
 use std::time::Instant;
 
-use rdb_bench::report::{fmt, print_table};
+use rdb_bench::report::{commit, fmt, print_table};
 use rdb_query::{QueryOptions, QueryResult};
 use rdb_workload::{families_db, FamiliesConfig};
 
@@ -109,20 +109,6 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// The checkout's commit, `-dirty` with uncommitted changes, for stamping
-/// the report.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        )
 }
 
 fn sorted_ids(r: &QueryResult) -> Vec<i64> {

@@ -19,7 +19,8 @@
 //!   gate degrades to "no throughput collapse under 8-way contention"
 //!   while any ≥4-core machine still demands the full 3x.
 //! * `THROUGHPUT_JSON` — path to write the machine-readable report
-//!   (the committed `BENCH_concurrency.json` at the repo root).
+//!   (the committed `BENCH_concurrency.json` at the repo root), stamped
+//!   with the checkout's commit and the host's parallelism.
 //! * `THROUGHPUT_POOL_PAGES` — buffer-pool capacity (default 512:
 //!   smaller than the FAMILIES heap plus its four indexes, so the mix
 //!   runs in the beyond-RAM eviction regime and threads contend for
@@ -30,7 +31,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use rdb_bench::report::{fmt, print_table};
+use rdb_bench::report::{commit, fmt, print_table};
 use rdb_query::parser::parse_query;
 use rdb_query::{Db, QueryOptions};
 use rdb_workload::{families_db, FamiliesConfig};
@@ -195,6 +196,7 @@ fn write_json(
     out.push_str(&format!("  \"rows\": {rows},\n"));
     out.push_str(&format!("  \"pool_pages\": {pool_pages},\n"));
     out.push_str(&format!("  \"measure_ms_per_thread_count\": {window_ms},\n"));
+    out.push_str(&format!("  \"commit\": \"{}\",\n", commit()));
     out.push_str(&format!("  \"host_parallelism\": {cores},\n"));
     out.push_str(
         "  \"note\": \"One shared Db under a bounded buffer pool (pool_pages < heap + indexes, \

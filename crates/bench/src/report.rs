@@ -46,6 +46,20 @@ pub fn sparkline(pdf: &Pdf, cols: usize) -> String {
         .collect()
 }
 
+/// The checkout's commit, `-dirty` with uncommitted changes, for stamping
+/// a `BENCH_*.json` report.
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
+}
+
 /// Formats a float compactly.
 pub fn fmt(v: f64) -> String {
     if v == 0.0 {

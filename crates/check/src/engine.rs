@@ -432,7 +432,7 @@ impl ExecState {
         tid: ThreadId,
         cell: u32,
         order: Ordering,
-        f: impl FnOnce(u64) -> Option<u64>,
+        f: impl FnOnce(u64) -> u64,
     ) -> u64 {
         let idx_read = self.cells[cell as usize].hist.len() - 1;
         let prev = self.cells[cell as usize].hist[idx_read].clone();
@@ -444,27 +444,24 @@ impl ExecState {
             t.pending.join(&prev.clock);
         }
         t.obs = mix(t.obs, (u64::from(cell) << 32) ^ prev.val);
-        if let Some(new) = f(prev.val) {
-            let idx = idx_read + 1;
-            let mut msg = if is_release(order) {
-                t.view.clone()
-            } else {
-                t.rel_fence.clone()
-            };
-            // A RMW continues the release sequence headed by the store it
-            // read: its message carries that store's view too, so a
-            // relaxed RMW does not break an acquire/release chain.
-            msg.join(&prev.clock);
-            msg.raise(cell, idx);
-            t.view.raise(cell, idx);
-            self.cells[cell as usize].hist.push(StoreMsg {
-                val: new,
-                clock: msg,
-            });
-            self.trace(|| format!("t{tid} rmw c{cell} {} -> {new} ({order:?})", prev.val));
+        let new = f(prev.val);
+        let idx = idx_read + 1;
+        let mut msg = if is_release(order) {
+            t.view.clone()
         } else {
-            self.trace(|| format!("t{tid} rmw c{cell} {} (no write, {order:?})", prev.val));
-        }
+            t.rel_fence.clone()
+        };
+        // A RMW continues the release sequence headed by the store it
+        // read: its message carries that store's view too, so a relaxed
+        // RMW does not break an acquire/release chain.
+        msg.join(&prev.clock);
+        msg.raise(cell, idx);
+        t.view.raise(cell, idx);
+        self.cells[cell as usize].hist.push(StoreMsg {
+            val: new,
+            clock: msg,
+        });
+        self.trace(|| format!("t{tid} rmw c{cell} {} -> {new} ({order:?})", prev.val));
         prev.val
     }
 

@@ -43,41 +43,11 @@ impl AtomicWord for ModelWord {
     }
 
     fn fetch_add(&self, delta: u64, order: Ordering) -> u64 {
-        engine::op(|st, tid| st.atomic_rmw(tid, self.cell, order, |v| Some(v.wrapping_add(delta))))
+        engine::op(|st, tid| st.atomic_rmw(tid, self.cell, order, |v| v.wrapping_add(delta)))
     }
 
     fn fetch_max(&self, value: u64, order: Ordering) -> u64 {
-        engine::op(|st, tid| st.atomic_rmw(tid, self.cell, order, |v| Some(v.max(value))))
-    }
-
-    fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        engine::op(|st, tid| {
-            let mut swapped = false;
-            let order = success; // the read-modify-write path's ordering
-            let prev = st.atomic_rmw(tid, self.cell, order, |v| {
-                if v == current {
-                    swapped = true;
-                    Some(new)
-                } else {
-                    None
-                }
-            });
-            if swapped {
-                Ok(prev)
-            } else {
-                // Failed CAS is a plain load with the failure ordering;
-                // the rmw above already observed the newest store, so no
-                // second value choice is introduced.
-                let _ = failure;
-                Err(prev)
-            }
-        })
+        engine::op(|st, tid| st.atomic_rmw(tid, self.cell, order, |v| v.max(value)))
     }
 }
 

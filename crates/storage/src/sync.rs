@@ -41,15 +41,6 @@ pub trait AtomicWord: Debug + Send + Sync + 'static {
     fn fetch_add(&self, delta: u64, order: Ordering) -> u64;
     /// Atomic max; returns the previous value.
     fn fetch_max(&self, value: u64, order: Ordering) -> u64;
-    /// Atomic compare-exchange; `Ok(previous)` on success, `Err(actual)`
-    /// on failure.
-    fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64>;
 }
 
 /// The world a protocol runs in: real atomics or the model checker.
@@ -91,17 +82,6 @@ impl AtomicWord for AtomicU64 {
     #[inline(always)]
     fn fetch_max(&self, value: u64, order: Ordering) -> u64 {
         AtomicU64::fetch_max(self, value, order)
-    }
-
-    #[inline(always)]
-    fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        AtomicU64::compare_exchange(self, current, new, success, failure)
     }
 }
 
