@@ -33,14 +33,15 @@
 //! * `READAHEAD_MIN_SPEEDUP` — gate 1 floor (default 1.0).
 //! * `RETENTION_MIN_RATIO` — gate 3 floor (default 2.0).
 //! * `BEYOND_RAM_JSON` — path to write the machine-readable report (the
-//!   committed `BENCH_beyond_ram.json` at the repo root).
+//!   committed `BENCH_beyond_ram.json` at the repo root), stamped with the
+//!   checkout's commit and the host's parallelism.
 //!
 //! Run: `cargo run --release -p rdb-bench --bin beyond_ram`
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rdb_bench::report::print_table;
+use rdb_bench::report::{commit, host_parallelism, print_table};
 use rdb_query::prelude::*;
 use rdb_storage::{
     shared_meter, BufferPool, Column, CostConfig, EvictionPolicy, FileId, FilePageStore, PageId,
@@ -373,6 +374,7 @@ fn main() {
         let out = format!(
             "{{\n  \"bench\": \"crates/bench/src/bin/beyond_ram.rs\",\n  \
              \"command\": \"BEYOND_RAM_JSON=BENCH_beyond_ram.json cargo run --release -p rdb-bench --bin beyond_ram\",\n  \
+             \"commit\": \"{}\",\n  \"host_parallelism\": {},\n  \
              \"note\": \"Beyond-RAM gates on a table >= 8x pool capacity: cold sequential scan with \
              adaptive read-ahead vs per-page reads on the store's open handle (wall clock, floor \
              {readahead_floor}x: not slower), a verified frame read vs a bare positioned 4 KiB read of \
@@ -389,6 +391,8 @@ fn main() {
              \"ratio\": {read_ratio:.2},\n    \"ceiling\": {VERIFIED_READ_MAX_RATIO}\n  }},\n  \
              \"retention\": {{\n    \"midpoint_hot_hit_rate\": {mid_rate:.4},\n    \
              \"lru_hot_hit_rate\": {lru_rate:.4}\n  }}\n}}\n",
+            commit(),
+            host_parallelism(),
             verified_ns / 1e3,
             bare_ns / 1e3,
         );

@@ -27,7 +27,8 @@
 //! Environment knobs:
 //!
 //! * `JOIN_JSON` — path to write the machine-readable report (the
-//!   committed `BENCH_join.json` at the repo root).
+//!   committed `BENCH_join.json` at the repo root), stamped with the
+//!   checkout's commit and the host's parallelism.
 //! * `JOIN_GATE_MAX` — dynamic-over-best-static cost ceiling (default
 //!   `1.5`; set it empty or huge to effectively disable).
 //! * `JOIN_POOL_PAGES` — buffer-pool capacity each shape runs under
@@ -40,7 +41,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rdb_bench::report::print_table;
+use rdb_bench::report::{commit, host_parallelism, print_table};
 use rdb_btree::BTree;
 use rdb_core::{
     run_join, run_join_method, JoinMethod, JoinOp, JoinRequest, JoinSide, KillRules, RecordPred,
@@ -341,6 +342,7 @@ fn main() {
         let out = format!(
             "{{\n  \"bench\": \"crates/bench/src/bin/join_methods.rs\",\n  \
              \"command\": \"JOIN_JSON=BENCH_join.json cargo run --release -p rdb-bench --bin join_methods\",\n  \
+             \"commit\": \"{}\",\n  \"host_parallelism\": {},\n  \
              \"note\": \"Every join method forced to completion, then the dynamic competition, on \
              four canonical two-table shapes (three on inserted fanout-32 indexes, one built the \
              way Db::create_index builds, where merge-rid is admitted), all under a bounded buffer pool (JOIN_POOL_PAGES, \
@@ -349,6 +351,8 @@ fn main() {
              dynamic cost must stay within JOIN_GATE_MAX (default 1.5x) of the best static method \
              on every shape; dynamic_over_best_static_ms is the same ratio on the clock, \
              reported only.\",\n  \"gate_max\": {:.2},\n  \"pool_pages\": {},\n  \"shapes\": [\n{}\n  ]\n}}\n",
+            commit(),
+            host_parallelism(),
             gate_max,
             pool_pages(),
             json_shapes.join(",\n")

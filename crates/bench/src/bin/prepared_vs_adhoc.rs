@@ -4,8 +4,8 @@
 //! over and over with shifting host variables. Ad-hoc execution pays
 //! parse + name resolution + predicate lowering + index-metadata
 //! assembly on every run; [`rdb_query::Db::prepare`] pays them once and
-//! additionally seeds each run with the previous winner as a favored
-//! tactic (kill rules stay armed). This binary measures that tax
+//! then chooses the tactic per execution exactly as an ad-hoc run does.
+//! This binary measures that tax
 //! directly: a mixed point/range binding sweep executed ad-hoc versus
 //! through prepared handles.
 //!
@@ -21,7 +21,7 @@
 //! can compare a lucky pass against an unlucky one.
 //!
 //! Row sets are diffed against expectations for every binding (prepared
-//! twice: cold skeleton + hinted replay) before anything is timed, so
+//! twice: cold skeleton + warm skeleton) before anything is timed, so
 //! the speedup comes from verified-identical answers.
 //!
 //! Environment knobs:
@@ -39,7 +39,7 @@
 
 use std::time::Instant;
 
-use rdb_bench::report::{commit, fmt, print_table};
+use rdb_bench::report::{commit, fmt, host_parallelism, print_table};
 use rdb_query::{QueryOptions, QueryResult};
 use rdb_workload::{families_db, FamiliesConfig};
 
@@ -168,7 +168,7 @@ fn main() {
     for (i, (sql, opts)) in bindings.iter().enumerate() {
         let adhoc = db.query(sql, opts).expect("ad-hoc query");
         assert_eq!(sorted_ids(&adhoc), expected[i], "ad-hoc diverged on {sql}");
-        // Twice: cold skeleton + hinted replay must both agree.
+        // Twice: cold skeleton + warm skeleton must both agree.
         for _ in 0..2 {
             let prep = stmts[i].execute(opts).expect("prepared execute");
             assert_eq!(sorted_ids(&prep), expected[i], "prepared diverged on {sql}");
@@ -289,10 +289,7 @@ fn main() {
         let mut out = String::from("{\n");
         out.push_str("  \"bench\": \"crates/bench/src/bin/prepared_vs_adhoc.rs\",\n");
         out.push_str(&format!("  \"commit\": \"{}\",\n", commit()));
-        out.push_str(&format!(
-            "  \"nproc\": {},\n",
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        ));
+        out.push_str(&format!("  \"nproc\": {},\n", host_parallelism()));
         out.push_str(
             "  \"command\": \"PREPARED_JSON=BENCH_prepared.json cargo run --release -p rdb-bench --bin prepared_vs_adhoc\",\n",
         );
@@ -305,7 +302,7 @@ fn main() {
             "  \"note\": \"Mixed point/range parameterized sweep over FAMILIES (point lookups, \
              ordered top-N, multi-index conjunction, 4-parameter BETWEEN window), warmed pool. \
              Ad-hoc re-parses, re-resolves and re-lowers the predicate each execution; prepared \
-             reuses the cached skeleton and favors the previous winner (kill rules armed). Row \
+             reuses the cached skeleton and chooses the tactic afresh, as ad-hoc does. Row \
              sets are verified identical for every binding before timing. The gate is the \
              median ad-hoc/prepared ratio over adjacent pass pairs, which cancels slow drift \
              on shared hardware; it protects that prepared is never slower than ad-hoc.\",\n",

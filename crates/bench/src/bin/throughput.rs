@@ -31,7 +31,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use rdb_bench::report::{commit, fmt, print_table};
+use rdb_bench::report::{commit, fmt, host_parallelism, print_table};
 use rdb_query::parser::parse_query;
 use rdb_query::{Db, QueryOptions};
 use rdb_workload::{families_db, FamiliesConfig};
@@ -240,9 +240,7 @@ fn write_json(
 
 fn main() {
     let window_ms = env_f64("THROUGHPUT_MEASURE_MS", 1500.0) as u64;
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let cores = host_parallelism();
     let gate = env_f64("THROUGHPUT_MIN_SPEEDUP", 3.0).min(0.75 * cores as f64);
     let rows = 40_000;
     let pool_pages = env_f64("THROUGHPUT_POOL_PAGES", 512.0) as usize;

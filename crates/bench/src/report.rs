@@ -60,6 +60,12 @@ pub fn commit() -> String {
         )
 }
 
+/// The host's available parallelism (1 when unknown), for stamping a
+/// `BENCH_*.json` report.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Formats a float compactly.
 pub fn fmt(v: f64) -> String {
     if v == 0.0 {

@@ -80,52 +80,6 @@ impl TacticChoice {
     }
 }
 
-/// A remembered winner from a previous execution of the same (prepared)
-/// statement: the tactic that produced the rows plus the candidate
-/// estimates it was chosen under. A later [`DynamicOptimizer::run_hinted`]
-/// favors this tactic as its first strategy — the paper's repeated
-/// parameterized query — while leaving every competition kill rule armed,
-/// so a drifted parameter still triggers a mid-run switch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TacticHint {
-    /// The tactic that won the hinting run.
-    pub tactic: TacticChoice,
-    /// `InitialPlan::jscan_estimates` of the hinting run, used to detect
-    /// parameter drift before trusting the tactic again.
-    pub estimates: Vec<f64>,
-}
-
-/// What [`DynamicOptimizer::run_hinted`] did with the hint it was given.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HintDisposition {
-    /// No hint was provided; the run chose its tactic from scratch.
-    NotProvided,
-    /// The hinted tactic ran (it matched the fresh choice, or was favored
-    /// over it). The payload says which.
-    Applied(&'static str),
-    /// The hint was discarded; the payload says why (estimate drift,
-    /// prerequisite gone, a provably-better shortcut, ...).
-    Dropped(&'static str),
-}
-
-/// Result bundle of a hinted run: the retrieval outcome, a refreshed hint
-/// for the caller's plan cache, and what happened to the incoming hint.
-#[derive(Debug)]
-pub struct HintedRun {
-    /// The retrieval result, identical in shape to [`DynamicOptimizer::run`].
-    pub result: RetrievalResult,
-    /// Hint describing *this* run (executed tactic + fresh estimates) —
-    /// store it back into the plan cache for the next execution.
-    pub hint: TacticHint,
-    /// What happened to the hint that was passed in.
-    pub disposition: HintDisposition,
-}
-
-/// Estimate drift tolerated before a hint is dropped: each fresh candidate
-/// estimate must stay within this factor of the hinted one (element-wise,
-/// with +1 smoothing so empty estimates compare sanely).
-const HINT_DRIFT_FACTOR: f64 = 4.0;
-
 /// The single-table dynamic optimizer.
 #[derive(Debug, Default)]
 pub struct DynamicOptimizer {
@@ -274,116 +228,6 @@ impl DynamicOptimizer {
         observer: Option<crate::request::DeliveryObserver<'_>>,
         tracer: &Tracer,
     ) -> Result<RetrievalResult, StorageError> {
-        Ok(self.run_inner(request, observer, tracer, None)?.result)
-    }
-
-    /// [`DynamicOptimizer::run_traced`] for prepared statements: `hint`
-    /// carries the previous execution's winner. When the fresh initial
-    /// stage confirms the hint is still plausible (see [`TacticHint`]),
-    /// the hinted tactic runs as the favored first strategy; competition
-    /// kill rules stay armed either way, so a hint gone stale degrades
-    /// mid-run exactly like a bad fresh choice. Returns the result plus a
-    /// refreshed hint for the caller to cache.
-    pub fn run_hinted(
-        &self,
-        request: &RetrievalRequest<'_>,
-        observer: Option<crate::request::DeliveryObserver<'_>>,
-        tracer: &Tracer,
-        hint: Option<&TacticHint>,
-    ) -> Result<HintedRun, StorageError> {
-        self.run_inner(request, observer, tracer, hint)
-    }
-
-    /// Decides which tactic actually runs given the fresh choice and an
-    /// optional hint. A hint is only forced over a differing fresh choice
-    /// when both sit in the *competitive* set (the tactics whose kill
-    /// rules can recover from a wrong pick), the hinted tactic's
-    /// prerequisites still hold in the fresh plan, and the fresh estimates
-    /// are within [`HINT_DRIFT_FACTOR`] of the hinted ones. Shortcuts and
-    /// static picks (empty range, tiny range, no indexes, lone
-    /// self-sufficient index) always beat the hint: they are provably
-    /// right for *these* bindings.
-    fn resolve_hint(
-        request: &RetrievalRequest<'_>,
-        hint: Option<&TacticHint>,
-        fresh: TacticChoice,
-        plan: &InitialPlan,
-    ) -> (TacticChoice, HintDisposition) {
-        let Some(hint) = hint else {
-            return (fresh, HintDisposition::NotProvided);
-        };
-        if hint.tactic == fresh {
-            return (
-                fresh,
-                HintDisposition::Applied("fresh choice confirms the cached winner"),
-            );
-        }
-        let competitive = |t: &TacticChoice| {
-            matches!(
-                t,
-                TacticChoice::BackgroundOnly
-                    | TacticChoice::FastFirst
-                    | TacticChoice::Sorted
-                    | TacticChoice::IndexOnly
-            )
-        };
-        if !competitive(&fresh) {
-            return (
-                fresh,
-                HintDisposition::Dropped(
-                    "fresh choice is a shortcut or static pick; hint overruled",
-                ),
-            );
-        }
-        if !competitive(&hint.tactic) {
-            return (
-                fresh,
-                HintDisposition::Dropped("cached winner has no kill rules to recover with"),
-            );
-        }
-        let prereqs_hold = match hint.tactic {
-            TacticChoice::Sorted => request.order_required && plan.best_order_index.is_some(),
-            TacticChoice::IndexOnly => plan.best_self_sufficient.is_some(),
-            // BackgroundOnly / FastFirst just need live candidates.
-            _ => !plan.jscan_order.is_empty(),
-        };
-        if !prereqs_hold {
-            return (
-                fresh,
-                HintDisposition::Dropped(
-                    "cached winner lost its prerequisite under the new bindings",
-                ),
-            );
-        }
-        if hint.estimates.len() != plan.jscan_estimates.len() {
-            return (
-                fresh,
-                HintDisposition::Dropped("candidate index set changed since caching"),
-            );
-        }
-        let drifted = hint.estimates.iter().zip(&plan.jscan_estimates).any(|(old, new)| {
-            let ratio = (new + 1.0) / (old + 1.0);
-            !(ratio.is_finite() && (1.0 / HINT_DRIFT_FACTOR..=HINT_DRIFT_FACTOR).contains(&ratio))
-        });
-        if drifted {
-            return (
-                fresh,
-                HintDisposition::Dropped("a candidate estimate drifted past the tolerated factor"),
-            );
-        }
-        (
-            hint.tactic,
-            HintDisposition::Applied("favored cached winner over the fresh choice"),
-        )
-    }
-
-    fn run_inner(
-        &self,
-        request: &RetrievalRequest<'_>,
-        observer: Option<crate::request::DeliveryObserver<'_>>,
-        tracer: &Tracer,
-        hint: Option<&TacticHint>,
-    ) -> Result<HintedRun, StorageError> {
         let cost = request.cost.clone();
         let pool_before = if tracer.enabled() {
             request.table.pool().stats()
@@ -392,8 +236,7 @@ impl DynamicOptimizer {
         };
         let cost_before = cost.total();
         let mut rt = RunTrace::start(tracer, &cost);
-        let (fresh_choice, plan) = self.choose(request);
-        let (choice, disposition) = Self::resolve_hint(request, hint, fresh_choice, &plan);
+        let (choice, plan) = self.choose(request);
         tracer.emit_with(|| TraceEvent::TacticChosen {
             tactic: choice.name().to_string(),
             estimation_nodes: plan.estimation_nodes as u64,
@@ -511,18 +354,11 @@ impl DynamicOptimizer {
             cost: cost_total,
             rows: deliveries.len(),
         });
-        Ok(HintedRun {
-            result: RetrievalResult {
-                deliveries,
-                cost: cost_total,
-                strategy: choice.name(),
-                sscan_index,
-            },
-            hint: TacticHint {
-                tactic: choice,
-                estimates: plan.jscan_estimates,
-            },
-            disposition,
+        Ok(RetrievalResult {
+            deliveries,
+            cost: cost_total,
+            strategy: choice.name(),
+            sscan_index,
         })
     }
 }

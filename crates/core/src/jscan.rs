@@ -41,7 +41,10 @@ use crate::trace::{TraceEvent, Tracer};
 pub struct JscanConfig {
     /// RID-list tier sizing.
     pub tiers: RidTierConfig,
-    /// Index entries processed per quantum.
+    /// Index entries processed per quantum. A quantum that finishes one
+    /// index scan also opens the next, so it may additionally charge that
+    /// scan's in-leaf positioning (at most the tree's `max_fanout`
+    /// entries).
     pub batch: usize,
     /// Enable limited simultaneous scanning of two adjacent indexes.
     pub simultaneous_adjacent: bool,

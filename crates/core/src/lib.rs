@@ -55,9 +55,7 @@ pub mod tscan;
 pub mod union;
 
 pub use baseline::{StaticJscan, StaticJscanConfig, StaticOptimizer, StaticPlan};
-pub use dynamic::{
-    DynamicConfig, DynamicOptimizer, HintDisposition, HintedRun, TacticChoice, TacticHint,
-};
+pub use dynamic::{DynamicConfig, DynamicOptimizer, TacticChoice};
 pub use filter::Filter;
 pub use fscan::Fscan;
 pub use initial::{InitialPlan, InitialStage, ShortcutKind};

@@ -671,9 +671,11 @@ mod tests {
     /// The quantum contract of the single-table competitors, by meter
     /// counter (the join lanes' is `no_lane_outruns_its_quantum`): however
     /// a tactic interleaves them, one background quantum is one
-    /// `Jscan::step` of at most `batch` index entries, and one foreground
-    /// quantum is one Fscan step or borrowed fetch (at most one heap
-    /// record) or, index-only, at most [`FGR_BATCH`] Sscan entries.
+    /// `Jscan::step` of at most `batch` index entries plus one in-leaf
+    /// positioning of the next scan (at most `max_fanout` entries, charged
+    /// when the step finishes one index and opens the next), and one
+    /// foreground quantum is one Fscan step or borrowed fetch (at most one
+    /// heap record) or, index-only, at most [`FGR_BATCH`] Sscan entries.
     #[test]
     fn no_competitor_outruns_its_quantum() {
         let (table, idx_a, idx_b, cost) = world(8_000);

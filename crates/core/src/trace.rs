@@ -193,8 +193,7 @@ pub enum TraceEvent {
     },
     /// A prepared-statement plan-cache decision (hit, miss, invalidation).
     PlanCache {
-        /// What happened: `"hit"`, `"miss"`, `"invalidated"` or
-        /// `"hint-applied"` / `"hint-dropped"`.
+        /// What happened: `"hit"`, `"miss"` or `"invalidated"`.
         outcome: String,
         /// The cached statement text (the cache key).
         statement: String,

@@ -472,8 +472,8 @@ impl Db {
     }
 
     /// Explains a query: parses, resolves, binds, and reports the tactic
-    /// the dynamic optimizer chooses for this binding — the one an
-    /// unhinted run of the same statement announces in
+    /// the dynamic optimizer chooses for this binding — the one a run of
+    /// the same statement, ad hoc or prepared, announces in
     /// [`rdb_core::TraceEvent::TacticChosen`] — without executing the
     /// productive phases. (Estimation runs, as it would in a real
     /// prepare/describe, so the answer is binding-specific.)
@@ -536,9 +536,9 @@ impl Db {
 
     /// Prepares `sql` for repeated execution: the parsed AST and resolved
     /// plan skeleton are cached keyed by statement text, host variables
-    /// re-bind per [`Prepared::execute`], and each execution seeds the
-    /// dynamic optimizer with the previous run's winner (kill rules stay
-    /// armed, so a drifted parameter still switches mid-run). Charges the
+    /// re-bind per [`Prepared::execute`], and each execution chooses its
+    /// tactic afresh for its bindings and options, exactly as an ad-hoc
+    /// run does. Charges the
     /// database's default meter; concurrent clients should prepare through
     /// [`Session::prepare`] instead.
     ///
@@ -564,8 +564,8 @@ impl Db {
     }
 
     /// Drops every cached plan and wipes cached skeletons in place, so even
-    /// [`Prepared`] handles created earlier re-resolve (and forget their
-    /// remembered tactic) on their next execution.
+    /// [`Prepared`] handles created earlier re-resolve on their next
+    /// execution.
     pub fn clear_plan_cache(&self) {
         self.plan_cache.clear();
     }

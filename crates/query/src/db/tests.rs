@@ -520,8 +520,8 @@ fn metrics_report_pool_activity() {
 }
 
 /// Rows as sorted `(AGE, SIZE, ID)` tuples — prepared and ad-hoc runs
-/// must produce the same row *set*; delivery order may differ when a
-/// remembered tactic changes which strategy reports first.
+/// must produce the same row *set*; delivery order may differ when the
+/// pool's contents change which competitor reports first.
 fn sorted_tuples(r: &QueryResult) -> Vec<(i64, i64, i64)> {
     let mut out: Vec<(i64, i64, i64)> = r
         .rows
@@ -604,7 +604,7 @@ fn prepared_invalidation_on_catalog_change_and_clear() {
 }
 
 #[test]
-fn prepared_trace_reports_cache_and_hint_events() {
+fn prepared_trace_reports_cache_events() {
     let db = db_with_families(2000);
     let sql = "select * from FAMILIES where AGE >= :A1";
     let stmt = db.prepare(sql).unwrap();
@@ -620,21 +620,20 @@ fn prepared_trace_reports_cache_and_hint_events() {
     let cold = TraceBuffer::shared(4096);
     stmt.execute(&params(&[("A1", 90)]).with_trace(cold.clone()))
         .unwrap();
-    assert_eq!(outcomes_of(&cold), vec!["miss"], "cold run: no hint yet");
-    // Same binding again: skeleton hit, and the remembered tactic is
-    // applied (identical estimates cannot drift).
+    assert_eq!(outcomes_of(&cold), vec!["miss"], "cold run resolves the skeleton");
+    // Same binding again: the skeleton is reused.
     let warm = TraceBuffer::shared(4096);
     stmt.execute(&params(&[("A1", 90)]).with_trace(warm.clone()))
         .unwrap();
-    assert_eq!(outcomes_of(&warm), vec!["hit", "hint-applied"]);
-    // Drifted binding: AGE >= 200 is an empty range, so estimation
-    // proves end-of-data — a certain shortcut always overrules the
-    // remembered tactic. Dynamic optimization is seeded, never
-    // bypassed.
+    assert_eq!(outcomes_of(&warm), vec!["hit"]);
+    // A new binding reuses it too: only the key ranges are re-derived,
+    // and the tactic is chosen afresh (AGE >= 200 proves end-of-data).
     let drift = TraceBuffer::shared(4096);
-    stmt.execute(&params(&[("A1", 200)]).with_trace(drift.clone()))
+    let r = stmt
+        .execute(&params(&[("A1", 200)]).with_trace(drift.clone()))
         .unwrap();
-    assert_eq!(outcomes_of(&drift), vec!["hit", "hint-dropped"]);
+    assert_eq!(outcomes_of(&drift), vec!["hit"]);
+    assert_eq!(r.strategy, "EndOfData");
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //! run → finish`.
 //!
 //! Every statement kind takes this path. An ad-hoc query resolves its
-//! skeleton onto the stack and runs it with no hint; a prepared statement
-//! takes the skeleton from its plan-cache slot and passes the previous
-//! winner as the hint (`prepared.rs`); `EXPLAIN` builds the same request
+//! skeleton onto the stack; a prepared statement takes the skeleton from
+//! its plan-cache slot (`prepared.rs`); `EXPLAIN` builds the same request
 //! and asks the optimizer to *choose* instead of run. Nothing else
 //! differs, so what `EXPLAIN` reports is what runs, and prepared row sets
 //! equal fresh ones by construction. This is also the one place where a
@@ -14,8 +13,7 @@ use std::sync::Arc;
 
 use rdb_btree::{BTree, KeyRange};
 use rdb_core::{
-    Delivery, HintDisposition, IndexChoice, RecordPred, RetrievalRequest, RetrievalResult,
-    ShortcutKind, TacticHint, Tracer,
+    Delivery, IndexChoice, RecordPred, RetrievalRequest, RetrievalResult, ShortcutKind, Tracer,
 };
 use rdb_storage::{Record, Rid, SharedCost, Value};
 
@@ -124,14 +122,6 @@ pub(crate) enum Resolved {
     Join(ResolvedJoin),
 }
 
-/// Outcome bundle of [`Db::run`]: the query result plus the optimizer's
-/// refreshed tactic hint and what it did with the incoming one.
-pub(crate) struct Executed {
-    pub(crate) result: QueryResult,
-    pub(crate) hint: Option<TacticHint>,
-    pub(crate) disposition: HintDisposition,
-}
-
 /// What a statement does with its retrieved items: COUNT, post-sort,
 /// LIMIT — derived once per run, consumed by [`Db::finish`].
 #[derive(Debug, Clone, Copy)]
@@ -221,10 +211,6 @@ struct Retrieved<'a> {
     /// The metadata of each offered index, parallel to the request's list
     /// (empty for a union).
     offered: Vec<&'a IndexMeta>,
-    /// The hint to remember for the next binding.
-    hint: Option<TacticHint>,
-    /// What became of the incoming hint.
-    disposition: HintDisposition,
 }
 
 impl<'a> Retrieved<'a> {
@@ -397,7 +383,7 @@ impl Db {
         cost: &SharedCost,
     ) -> Result<QueryResult, QueryError> {
         let resolved = self.resolve(spec)?;
-        Ok(self.run(spec, &resolved, None, opts, cost)?.result)
+        self.run(spec, &resolved, opts, cost)
     }
 
     /// The right-hand table of a two-table statement.
@@ -425,83 +411,57 @@ impl Db {
     }
 
     /// **The** runner: executes a resolved statement for this run's
-    /// bindings, with the previous winner (if any) as `hint`, and wraps
-    /// the meter delta into the result's [`QueryMetrics`].
+    /// bindings and wraps the meter delta into the result's
+    /// [`QueryMetrics`].
     pub(crate) fn run(
         &self,
         spec: &QuerySpec,
         resolved: &Resolved,
-        hint: Option<&TacticHint>,
         opts: &QueryOptions,
         cost: &SharedCost,
-    ) -> Result<Executed, QueryError> {
+    ) -> Result<QueryResult, QueryError> {
         let before = cost.snapshot();
         let pf_before = self.pool.prefetch_stats();
         let left = self.table(&spec.table)?;
-        let mut executed = match resolved {
-            Resolved::Single(skel) => self.run_single(left, spec, skel, hint, opts, cost)?,
-            // A join re-races every candidate per binding: it takes no
-            // hint and leaves none.
+        let mut result = match resolved {
+            Resolved::Single(skel) => self.run_single(left, spec, skel, opts, cost)?,
             Resolved::Join(skel) => {
                 let right = self.right_table(spec)?;
-                Executed {
-                    result: crate::join::execute_join(self, left, right, spec, skel, opts, cost)?,
-                    hint: None,
-                    disposition: HintDisposition::NotProvided,
-                }
+                crate::join::execute_join(self, left, right, spec, skel, opts, cost)?
             }
         };
         let delta = cost.snapshot().since(&before);
         let pf = self.pool.prefetch_stats().since(&pf_before);
-        executed.result.metrics = QueryMetrics {
+        result.metrics = QueryMetrics {
             pool_hits: delta.cache_hits,
             pool_misses: delta.page_reads,
             prefetched_pages: pf.prefetched_pages,
             prefetch_consumed: pf.consumed_pages,
             ..QueryMetrics::default()
         };
-        Ok(executed)
+        Ok(result)
     }
 
     /// Runs one binding's retrieval — the union scan or the dynamic
-    /// optimizer's request — stopping at `limit`, with `hint` as the
-    /// previous winner.
+    /// optimizer's request — stopping at `limit`.
     fn retrieve<'a>(
         &self,
         entry: &TableEntry,
         retrieval: Retrieval<'a>,
         limit: Option<usize>,
-        hint: Option<&TacticHint>,
         tracer: &Tracer,
     ) -> Result<Retrieved<'a>, QueryError> {
         Ok(match retrieval {
-            Retrieval::Union { arms, residual } => {
-                let found =
-                    self.optimizer()
-                        .run_union_traced(&entry.heap, arms, &residual, limit, tracer)?;
-                // Hints never survive into the union machinery.
-                let disposition = match hint {
-                    Some(_) => HintDisposition::Dropped(
-                        "OR-connected restriction runs the union machinery",
-                    ),
-                    None => HintDisposition::NotProvided,
-                };
-                Retrieved {
-                    found,
-                    offered: Vec::new(),
-                    hint: None,
-                    disposition,
-                }
-            }
-            Retrieval::Request { request, offered } => {
-                let hinted = self.optimizer().run_hinted(&request, None, tracer, hint)?;
-                Retrieved {
-                    found: hinted.result,
-                    offered,
-                    hint: Some(hinted.hint),
-                    disposition: hinted.disposition,
-                }
-            }
+            Retrieval::Union { arms, residual } => Retrieved {
+                found: self
+                    .optimizer()
+                    .run_union_traced(&entry.heap, arms, &residual, limit, tracer)?,
+                offered: Vec::new(),
+            },
+            Retrieval::Request { request, offered } => Retrieved {
+                found: self.optimizer().run_traced(&request, None, tracer)?,
+                offered,
+            },
         })
     }
 
@@ -538,7 +498,7 @@ impl Db {
         let args = skel.pred.bind_args(opts.params())?;
         let (retrieval, tail) = build_retrieval(entry, &spec, &skel, &args, opts, &self.cost);
         let limit = tail.retrieval_limit();
-        let retrieved = self.retrieve(entry, retrieval, limit, None, &opts.tracer())?;
+        let retrieved = self.retrieve(entry, retrieval, limit, &opts.tracer())?;
         let key_to_record = retrieved.sscan_meta().and_then(|m| m.out_key_pos.as_ref());
         let mut victims = retrieved.found.deliveries;
         victims.sort_unstable_by_key(|d| d.rid);
@@ -562,22 +522,16 @@ impl Db {
         entry: &TableEntry,
         spec: &QuerySpec,
         skel: &ResolvedQuery,
-        hint: Option<&TacticHint>,
         opts: &QueryOptions,
         cost: &SharedCost,
-    ) -> Result<Executed, QueryError> {
+    ) -> Result<QueryResult, QueryError> {
         // One argument lookup per distinct host variable.
         let args = skel.pred.bind_args(opts.params())?;
         let (retrieval, tail) = build_retrieval(entry, spec, skel, &args, opts, cost);
         let limit = tail.retrieval_limit();
-        let retrieved = self.retrieve(entry, retrieval, limit, hint, &opts.tracer())?;
+        let retrieved = self.retrieve(entry, retrieval, limit, &opts.tracer())?;
         let sscan = retrieved.sscan_meta();
-        let Retrieved {
-            found,
-            hint,
-            disposition,
-            ..
-        } = retrieved;
+        let found = retrieved.found;
         let outcome = (found.cost, found.strategy);
         let row = |d: Delivery, keyed: bool| {
             if d.from_index {
@@ -610,11 +564,7 @@ impl Db {
                 Ok((key, out))
             }
         };
-        Ok(Executed {
-            result: self.finish(tail, &skel.out_columns, found.deliveries, outcome, cost, row)?,
-            hint,
-            disposition,
-        })
+        self.finish(tail, &skel.out_columns, found.deliveries, outcome, cost, row)
     }
 
     /// **The** finish stage, shared by single-table, union and join
@@ -728,10 +678,12 @@ mod tests {
     use crate::options::QueryOptions;
     use rdb_core::{TraceBuffer, TraceEvent};
 
-    /// `EXPLAIN` names exactly the tactic an unhinted run of the same
-    /// statement and binding announces in `TacticChosen` — they share the
-    /// request builder, so this holds for every shape, including the
-    /// order-serving, self-sufficient and OR-connected ones.
+    /// `EXPLAIN` names exactly the tactic a run of the same statement and
+    /// binding announces in `TacticChosen` — they share the request
+    /// builder, so this holds for every shape, including the
+    /// order-serving, self-sufficient and OR-connected ones. A prepared
+    /// handle executed repeatedly under changing options runs that same
+    /// tactic every time: nothing from an earlier execution carries over.
     #[test]
     fn explain_names_the_tactic_the_run_chooses() {
         let mut db = db_with_families(3000);
@@ -777,6 +729,25 @@ mod tests {
         // ... but ID has no index, so this one runs (and explains as) the
         // conjunctive machinery.
         agree(&db, "select * from FAMILIES where AGE = 1 or ID = 2", plain(), "TscanOnly");
+        // Two constrained indexes make the tactic competitive, so the goal
+        // alone decides it: one prepared handle follows each execution's
+        // options exactly as an ad-hoc run and `EXPLAIN` do.
+        let both = "select * from FAMILIES where AGE >= :A1 and SIZE >= :S";
+        let bound = || a1(50).with_param("S", 3);
+        let stmt = db.prepare(both).unwrap();
+        for (opts, expect) in [
+            (bound(), "BackgroundOnly"),
+            (bound().with_goal(rdb_core::OptimizeGoal::FastFirst), "FastFirst"),
+            (bound().with_limit(10), "FastFirst"),
+            (bound(), "BackgroundOnly"),
+        ] {
+            let prepared = stmt.execute(&opts).unwrap().strategy;
+            let adhoc = db.query(both, &opts).unwrap().strategy;
+            let explained = db.explain(both, &opts).unwrap();
+            assert_eq!(prepared, adhoc, "{opts:?}");
+            assert_eq!(explained.split(' ').next(), Some(adhoc), "{opts:?}");
+            assert_eq!(adhoc, expect, "{opts:?}");
+        }
         // A second self-sufficient candidate turns the static Sscan into
         // the index-only competition.
         db.create_index("IDX_AGE_ID", "FAMILIES", &["AGE", "ID"]).unwrap();

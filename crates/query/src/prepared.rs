@@ -2,9 +2,8 @@
 //!
 //! The paper's central scenario is a *parameterized query executed over
 //! and over with shifting host variables* — `AGE >= :A1` rebound per run.
-//! Before this module, every such execution re-parsed the statement,
-//! re-resolved columns and index metadata, and re-ran the competition from
-//! zero. [`Db::prepare`] pays those costs once:
+//! Ad hoc, every such execution re-parses the statement and re-resolves
+//! columns and index metadata. [`Db::prepare`] pays those costs once:
 //!
 //! * The **plan cache** maps statement text to a `CachedPlan`: the
 //!   parsed AST plus a resolved plan *skeleton* (projection, order target,
@@ -14,19 +13,18 @@
 //!   ad-hoc query (which is simply a prepare whose skeleton is not
 //!   cached) — prepared row sets are identical to fresh execution by
 //!   construction.
-//! * The previous execution's winning tactic is remembered as a
-//!   [`rdb_core::TacticHint`] and favored on the next run. Competition
-//!   kill rules stay armed, so a drifted parameter still triggers a
-//!   mid-run strategy switch — dynamic optimization is never bypassed,
-//!   only seeded.
+//! * Nothing about a previous execution's outcome is remembered: the
+//!   tactic is chosen afresh on every execution from the statement, this
+//!   run's bindings and its options, exactly as for an ad-hoc query, so
+//!   a prepared run, an ad-hoc run and `EXPLAIN` always agree.
 //!
 //! # Invalidation
 //!
 //! Skeletons are tagged with the catalog generation they were resolved
 //! under. Creating a table or index bumps the generation, forcing a
-//! re-resolve (and dropping the remembered tactic) on the next
-//! execution — observable as a `plan_cache` trace event with outcome
-//! `"invalidated"` and a `plan_cache_misses` tick in [`QueryMetrics`].
+//! re-resolve on the next execution — observable as a `plan_cache` trace
+//! event with outcome `"invalidated"` and a `plan_cache_misses` tick in
+//! [`QueryMetrics`].
 //! [`Db::clear_plan_cache`] instead wipes every skeleton in place, which
 //! reaches even outstanding [`Prepared`] handles through their shared
 //! plan `Arc`, so their next execution resolves cold.
@@ -38,7 +36,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rdb_core::{HintDisposition, TacticHint, TraceEvent};
+use rdb_core::TraceEvent;
 use rdb_storage::SharedCost;
 
 use crate::db::Db;
@@ -73,7 +71,7 @@ pub(crate) struct SkeletonSlot {
 }
 
 /// One cached statement: the parsed AST plus the lazily resolved,
-/// generation-tagged plan skeleton and the remembered winning tactic.
+/// generation-tagged plan skeleton.
 pub(crate) struct CachedPlan {
     pub(crate) statement: String,
     pub(crate) spec: QuerySpec,
@@ -81,9 +79,6 @@ pub(crate) struct CachedPlan {
     /// cache map so concurrent executors of *different* statements never
     /// contend here.
     pub(crate) skeleton: Mutex<SkeletonSlot>,
-    /// The previous execution's winner, favored as the first tactic of
-    /// the next run. Cleared whenever the skeleton is rebuilt.
-    pub(crate) hint: Mutex<Option<TacticHint>>,
 }
 
 /// Aggregate plan-cache counters (database-wide; per-query hit/miss lands
@@ -152,15 +147,14 @@ impl PlanCache {
             statement: sql.to_string(),
             spec,
             skeleton: Mutex::new(SkeletonSlot::default()),
-            hint: Mutex::new(None),
         });
         inner.plans.insert(sql.to_string(), Arc::clone(&plan));
         inner.misses += 1;
         Ok(plan)
     }
 
-    /// Clears the cache. Every plan's skeleton and remembered tactic are
-    /// wiped *in place* — outstanding [`Prepared`] handles share the same
+    /// Clears the cache. Every plan's skeleton is wiped *in place* —
+    /// outstanding [`Prepared`] handles share the same
     /// `Arc<CachedPlan>`, so their next execution resolves cold. Plans
     /// with no outstanding handle are dropped from the map (their
     /// counters absorbed first, so [`stats`](Self::stats) never goes
@@ -184,8 +178,6 @@ impl PlanCache {
                 slot.invalidations = 0;
             }
             slot.skel = None;
-            drop(slot);
-            *plan.hint.lock().unwrap_or_else(PoisonError::into_inner) = None;
             retain
         });
         inner.hits += absorbed.0;
@@ -215,7 +207,7 @@ impl PlanCache {
 }
 
 /// A prepared statement: parse + resolve paid once, host variables
-/// re-bound per execution, previous winner favored on the next run.
+/// re-bound per execution, the tactic chosen afresh on every run.
 ///
 /// Created by [`Db::prepare`] (charges the database's default meter) or
 /// [`Session::prepare`](crate::Session::prepare) (charges the
@@ -255,20 +247,12 @@ impl Prepared<'_> {
     /// contract to [`Db::query`] — the same runner executes both; what is
     /// this path's own is where the skeleton comes from (the plan-cache
     /// slot, validated against the catalog generation and rebuilt if
-    /// stale), the hit/miss tallies and `plan_cache` trace events, and
-    /// the remembered winner passed in as the hint and refreshed after.
+    /// stale), the hit/miss tallies and the `plan_cache` trace event.
     /// [`crate::QueryMetrics`] reports whether the cached skeleton was
     /// reused (`plan_cache_hits`/`plan_cache_misses`).
     pub fn execute(&self, opts: &QueryOptions) -> Result<QueryResult, QueryError> {
         let (db, plan) = (self.db, &*self.plan);
         let tag: PlanTag = db.catalog_gen;
-        let tracer = opts.tracer();
-        let plan_cache_event = |outcome: &str, detail: &str| TraceEvent::PlanCache {
-            outcome: outcome.into(),
-            statement: plan.statement.clone(),
-            detail: detail.into(),
-        };
-        let lock_hint = || plan.hint.lock().unwrap_or_else(PoisonError::into_inner);
 
         // Warm executions stay entirely off the cache-wide lock: validity
         // is one integer compare, the skeleton comes out as an `Arc`
@@ -294,10 +278,6 @@ impl Prepared<'_> {
                 if invalidated {
                     slot.invalidations += 1;
                 }
-                drop(slot);
-                // A rebuilt skeleton may renumber indexes, so the old
-                // hint's estimates no longer line up entry-for-entry.
-                *lock_hint() = None;
                 let (outcome, detail) = if invalidated {
                     (
                         "invalidated",
@@ -309,31 +289,15 @@ impl Prepared<'_> {
                 (skel, false, outcome, detail)
             }
         };
-        // The strings are built inside the closures: untraced executions
+        // The strings are built inside the closure: untraced executions
         // (the common case) never materialize them.
-        tracer.emit_with(|| plan_cache_event(outcome, detail));
+        opts.tracer().emit_with(|| TraceEvent::PlanCache {
+            outcome: outcome.into(),
+            statement: plan.statement.clone(),
+            detail: detail.into(),
+        });
 
-        // The remembered winner moves into this run and its successor moves
-        // back; a failed run puts the old one back.
-        let hint = lock_hint().take();
-        let executed = match db.run(&plan.spec, &resolved, hint.as_ref(), opts, &self.cost) {
-            Ok(executed) => executed,
-            Err(e) => {
-                *lock_hint() = hint;
-                return Err(e);
-            }
-        };
-        *lock_hint() = executed.hint;
-        match &executed.disposition {
-            HintDisposition::Applied(why) => {
-                tracer.emit_with(|| plan_cache_event("hint-applied", why));
-            }
-            HintDisposition::Dropped(why) => {
-                tracer.emit_with(|| plan_cache_event("hint-dropped", why));
-            }
-            HintDisposition::NotProvided => {}
-        }
-        let mut result = executed.result;
+        let mut result = db.run(&plan.spec, &resolved, opts, &self.cost)?;
         result.metrics.plan_cache_hits = u64::from(cache_hit);
         result.metrics.plan_cache_misses = u64::from(!cache_hit);
         Ok(result)

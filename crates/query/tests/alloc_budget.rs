@@ -5,7 +5,7 @@
 //! The four warm shapes of the benchmark's `adhoc-warm` mix run on a
 //! FAMILIES table whose bindings select a handful of rows. Per shape a
 //! counting allocator measures one warm prepared execution (skeleton
-//! cached, hint remembered) and one ad-hoc execution of the same statement
+//! cached) and one ad-hoc execution of the same statement
 //! and binding; the ad-hoc run's surplus over the prepared one is what
 //! parsing and resolving the statement cost.
 //!
@@ -21,9 +21,8 @@
 //!
 //! The gates below hold parse + resolve to a third of those, and a
 //! prepared run to one allocation above its count once the run stopped
-//! building a string log and strategy names, copying output names and
-//! cloning the remembered hint and its reason — so none of them can creep
-//! back unnoticed.
+//! building a string log and strategy names and copying output names — so
+//! none of them can creep back unnoticed.
 //!
 //! A clean reopen of the durable 10 000-row, two-index table below made
 //! **40.3 allocations per row** at commit `0f5f207`: the index bulk loader

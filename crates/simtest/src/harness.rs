@@ -74,9 +74,6 @@ pub struct SeedReport {
     /// (single winner naming the executed strategy, phase costs tiling the
     /// total, switch targets resolving to real stages).
     pub trace_checks: u64,
-    /// Prepared-mode rounds: hinted re-executions checked against the
-    /// oracle and against their own fresh run.
-    pub prepared_checks: u64,
 }
 
 /// Runs the full campaign for one seed. `Err` carries the check family
@@ -95,7 +92,6 @@ pub fn run_seed(seed: u64, cfg: &SimConfig) -> Result<SeedReport, SimFailure> {
         let ctx = |what: &str| format!("seed {seed} query {qi} [{}] {what}", query.describe());
         clean_differential(&scenario, query, cfg, &mut report).map_err(|e| e.ctx(ctx("clean")))?;
         trace_consistency(&scenario, query, &mut report).map_err(|e| e.ctx(ctx("traced")))?;
-        prepared_replay(&scenario, query, &mut report).map_err(|e| e.ctx(ctx("prepared")))?;
         for &rate in &cfg.fault_rates {
             fault_campaign(&scenario, query, qi, rate, &mut report)
                 .map_err(|e| e.ctx(ctx("faulted")))?;
@@ -372,51 +368,6 @@ fn clean_differential(
             result.strategy
         )));
     }
-    Ok(())
-}
-
-/// Prepared-mode round: the paper's repeated parameterized execution.
-/// The query runs once from scratch through the hinted entry point, then
-/// again seeded with the [`rdb_core::TacticHint`] the first run returned —
-/// exactly what a plan cache replays. Both executions must satisfy the
-/// oracle, and (for unlimited queries) the hinted replay must deliver the
-/// same row set as the fresh run even when favoring the cached winner
-/// changed which tactic ran.
-fn prepared_replay(
-    scenario: &Scenario,
-    query: &Query,
-    report: &mut SeedReport,
-) -> Result<(), SimFailure> {
-    let expected = oracle::expected_rids(scenario, query);
-    let request = scenario.request(query);
-    let opt = DynamicOptimizer::default();
-    scenario.cold();
-    let fresh = opt
-        .run_hinted(&request, None, &Tracer::disabled(), None)
-        .map_err(|e| SimFailure::execution(format!("prepared fresh run died: {e}")))?;
-    check_result(scenario, query, &expected, &fresh.result, "prepared-fresh")?;
-    report.prepared_checks += 1;
-    scenario.cold();
-    let replay = opt
-        .run_hinted(&request, None, &Tracer::disabled(), Some(&fresh.hint))
-        .map_err(|e| SimFailure::execution(format!("prepared replay died: {e}")))?;
-    check_result(scenario, query, &expected, &replay.result, "prepared-replay")?;
-    if query.limit.is_none() {
-        let mut a: Vec<_> = fresh.result.deliveries.iter().map(|d| d.rid).collect();
-        let mut b: Vec<_> = replay.result.deliveries.iter().map(|d| d.rid).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        if a != b {
-            return Err(SimFailure::row_set(format!(
-                "hinted replay delivered {} rows vs fresh {} (hint {:?}, disposition {:?})",
-                b.len(),
-                a.len(),
-                fresh.hint.tactic,
-                replay.disposition,
-            )));
-        }
-    }
-    report.prepared_checks += 1;
     Ok(())
 }
 

@@ -188,7 +188,6 @@ fn main() -> ExitCode {
                 total.fault_ok += report.fault_ok;
                 total.degraded_ok += report.degraded_ok;
                 total.trace_checks += report.trace_checks;
-                total.prepared_checks += report.prepared_checks;
             }
             Ok(Err(e)) => {
                 failures.push((seed, format!("[{:?}] {e}", e.kind)));
@@ -235,13 +234,11 @@ fn main() -> ExitCode {
 
     println!(
         "simtest: {} seeds, {} queries, {} oracle checks, {} trace-consistency checks, \
-         {} prepared-mode checks, {} faulted runs ({} clean errors, {} exact results, \
-         {} graceful index degradations)",
+         {} faulted runs ({} clean errors, {} exact results, {} graceful index degradations)",
         seeds.len() - failures.len(),
         total.queries,
         total.checks,
         total.trace_checks,
-        total.prepared_checks,
         total.fault_runs,
         total.fault_errors,
         total.fault_ok,
