@@ -1,12 +1,10 @@
 //! Shared experiment fixtures.
 
 use rdb_btree::BTree;
-use rdb_core::{
-    DynamicOptimizer, RetrievalRequest, RetrievalResult, TraceBuffer, TraceEvent, Tracer,
-};
+use rdb_core::TraceEvent;
 use rdb_storage::{
-    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, SharedCost,
-    Value, ValueType,
+    shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, Value,
+    ValueType,
 };
 
 /// A raw (core-level) fixture: one table with modular columns and one
@@ -16,8 +14,6 @@ pub struct JscanFixture {
     pub table: HeapTable,
     /// One index per column, `indexes[k]` over column `k`.
     pub indexes: Vec<BTree>,
-    /// Shared cost meter.
-    pub cost: SharedCost,
     /// Row count.
     pub n: i64,
     /// Column moduli (`col_k = i % mods[k]`; the last column is `i`).
@@ -28,8 +24,7 @@ impl JscanFixture {
     /// Builds the fixture: columns `c0..c{mods.len()-1}` with
     /// `ck = i % mods[k]`, plus a final unique column `id = i`.
     pub fn build(n: i64, mods: &[i64], pool_pages: usize) -> JscanFixture {
-        let cost = shared_meter(CostConfig::default());
-        let pool = shared_pool(pool_pages, cost.clone());
+        let pool = shared_pool(pool_pages, shared_meter(CostConfig::default()));
         let mut columns: Vec<Column> = (0..mods.len())
             .map(|k| Column::new(format!("c{k}"), ValueType::Int))
             .collect();
@@ -62,7 +57,6 @@ impl JscanFixture {
         JscanFixture {
             table,
             indexes,
-            cost,
             n,
             mods: mods.to_vec(),
         }
@@ -82,19 +76,6 @@ impl JscanFixture {
             })
             .collect()
     }
-}
-
-/// Runs `request` through `optimizer` with a trace attached: the result
-/// plus the typed log of every decision the run took.
-pub fn run_traced(
-    optimizer: &DynamicOptimizer,
-    request: &RetrievalRequest<'_>,
-) -> (RetrievalResult, Vec<TraceEvent>) {
-    let buffer = TraceBuffer::shared(1 << 16);
-    let result = optimizer
-        .run_traced(request, None, &Tracer::new(buffer.clone()))
-        .expect("in-memory retrieval");
-    (result, buffer.take())
 }
 
 /// Index scans a run's competition discarded.

@@ -7,13 +7,15 @@
 //! `src/bin/*` regenerates each artifact; `EXPERIMENTS.md` at the
 //! repository root records paper-expected vs measured outcomes.
 //!
-//! | Binary | Paper artifact |
+//! | Binary | What it runs |
 //! |---|---|
-//! | `fig2_1` | Figure 2.1 + the hyperbola-fit errors (E1, E2) |
-//! | `fig2_2` | Figure 2.2 degradation-of-certainty panels (E3) |
-//! | `competition` | Section 3 direct & two-stage competition (E4, E5) |
-//! | `estimation` | Figure 5 descent-to-split-node estimation (E7, E8) |
-//! | `paper` | The engine-level claims in cost units and milliseconds: Section 4 `AGE >= :A1` (E6), Section 6 Jscan and RID tiers (E9, E10), Section 7 tactics (E11-E14), end-to-end dynamic vs static (E16), the Section 8 steady-state mix (E19) |
+//! | `paper` | Every figure and quantified claim, one row per `EXPERIMENTS.md` section (`paper [<id>]`): the Section 2 distribution algebra and Section 3 competition models in units (E1-E5, NWAY, E17), and the engine claims in cost units with the clock beside them (E6-E19, A1-A3); E18, HIST and A4 print units only |
+//! | `beyond_ram` | Gate: read-ahead, verified reads and midpoint retention on a table 8x the pool |
+//! | `join_methods` | Gate: the join race within `JOIN_GATE_MAX` of the best forced method |
+//! | `prepared_vs_adhoc` | Gate: a prepared execution never slower than ad hoc |
+//! | `throughput` | Gate: multi-client scaling over one shared `Db` |
+//! | `trace_overhead` | Gate: the tracing layer's overhead with no sink attached |
 
 pub mod fixtures;
+pub mod histogram;
 pub mod report;

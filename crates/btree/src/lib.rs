@@ -24,11 +24,13 @@
 //!   by exact subtree counts maintained in internal nodes, plus the older
 //!   acceptance/rejection method of \[OlRo89\] for comparison benches.
 //!
+//! The stored histograms §5 argues against are study code: they live with
+//! the experiment that compares them, in `rdb-bench`.
+//!
 //! Every read access charges the shared buffer pool / cost meter from
 //! [`rdb_storage`], so index scans have realistic, cache-sensitive cost.
 
 pub mod estimate;
-pub mod histogram;
 pub mod key;
 pub mod node;
 pub mod sample;
@@ -37,7 +39,6 @@ pub mod stats;
 pub mod tree;
 
 pub use estimate::RangeEstimate;
-pub use histogram::Histogram;
 pub use key::{cmp_key_prefix, KeyBound, KeyRange};
 pub use sample::{SampleMethod, Sampler};
 pub use scan::RangeScan;

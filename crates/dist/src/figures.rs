@@ -1,7 +1,7 @@
 //! Data series for the paper's Figure 2.1 and Figure 2.2.
 //!
-//! Each panel is a labelled distribution; the `fig2_1`/`fig2_2` binaries in
-//! `rdb-bench` print them as aligned series, and the integration tests
+//! Each panel is a labelled distribution; rows E1 and E3 of `rdb-bench`'s
+//! `paper` binary print them as aligned series, and the integration tests
 //! assert the qualitative shape claims the figures illustrate.
 
 use crate::ops::Correlation;

@@ -125,7 +125,6 @@ impl Policy {
                 // fallible storage, same contract as the scan estimators.
                 "crates/core/src/join/estimate.rs".into(),
                 "crates/btree/src/estimate.rs".into(),
-                "crates/btree/src/histogram.rs".into(),
                 "crates/btree/src/stats.rs".into(),
                 "crates/dist/src/".into(),
             ],

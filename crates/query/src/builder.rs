@@ -131,14 +131,6 @@ impl DbBuilder {
         self
     }
 
-    /// Toggles sequential read-ahead on cold heap scans (durable targets
-    /// only; on by default). Off, every cold miss performs its own frame
-    /// read — the baseline the `beyond_ram` bench gates against.
-    pub fn read_ahead(mut self, enabled: bool) -> Self {
-        self.config.read_ahead = enabled;
-        self
-    }
-
     /// Opens the database. In-memory opens cannot fail in practice;
     /// durable opens surface file-system and recovery errors as typed
     /// [`QueryError::Storage`] values (a torn page no image can repair,

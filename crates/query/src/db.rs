@@ -44,9 +44,6 @@ pub struct DbConfig {
     /// WAL segment cap in bytes (durable databases): the log rotates into
     /// a fresh `wal-<seq>.rdb` once the current segment would exceed this.
     pub wal_segment_bytes: u64,
-    /// Sequential read-ahead on cold heap scans (durable databases):
-    /// batch upcoming clean pages into one positioned read per window.
-    pub read_ahead: bool,
 }
 
 impl Default for DbConfig {
@@ -59,7 +56,6 @@ impl Default for DbConfig {
             optimizer: DynamicConfig::default(),
             sort: SortConfig::default(),
             wal_segment_bytes: rdb_storage::DEFAULT_WAL_SEGMENT_BYTES,
-            read_ahead: true,
         }
     }
 }
@@ -217,7 +213,6 @@ impl Db {
         let mut recovered = recover(&store)?;
         let cost = shared_meter(config.cost);
         let pool = shared_pool(config.pool_pages, cost.clone());
-        pool.set_read_ahead(config.read_ahead);
         let ctx = DurableCtx::new(
             store.clone(),
             pool.clone(),

@@ -309,35 +309,6 @@ fn cold_scan_read_ahead_surfaces_in_query_metrics() {
 }
 
 #[test]
-fn read_ahead_off_performs_no_prefetch() {
-    let dir = temp_dir("readahead-off");
-    let mut db = Db::builder()
-        .path(&dir)
-        .page_bytes(512)
-        .read_ahead(false)
-        .open()
-        .unwrap();
-    db.create_table("FAMILIES", families_schema()).unwrap();
-    for i in 0..400 {
-        db.insert("FAMILIES", vec![Value::Int(i), Value::Int(i % 100)])
-            .unwrap();
-    }
-    db.checkpoint().unwrap();
-    db.clear_cache();
-    let result = db
-        .query("select ID from FAMILIES", &QueryOptions::new())
-        .unwrap();
-    assert_eq!(result.rows.len(), 400);
-    assert_eq!(
-        result.metrics.prefetched_pages, 0,
-        "read_ahead(false) must disable prefetch: {:?}",
-        result.metrics
-    );
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn builder_default_target_is_in_memory() {
     let mut db = Db::builder().config(DbConfig::default()).open().unwrap();
     db.create_table("T", families_schema()).unwrap();
