@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rdb_bench::gate::interleaved;
 use rdb_core::filter::Filter;
 use rdb_core::ridlist::{RidListBuilder, RidTierConfig};
 use rdb_storage::{
@@ -58,114 +59,70 @@ fn hot_pages() -> Vec<PageId> {
         .collect()
 }
 
-/// Rounds of the gates' interleaved best-of.
+/// Interleaved rounds of the pool gates; each pool keeps its best.
 const GATE_ROUNDS: usize = 15;
 
-/// Default `MIXED_MIN_SPEEDUP` floor (see `bench_mixed_gate`).
-const MIXED_FLOOR: f64 = 0.85;
-
-/// Times `new` and `reference` alternately, round by round, after one
-/// untimed call of each: a slow spell on a shared host lands on both
-/// sides instead of on one side's block of runs. Returns each side's best
-/// nanoseconds.
-fn interleaved_best_of(
-    mut new: impl FnMut() -> u64,
-    mut reference: impl FnMut() -> u64,
-) -> (f64, f64) {
-    use std::time::Instant;
-    criterion::black_box(new());
-    criterion::black_box(reference());
-    let (mut new_ns, mut ref_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..GATE_ROUNDS {
-        let t = Instant::now();
-        criterion::black_box(new());
-        new_ns = new_ns.min(t.elapsed().as_nanos() as f64);
-        let t = Instant::now();
-        criterion::black_box(reference());
-        ref_ns = ref_ns.min(t.elapsed().as_nanos() as f64);
-    }
-    (new_ns, ref_ns)
-}
-
-/// Fails unless the pool's pages/sec is at least `$floor_env` (default
-/// `default_floor`) times the reference pool's on `workload`.
-fn gate(workload: &str, floor_env: &str, default_floor: f64, (new_ns, ref_ns): (f64, f64)) {
-    let speedup = ref_ns / new_ns;
-    let min: f64 = std::env::var(floor_env)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_floor);
-    println!(
-        "pool/{workload} gate: new {:.2} ms vs reference {:.2} ms -> speedup {speedup:.2}x (min {min:.2}x)",
-        new_ns / 1e6,
-        ref_ns / 1e6,
-    );
-    assert!(
-        speedup >= min,
-        "pool/{workload} regression: pool is {speedup:.2}x the reference, below the \
-         {floor_env} floor of {min:.2}x"
-    );
-}
-
-/// Regression gate for the lock-free hit path: measures the pure-hit
-/// regime directly (independent of criterion's `--test` mode, so the CI
-/// smoke run enforces it too) and fails unless the pool stays at or above
-/// `HOTPATH_MIN_SPEEDUP` times the reference pool's pages/sec (default
-/// 1.0 — the seqlock probe must at least pay back the shard-lock tax on
-/// pure hits). Both pools are built once and warmed by the best-of's
-/// untimed first call: the gate is about the steady-state hit path, not
-/// construction or cold faulting (the `*_mixed_100k` pair covers the miss
-/// regime). Override like `THROUGHPUT_MIN_SPEEDUP`:
-/// `HOTPATH_MIN_SPEEDUP=0.9 cargo bench --bench hotpath -- --test`.
-fn bench_hot_gate(_c: &mut Criterion) {
+/// The pool gates, measured directly (independent of criterion's `--test`
+/// mode, so the CI smoke run enforces them too): each fails unless the
+/// pool's pages/sec, best of `GATE_ROUNDS` interleaved with the reference
+/// pool's, is at least its floor times the reference's.
+///
+/// * `hot_100k` (floor 1.0) guards the lock-free hit path: the seqlock
+///   probe must at least pay back the shard-lock tax on pure hits. Both
+///   pools are built once and warmed by the rounds' untimed first call:
+///   the gate is about the steady-state hit path, not construction or
+///   cold faulting.
+/// * `mixed_100k` (floor 0.85) is the eviction-bound regime. Both sides
+///   are memory-bound here, so the gate guards the probe + backward-shift
+///   path against regressing, not for a win. The floor sits just below
+///   the 0.89-0.98x that 30 interleaved runs of this gate resolved on a
+///   shared 2-vCPU host (see `BENCH_hotpath.json`), so host noise alone
+///   does not fail it. Construction and cold faulting are part of the
+///   measurement on both sides: eviction pressure is the point.
+fn bench_pool_gates(_c: &mut Criterion) {
     let hot = hot_pages();
     let pool = BufferPool::new(4096, shared_meter(CostConfig::default()));
     let mut rpool = ReferencePool::new(4096, shared_meter(CostConfig::default()));
-    let times = interleaved_best_of(
-        || {
+    let hot_rounds = interleaved(GATE_ROUNDS, 2, |arm| {
+        if arm == 0 {
             for &p in &hot {
                 pool.access(p, pool.cost());
             }
             pool.hits()
-        },
-        || {
+        } else {
             for &p in &hot {
                 rpool.access(p);
             }
             rpool.hits()
-        },
-    );
-    gate("hot_100k", "HOTPATH_MIN_SPEEDUP", 1.0, times);
-}
-
-/// Floor for the eviction-bound regime: on the miss-heavy mixed workload
-/// the open-addressed pool must stay at or above `MIXED_MIN_SPEEDUP`
-/// times the reference pool's pages/sec. Both sides are memory-bound
-/// here, so the gate guards the probe + backward-shift path against
-/// regressing, not for a win. The default floor, `MIXED_FLOOR` = 0.85,
-/// sits just below the 0.89-0.98x that 30 interleaved runs of this gate
-/// resolved on a shared 2-vCPU host (see `BENCH_hotpath.json`), so host
-/// noise alone does not fail it. Construction and cold faulting are part of the measurement on both
-/// sides: eviction pressure is the point of this regime.
-fn bench_mixed_gate(_c: &mut Criterion) {
+        }
+    });
     let pages = mixed_pages();
-    let times = interleaved_best_of(
-        || {
+    let mixed_rounds = interleaved(GATE_ROUNDS, 2, |arm| {
+        if arm == 0 {
             let pool = BufferPool::new(4096, shared_meter(CostConfig::default()));
             for &p in &pages {
                 pool.access(p, pool.cost());
             }
             pool.hits()
-        },
-        || {
+        } else {
             let mut rpool = ReferencePool::new(4096, shared_meter(CostConfig::default()));
             for &p in &pages {
                 rpool.access(p);
             }
             rpool.hits()
-        },
-    );
-    gate("mixed_100k", "MIXED_MIN_SPEEDUP", MIXED_FLOOR, times);
+        }
+    });
+    for (workload, rounds, floor) in [
+        ("hot_100k", hot_rounds, 1.0),
+        ("mixed_100k", mixed_rounds, 0.85),
+    ] {
+        let speedup = rounds.best_ns(1) / rounds.best_ns(0);
+        println!("pool/{workload} gate: pool / reference pages per second {speedup:.2}x (min {floor:.2}x)");
+        assert!(
+            speedup >= floor,
+            "pool/{workload} regression: {speedup:.2}x the reference, below {floor:.2}x"
+        );
+    }
 }
 
 fn bench_pool(c: &mut Criterion) {
@@ -321,8 +278,7 @@ fn bench_ridlist(c: &mut Criterion) {
 
 criterion_group!(
     hotpath,
-    bench_hot_gate,
-    bench_mixed_gate,
+    bench_pool_gates,
     bench_pool,
     bench_filter,
     bench_ridlist

@@ -10,12 +10,9 @@
 //! | Binary | What it runs |
 //! |---|---|
 //! | `paper` | Every figure and quantified claim, one row per `EXPERIMENTS.md` section (`paper [<id>]`): the Section 2 distribution algebra and Section 3 competition models in units (E1-E5, NWAY, E17), and the engine claims in cost units with the clock beside them (E6-E19, A1-A3); E18, HIST and A4 print units only |
-//! | `beyond_ram` | Gate: read-ahead, verified reads and midpoint retention on a table 8x the pool |
-//! | `join_methods` | Gate: the join race within `JOIN_GATE_MAX` of the best forced method |
-//! | `prepared_vs_adhoc` | Gate: a prepared execution never slower than ad hoc |
-//! | `throughput` | Gate: multi-client scaling over one shared `Db` |
-//! | `trace_overhead` | Gate: the tracing layer's overhead with no sink attached |
+//! | `gate` | Every mechanism gate, one row per gate (`gate [<id>] [--write]`): `trace_overhead`, `throughput`, `prepared_vs_adhoc`, `join_methods` and `beyond_ram`, timed through [`gate`]; `--write` regenerates their `BENCH_*.json` reports |
 
 pub mod fixtures;
+pub mod gate;
 pub mod histogram;
 pub mod report;
