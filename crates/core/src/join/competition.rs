@@ -1,27 +1,30 @@
-//! The join competition: every admitted method races on the proportional
-//! scheduler under the paper's two kill rules, so the dynamic optimizer
-//! picks join method *and* join order per query.
+//! The join competition: Section 3's two-stage competition, with the
+//! guaranteed best a join method whose cost is known before it runs.
 //!
-//! The race mirrors the single-table two-stage competition exactly:
+//! 1. **Admission** (planning time, infallible; [`admit`]): the
+//!    guaranteed lane G is the hash join building on the side with fewer
+//!    estimated surviving rows, or the cheaper nested loop when no hash
+//!    join is feasible. A speculative lane — index-nested or merge-rid,
+//!    cheap when the data is kind and ruinous when it is not — is raced
+//!    only if [`KillRules::judge`] spares its estimate against G's. Every
+//!    other candidate is pruned without spending a unit.
+//! 2. **Stage one**: the speculative lanes take turns, one quantum of
+//!    [`JOIN_BATCH`] rows each. After each quantum the lane that ran is
+//!    judged against G's estimate: on its projection (its spend
+//!    extrapolated through its progress once past [`REFINE_FRACTION`]),
+//!    and on what the speculative lanes have spent together. A lane that
+//!    finishes wins, and G never runs.
+//! 3. **Stage two**: once no speculative lane survives, G runs to
+//!    completion. It is never judged.
 //!
-//! 1. **Admission** (planning time, infallible): methods are enumerated
-//!    with closed-form estimates; anything worse than
-//!    [`ADMISSION_RATIO`] × the best estimate is pruned before spending a
-//!    single cost unit.
-//! 2. **Race**: admitted candidates interleave in quanta of
-//!    [`JOIN_BATCH`] rows. Each candidate's projected total cost is
-//!    refined from its observed spend/progress ratio once it has consumed
-//!    [`REFINE_FRACTION`] of its input; after every quantum each
-//!    surviving candidate is put to [`KillRules::judge`] against the best
-//!    rival projection — the paper's 95% rule once its own projection is
-//!    refined, the direct spend criterion from the first quantum. The
-//!    current best candidate is never judged, so the race always
-//!    terminates with a winner.
+//! A join therefore costs at most (1 + `spend_limit`)·G plus one quantum
+//! per speculative lane — the minmax-regret reading of Alyoubi, Helmer &
+//! Wood: commit to the action whose worst case is bounded, and spend a
+//! bounded amount finding out whether a better one exists.
 //!
-//! A storage fault kills the faulting candidate and the race continues;
-//! the error only propagates when no candidate remains — so a join under
-//! fault injection either returns exact rows or the injected fault,
-//! never corruption.
+//! A storage fault kills the speculative lane it hits and the race goes
+//! on; a fault in G is the join's error. So a join under fault injection
+//! either returns exact rows or the injected fault, never corruption.
 
 use rdb_competition::KillRules;
 use rdb_storage::StorageError;
@@ -29,20 +32,17 @@ use rdb_storage::StorageError;
 use crate::jscan::DiscardReason;
 use crate::trace::{RunTrace, TraceEvent, Tracer};
 
-use super::estimate::{enumerate, feasible, method_cost};
+use super::estimate::{admit, feasible, method_cost};
 use super::hash::HashJoinScan;
 use super::merge::MergeJoinScan;
 use super::nested::{partial_rids, IndexNestedScan, JoinScan, JoinStepOutcome, NestedLoopScan};
-use super::{CandidateOutcome, JoinCandidateReport, JoinMethod, JoinRequest, JoinResult};
+use super::{CandidateOutcome, JoinCandidateReport, JoinMethod, JoinPair, JoinRequest, JoinResult};
 
 /// Rows consumed per scheduling quantum (see [`JoinScan::step`]).
 pub const JOIN_BATCH: usize = 16;
-/// Progress fraction below which a candidate's projection is not yet
-/// trusted (too noisy to kill on).
+/// Progress fraction below which a speculative lane's projection is not
+/// yet trusted (too noisy to kill on).
 pub const REFINE_FRACTION: f64 = 0.05;
-/// Planning-time admission: candidates estimated worse than this multiple
-/// of the best estimate are not raced at all.
-pub const ADMISSION_RATIO: f64 = 4.0;
 
 fn build_scan<'r, 'a>(
     req: &'r JoinRequest<'a>,
@@ -59,6 +59,17 @@ fn build_scan<'r, 'a>(
     })
 }
 
+/// Runs `method` to completion: its pairs and what it spent.
+fn run_to_end(
+    req: &JoinRequest<'_>,
+    method: JoinMethod,
+) -> Result<(Vec<JoinPair>, f64), StorageError> {
+    let before = req.cost.total();
+    let mut scan = build_scan(req, method)?;
+    while scan.step(JOIN_BATCH)? == JoinStepOutcome::Progress {}
+    Ok((scan.take_pairs(), req.cost.total() - before))
+}
+
 /// Runs exactly one join method to completion — the static baseline the
 /// simulation harness differences the competition against. Returns
 /// `Err(StorageError::Corrupt("infeasible join method"))` when the
@@ -67,14 +78,8 @@ pub fn run_join_method(
     req: &JoinRequest<'_>,
     method: JoinMethod,
 ) -> Result<JoinResult, StorageError> {
-    let before = req.cost.total();
-    let mut scan = build_scan(req, method)?;
-    while scan.step(JOIN_BATCH)? == JoinStepOutcome::Progress {}
-    let pairs = scan.take_pairs();
-    let spent = req.cost.total() - before;
-    let partial = pairs.iter().map(|p| (p.left_rid, p.right_rid)).collect();
+    let (pairs, spent) = run_to_end(req, method)?;
     Ok(JoinResult {
-        pairs,
         cost: spent,
         strategy: method.strategy(),
         candidates: vec![JoinCandidateReport {
@@ -82,54 +87,75 @@ pub fn run_join_method(
             estimate: method_cost(req, method, &req.cost.config()),
             spent,
             outcome: CandidateOutcome::Won,
-            partial,
+            partial: partial_rids(&pairs),
         }],
+        pairs,
     })
 }
 
-/// One racing candidate's book-keeping.
+/// One speculative lane's book-keeping.
 struct Lane<'r> {
     method: JoinMethod,
     estimate: f64,
+    /// `None` once the lane has been retired.
     scan: Option<Box<dyn JoinScan + 'r>>,
     spent: f64,
-    outcome: Option<(CandidateOutcome, Vec<(rdb_storage::Rid, rdb_storage::Rid)>)>,
     /// Last emitted refinement bucket (quarters of progress), so the
-    /// trace shows each candidate's projection at most 4 times.
+    /// trace shows each lane's projection at most 4 times.
     refine_bucket: u32,
 }
 
 impl Lane<'_> {
-    /// True once the scan has consumed enough input for its observed
-    /// spend/progress ratio to be trusted.
-    fn refined(&self) -> bool {
-        self.scan
-            .as_deref()
-            .is_some_and(|s| s.progress() >= REFINE_FRACTION)
+    /// Projected total cost — observed spend extrapolated through observed
+    /// progress — once past [`REFINE_FRACTION`]; `None` before, when the
+    /// only figure is the estimate admission already judged.
+    fn projection(&self) -> Option<f64> {
+        let progress = self.scan.as_deref()?.progress();
+        (progress >= REFINE_FRACTION).then(|| self.spent / progress.min(1.0))
     }
 
-    /// Projected total cost: observed spend extrapolated through observed
-    /// progress once past [`REFINE_FRACTION`], the planning estimate
-    /// before.
-    fn projection(&self) -> f64 {
-        match &self.scan {
-            Some(scan) => {
-                let p = scan.progress();
-                if p >= REFINE_FRACTION && self.spent > 0.0 {
-                    self.spent / p.min(1.0)
-                } else {
-                    self.estimate
-                }
-            }
-            None => self.estimate,
+    /// Emits a [`TraceEvent::JoinRefined`] when the lane crosses a quarter
+    /// of its progress.
+    fn trace_progress(&mut self, tracer: &Tracer, guaranteed_best: f64) {
+        let progress = match self.scan.as_deref() {
+            Some(scan) if tracer.enabled() => scan.progress(),
+            _ => return,
+        };
+        let bucket = (progress * 4.0).floor() as u32;
+        if bucket > self.refine_bucket {
+            self.refine_bucket = bucket;
+            let projected_cost = self.projection().unwrap_or(self.estimate);
+            tracer.emit_with(|| TraceEvent::JoinRefined {
+                method: self.method.label().to_string(),
+                progress,
+                projected_cost,
+                guaranteed_best,
+            });
+        }
+    }
+
+    /// Retires the lane: its post-mortem, with the pairs it had produced.
+    fn retire(&mut self, outcome: CandidateOutcome) -> JoinCandidateReport {
+        let scan = self.scan.take();
+        JoinCandidateReport {
+            method: self.method,
+            estimate: self.estimate,
+            spent: self.spent,
+            outcome,
+            partial: scan
+                .as_deref()
+                .map(|s| partial_rids(s.pairs()))
+                .unwrap_or_default(),
         }
     }
 }
 
-/// Races every admitted join method and returns the winner's pairs.
+/// Races the admitted join methods and returns the winner's pairs.
 ///
 /// Trace contract: per-candidate [`TraceEvent::JoinCandidate`] estimates,
-/// one [`TraceEvent::JoinStart`], refinements/kills as they happen, then
+/// a [`TraceEvent::JoinKilled`] with nothing spent for every pruned
+/// candidate, one [`TraceEvent::JoinStart`] counting the speculative
+/// lanes plus G, refinements/kills as they happen, then
 /// [`TraceEvent::PhaseCost`] events tiling the run, a
 /// [`TraceEvent::PoolDelta`], and exactly one [`TraceEvent::Winner`]
 /// naming the winning method — the same envelope the single-table
@@ -139,227 +165,137 @@ pub fn run_join(
     rules: &KillRules,
     tracer: &Tracer,
 ) -> Result<JoinResult, StorageError> {
-    let cost_cfg = req.cost.config();
-    let estimates = enumerate(req, &cost_cfg);
-    debug_assert!(!estimates.is_empty(), "nested loop is always feasible");
-    for e in &estimates {
+    let admission = admit(req, rules, &req.cost.config());
+    let g = admission.guaranteed;
+    for e in &admission.candidates {
         tracer.emit_with(|| TraceEvent::JoinCandidate {
             method: e.method.label().to_string(),
             estimate: e.cost,
         });
     }
-    let best_est = estimates.first().map(|e| e.cost).unwrap_or(0.0);
-
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(estimates.len());
-    let mut reports: Vec<JoinCandidateReport> = Vec::new();
-    for e in &estimates {
-        if e.cost > ADMISSION_RATIO * best_est.max(f64::MIN_POSITIVE) {
-            // Pruned at planning time: hopeless against the best estimate.
-            tracer.emit_with(|| TraceEvent::JoinKilled {
-                method: e.method.label().to_string(),
-                reason: DiscardReason::ProjectedCost,
-                spent: 0.0,
-                guaranteed_best: best_est,
-            });
-            reports.push(JoinCandidateReport {
-                method: e.method,
-                estimate: e.cost,
-                spent: 0.0,
-                outcome: CandidateOutcome::Killed(DiscardReason::ProjectedCost),
-                partial: Vec::new(),
-            });
-            continue;
-        }
+    let mut reports = Vec::with_capacity(admission.candidates.len());
+    for e in admission.pruned() {
+        let reason = DiscardReason::ProjectedCost;
+        tracer.emit_with(|| TraceEvent::JoinKilled {
+            method: e.method.label().to_string(),
+            reason,
+            spent: 0.0,
+            guaranteed_best: g.cost,
+        });
+        reports.push(JoinCandidateReport {
+            method: e.method,
+            estimate: e.cost,
+            spent: 0.0,
+            outcome: CandidateOutcome::Killed(reason),
+            partial: Vec::new(),
+        });
+    }
+    let mut lanes = Vec::with_capacity(admission.speculative.len());
+    for e in &admission.speculative {
         lanes.push(Lane {
             method: e.method,
             estimate: e.cost,
             scan: Some(build_scan(req, e.method)?),
             spent: 0.0,
-            outcome: None,
             refine_bucket: 0,
         });
     }
-    let admitted = lanes.len();
     tracer.emit_with(|| TraceEvent::JoinStart {
-        candidates: estimates.len(),
-        admitted,
-        guaranteed_best: best_est,
+        candidates: admission.candidates.len(),
+        admitted: lanes.len() + 1,
+        guaranteed_best: g.cost,
     });
 
     let meter = &req.cost;
     let cost_before = meter.total();
-    let pool_before = req.left.table.pool().stats();
+    let pool_before = tracer.enabled().then(|| req.left.table.pool().stats());
     let mut rt = RunTrace::start(tracer, meter);
-
-    let mut sched = rdb_competition::ProportionalScheduler::new(vec![1.0; admitted]);
-    let mut winner: Option<(usize, JoinMethod)> = None;
-    let mut last_fault: Option<StorageError> = None;
     // Nothing charges the meter between quanta, so one reading per
     // quantum — taken after the step — prices the lane's spend and closes
     // the trace phase.
     let mut mark = cost_before;
-    let mut projections: Vec<(usize, f64)> = Vec::with_capacity(admitted);
+    let mut speculative_spent = 0.0;
 
-    while let Some(i) = sched.next() {
-        let Some(lane) = lanes.get_mut(i) else {
-            // Scheduler lanes and race lanes are created 1:1, so an
-            // out-of-range index can only mean a scheduler bug; retire
-            // it rather than panic mid-race.
-            sched.deactivate(i);
-            continue;
-        };
-        let step = lane
-            .scan
-            .as_mut()
-            .map(|s| s.step(JOIN_BATCH))
-            .unwrap_or(Ok(JoinStepOutcome::Done));
-        let now = meter.total();
-        lane.spent += now - mark;
-        mark = now;
-        rt.phase_at(lane.method.phase(), now);
-        match step {
-            Err(e) => {
-                // The faulting candidate dies; the race survives it as
-                // long as anyone else is still running.
-                sched.deactivate(i);
-                let partial = lane.scan.as_deref().map(partial_rids).unwrap_or_default();
-                let spent = lane.spent;
-                let label = lane.method.label();
-                tracer.emit_with(|| TraceEvent::JoinKilled {
-                    method: label.to_string(),
-                    reason: DiscardReason::StorageFault,
-                    spent,
-                    guaranteed_best: best_est,
-                });
-                lane.outcome =
-                    Some((CandidateOutcome::Killed(DiscardReason::StorageFault), partial));
-                lane.scan = None;
-                if sched.active_count() == 0 {
-                    return Err(last_fault.unwrap_or(e));
-                }
-                last_fault = Some(e);
-                continue;
-            }
-            Ok(JoinStepOutcome::Done) => {
-                winner = Some((i, lane.method));
-                break;
-            }
-            Ok(JoinStepOutcome::Progress) => {}
-        }
-
-        // Projection refinement + kill rules over the surviving field.
-        if sched.active_count() < 2 {
-            continue;
-        }
-        projections.clear();
-        projections.extend(
-            lanes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| sched.is_active(j))
-                .map(|(j, lane)| (j, lane.projection())),
-        );
-        // Emit a refinement event when this lane crossed a progress
-        // quarter (bounded trace volume per candidate).
-        if tracer.enabled() {
-            if let Some(lane) = lanes.get_mut(i) {
-                if let Some(scan) = lane.scan.as_deref() {
-                    let progress = scan.progress();
-                    let bucket = (progress * 4.0).floor() as u32;
-                    if bucket > lane.refine_bucket {
-                        lane.refine_bucket = bucket;
-                        let proj = lane.projection();
-                        let label = lane.method.label();
-                        let best_other = projections
-                            .iter()
-                            .filter(|(j, _)| *j != i)
-                            .map(|(_, p)| *p)
-                            .fold(f64::INFINITY, f64::min);
-                        tracer.emit_with(|| TraceEvent::JoinRefined {
-                            method: label.to_string(),
-                            progress,
-                            projected_cost: proj,
-                            guaranteed_best: best_other.min(proj),
-                        });
-                    }
-                }
-            }
-        }
-        let argmin = projections
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(j, _)| *j);
-        for &(j, proj) in &projections {
-            if Some(j) == argmin || sched.active_count() <= 1 {
-                continue;
-            }
-            let g = projections
-                .iter()
-                .filter(|(k, _)| *k != j)
-                .map(|(_, p)| *p)
-                .fold(f64::INFINITY, f64::min);
-            let Some(lane) = lanes.get_mut(j) else { continue };
-            // An unrefined projection is only the planning estimate,
-            // which admission has already judged. Projections are judged
-            // no finer than one cost unit: against a rival projecting a
-            // fraction of a page read, a lane's first quantum would
-            // already be overspent.
-            let projected = lane.refined().then_some(proj.max(1.0));
-            let Some(kill) = rules.judge(projected, lane.spent, g.max(1.0)) else {
+    // Stage one: the speculative lanes, one quantum each in turn.
+    let mut winner = None;
+    while winner.is_none() && lanes.iter().any(|l| l.scan.is_some()) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let Some(scan) = lane.scan.as_mut() else {
                 continue;
             };
-            let reason = DiscardReason::from(kill);
-            sched.deactivate(j);
-            let partial = lane.scan.as_deref().map(partial_rids).unwrap_or_default();
-            let spent = lane.spent;
-            let label = lane.method.label();
+            let step = scan.step(JOIN_BATCH);
+            let now = meter.total();
+            lane.spent += now - mark;
+            speculative_spent += now - mark;
+            mark = now;
+            rt.phase_at(lane.method.phase(), now);
+            let reason = match step {
+                Ok(JoinStepOutcome::Done) => {
+                    winner = Some(i);
+                    break;
+                }
+                // The faulting lane dies; G is still there to finish.
+                Err(_) => DiscardReason::StorageFault,
+                Ok(JoinStepOutcome::Progress) => {
+                    lane.trace_progress(tracer, g.cost);
+                    match rules.judge(lane.projection(), speculative_spent, g.cost) {
+                        Some(kill) => DiscardReason::from(kill),
+                        None => continue,
+                    }
+                }
+            };
             tracer.emit_with(|| TraceEvent::JoinKilled {
-                method: label.to_string(),
+                method: lane.method.label().to_string(),
                 reason,
-                spent,
-                guaranteed_best: g,
+                spent: lane.spent,
+                guaranteed_best: g.cost,
             });
-            lane.outcome = Some((CandidateOutcome::Killed(reason), partial));
-            lane.scan = None;
+            reports.push(lane.retire(CandidateOutcome::Killed(reason)));
         }
     }
 
-    let Some((w, method)) = winner else {
-        // The scheduler ran dry without a finisher: every lane died on a
-        // fault (kill rules always spare the best lane).
-        return Err(last_fault.unwrap_or(StorageError::Corrupt("join race had no winner")));
+    let (method, pairs) = match winner.and_then(|w| lanes.get_mut(w)) {
+        Some(lane) => {
+            let pairs = lane
+                .scan
+                .as_mut()
+                .map(|s| s.take_pairs())
+                .unwrap_or_default();
+            reports.push(JoinCandidateReport {
+                partial: partial_rids(&pairs),
+                ..lane.retire(CandidateOutcome::Won)
+            });
+            reports.push(JoinCandidateReport {
+                method: g.method,
+                estimate: g.cost,
+                spent: 0.0,
+                outcome: CandidateOutcome::Lost,
+                partial: Vec::new(),
+            });
+            (lane.method, pairs)
+        }
+        None => {
+            // Stage two: G runs to completion, never judged.
+            let (pairs, spent) = run_to_end(req, g.method)?;
+            rt.phase_at(g.method.phase(), meter.total());
+            reports.push(JoinCandidateReport {
+                method: g.method,
+                estimate: g.cost,
+                spent,
+                outcome: CandidateOutcome::Won,
+                partial: partial_rids(&pairs),
+            });
+            (g.method, pairs)
+        }
     };
-
-    let mut pairs = Vec::new();
-    for (j, lane) in lanes.iter_mut().enumerate() {
-        let (outcome, partial) = if j == w {
-            let scan = lane.scan.as_mut();
-            let won = scan.map(|s| s.take_pairs()).unwrap_or_default();
-            let rids = won.iter().map(|p| (p.left_rid, p.right_rid)).collect();
-            pairs = won;
-            (CandidateOutcome::Won, rids)
-        } else {
-            match lane.outcome.take() {
-                Some(done) => done,
-                None => (
-                    CandidateOutcome::Lost,
-                    lane.scan.as_deref().map(partial_rids).unwrap_or_default(),
-                ),
-            }
-        };
-        reports.push(JoinCandidateReport {
-            method: lane.method,
-            estimate: lane.estimate,
-            spent: lane.spent,
-            outcome,
-            partial,
-        });
+    for lane in lanes.iter_mut().filter(|l| l.scan.is_some()) {
+        reports.push(lane.retire(CandidateOutcome::Lost));
     }
 
     rt.finish();
     let total = meter.total() - cost_before;
-    if tracer.enabled() {
-        let delta = req.left.table.pool().stats().since(&pool_before);
+    if let Some(before) = pool_before {
+        let delta = req.left.table.pool().stats().since(&before);
         tracer.emit_with(|| TraceEvent::PoolDelta {
             hits: delta.hits,
             misses: delta.misses,
@@ -388,6 +324,7 @@ mod tests {
         SharedPool, Value, ValueType,
     };
 
+    use super::super::estimate::enumerate;
     use super::super::{JoinOp, JoinRequest, JoinSide, SideId};
     use super::*;
 
@@ -549,7 +486,7 @@ mod tests {
             JoinOp::Eq,
             w.pool.cost().clone(),
         )
-        .with_pair_filter(Arc::new(|l: &Record, r: &Record| l[1] != r[1]));
+        .with_pair_filter(Arc::new(|l: &[Value], r: &[Value]| l[1] != r[1]));
         let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
         let expected: Vec<(Rid, Rid)> = {
             let mut v: Vec<(Rid, Rid)> = w
@@ -604,8 +541,9 @@ mod tests {
     /// PARENT(ID, KIND) with unique IDs and CHILD(FK, X) with exactly
     /// `per_parent` children per parent — every index key on either side
     /// has a partner — indexed the way `Db::create_index` builds (bulk
-    /// load, fanout 64), which prices merge-rid inside the admission band.
+    /// load, fanout 64).
     struct PkFkWorld {
+        pool: SharedPool,
         parent: HeapTable,
         child: HeapTable,
         parent_idx: BTree,
@@ -645,6 +583,7 @@ mod tests {
         let parent_idx = index("IDX_P", 2, parent_keys);
         let child_idx = index("IDX_C", 3, child_keys);
         PkFkWorld {
+            pool,
             parent,
             child,
             parent_idx,
@@ -732,18 +671,54 @@ mod tests {
         }
     }
 
+    /// Section 3's L-shaped pair: PARENT ⋈ CHILD with a left residual
+    /// keeping `ID % every == every - 1` and estimated at 4 surviving
+    /// parents. With `every` = 500 the estimate is the truth; with 16 it
+    /// understates the 125 survivors 31×. The planner sees the same
+    /// request either way: index-nested(outer=left) looks cheap, so it
+    /// races against hash(build=left).
+    fn l_shaped(w: &PkFkWorld, every: i64) -> JoinRequest<'_> {
+        let keep: crate::request::RecordPred = Arc::new(move |r: &Record| {
+            r.get(0)
+                .and_then(Value::as_i64)
+                .is_some_and(|id| id % every == every - 1)
+        });
+        JoinRequest::new(
+            JoinSide::new(&w.parent)
+                .on_column(0)
+                .with_index(&w.parent_idx)
+                .with_residual(keep, 4.0),
+            JoinSide::new(&w.child).on_column(0).with_index(&w.child_idx),
+            JoinOp::Eq,
+            shared_meter(CostConfig::default()),
+        )
+    }
+
+    const INDEX_NESTED_LEFT: JoinMethod = JoinMethod::IndexNested { outer: SideId::Left };
+    const HASH_LEFT: JoinMethod = JoinMethod::Hash { build: SideId::Left };
+
     #[test]
-    fn an_admitted_merge_is_killed_within_a_quantum_of_the_spend_limit() {
+    fn an_understated_lane_dies_within_the_two_stage_bound() {
         let w = pk_fk_world(2_000, PER_PARENT);
         let rules = KillRules::default();
-        // The dearest a quantum can be: every work unit a page miss plus
-        // a row. (Measuring it instead would bless whatever a step does.)
+        let req = l_shaped(&w, 16);
+        let admission = admit(&req, &rules, &req.cost.config());
+        let g = admission.guaranteed;
+        assert_eq!(g.method, HASH_LEFT);
+        let speculative: Vec<_> = admission.speculative.iter().map(|e| e.method).collect();
+        assert_eq!(speculative, [INDEX_NESTED_LEFT]);
+        // The dearest a quantum can be: every work unit a full descent of
+        // the child index plus a fetch, every page a miss. (Measuring it
+        // instead would bless whatever a step does.)
         let price = CostConfig::default();
-        let quantum = (JOIN_BATCH as u64 + GROUP) as f64 * (price.io_read + price.cpu_record);
+        let pages_per_unit = w.child_idx.height() as f64 + 1.0;
+        let quantum = JOIN_BATCH as f64 * (pages_per_unit * price.io_read + price.cpu_record);
 
+        w.pool.clear();
         let buffer = crate::trace::TraceBuffer::shared(4096);
-        let result = run_join(&w.request(), &rules, &Tracer::new(buffer.clone())).unwrap();
-        assert_eq!(result.pairs.len(), 8_000);
+        let result = run_join(&req, &rules, &Tracer::new(buffer.clone())).unwrap();
+        assert_eq!(result.strategy, g.method.strategy());
+        assert_eq!(result.pairs.len(), 125 * PER_PARENT as usize);
         let (spent, guaranteed_best) = buffer
             .take()
             .iter()
@@ -753,23 +728,96 @@ mod tests {
                     spent,
                     guaranteed_best,
                     ..
-                } if method == "merge-rid" && *spent > 0.0 => Some((*spent, *guaranteed_best)),
+                } if *method == INDEX_NESTED_LEFT.label() => Some((*spent, *guaranteed_best)),
                 _ => None,
             })
-            .expect("merge-rid is admitted and then killed in the race");
-        let report = result
+            .expect("index-nested is admitted and then killed in the race");
+        assert_eq!(guaranteed_best, g.cost);
+        assert!(spent > 0.0);
+        assert!(
+            spent <= rules.spend_limit * g.cost + quantum,
+            "index-nested spent {spent:.1} before its kill; the spend rule allows \
+             {:.1} of G's {:.1} plus one quantum ({quantum:.1})",
+            rules.spend_limit,
+            g.cost
+        );
+        assert!(
+            result.cost <= (1.0 + rules.spend_limit) * g.cost + quantum,
+            "the race cost {:.1}; two-stage allows (1 + {:.1}) x {:.1} plus one quantum",
+            result.cost,
+            rules.spend_limit,
+            g.cost
+        );
+    }
+
+    #[test]
+    fn a_truthful_lane_wins_and_the_guaranteed_lane_spends_nothing() {
+        let w = pk_fk_world(2_000, PER_PARENT);
+        let rules = KillRules::default();
+        let req = l_shaped(&w, 500);
+        w.pool.clear();
+        let result = run_join(&req, &rules, &Tracer::disabled()).unwrap();
+        assert_eq!(result.strategy, INDEX_NESTED_LEFT.strategy());
+        assert_eq!(result.pairs.len(), 4 * PER_PARENT as usize);
+        let g = result
             .candidates
             .iter()
-            .find(|c| c.method == JoinMethod::Merge)
+            .find(|c| c.method == HASH_LEFT)
             .unwrap();
-        assert!(matches!(report.outcome, CandidateOutcome::Killed(_)));
-        assert_eq!(report.spent, spent);
-        assert!(
-            spent <= rules.spend_limit * guaranteed_best + quantum,
-            "merge-rid spent {spent:.1} before its kill; the spend rule allows \
-             {:.1} of the guaranteed best {guaranteed_best:.1} plus one quantum ({quantum:.2})",
-            rules.spend_limit
+        assert_eq!(g.outcome, CandidateOutcome::Lost);
+        assert_eq!(g.spent, 0.0);
+        assert!(result.cost < g.estimate, "{} vs G's {}", result.cost, g.estimate);
+    }
+
+    #[test]
+    fn enumerate_lists_one_hash_building_on_the_smaller_side() {
+        let w = pk_fk_world(200, PER_PARENT);
+        let hashes = |req: &JoinRequest<'_>| -> Vec<JoinMethod> {
+            enumerate(req, &CostConfig::default())
+                .into_iter()
+                .map(|e| e.method)
+                .filter(|m| matches!(m, JoinMethod::Hash { .. }))
+                .collect()
+        };
+        fn side(table: &HeapTable) -> JoinSide<'_> {
+            JoinSide::new(table).on_column(0)
+        }
+        let cost = || shared_meter(CostConfig::default());
+        // Fewer estimated rows builds: 200 parents against 800 children,
+        // then a right residual estimated at 10.
+        assert_eq!(hashes(&w.request()), [HASH_LEFT]);
+        let all: crate::request::RecordPred = Arc::new(|_| true);
+        let req = JoinRequest::new(
+            side(&w.parent),
+            side(&w.child).with_residual(all, 10.0),
+            JoinOp::Eq,
+            cost(),
         );
+        assert_eq!(hashes(&req), [JoinMethod::Hash { build: SideId::Right }]);
+        // Equal estimates: fewer pages builds; equal pages too: left.
+        fn even(table: &HeapTable) -> JoinSide<'_> {
+            side(table).with_residual(Arc::new(|_| true), 50.0)
+        }
+        let req = JoinRequest::new(even(&w.child), even(&w.parent), JoinOp::Eq, cost());
+        assert_eq!(hashes(&req), [JoinMethod::Hash { build: SideId::Right }]);
+        let req = JoinRequest::new(side(&w.parent), side(&w.parent), JoinOp::Eq, cost());
+        assert_eq!(hashes(&req), [HASH_LEFT]);
+    }
+
+    #[test]
+    fn with_nothing_speculative_the_race_costs_its_guaranteed_lane() {
+        let w = pk_fk_world(2_000, PER_PARENT);
+        let rules = KillRules::default();
+        let req = w.request();
+        let admission = admit(&req, &rules, &req.cost.config());
+        assert!(admission.speculative.is_empty());
+        w.pool.clear();
+        let race = run_join(&req, &rules, &Tracer::disabled()).unwrap();
+        w.pool.clear();
+        let alone = run_join_method(&req, admission.guaranteed.method).unwrap();
+        assert_eq!(race.strategy, alone.strategy);
+        assert_eq!(race.cost, alone.cost);
+        assert_eq!(race.pairs, alone.pairs);
     }
 
     #[test]

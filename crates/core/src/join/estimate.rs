@@ -9,6 +9,11 @@
 //! inequality fractions of Repas et al.: `<`/`<=`/`>`/`>=` keep half the
 //! cross product, `<>` keeps all but the matching diagonal.
 //!
+//! It also decides the race's lanes ([`admit`]): the guaranteed lane,
+//! whose cost is known before it runs, and the speculative lanes the kill
+//! rules spare against it. The race and `EXPLAIN`'s join listing both
+//! call it.
+//!
 //! This module is pure planning (rdb-lint F001): it never touches
 //! fallible storage, only cardinality/height/fanout metadata and the
 //! closed-form per-strategy cost formulas already pinned for the
@@ -18,6 +23,7 @@
 use crate::jscan::Jscan;
 use crate::sscan::Sscan;
 use crate::tscan::Tscan;
+use rdb_competition::KillRules;
 use rdb_storage::CostConfig;
 
 use super::{JoinMethod, JoinOp, JoinRequest, SideId};
@@ -142,17 +148,36 @@ pub fn feasible(req: &JoinRequest<'_>, method: JoinMethod) -> bool {
     }
 }
 
+/// The hash join's build side: the side with fewer estimated surviving
+/// rows; ties go to fewer pages, then to left. Either orientation reads
+/// both heaps once, so the smaller arena is the only difference.
+fn hash_build_side(req: &JoinRequest<'_>) -> SideId {
+    let (l, r) = (&req.left, &req.right);
+    let smaller = r
+        .est_rows
+        .total_cmp(&l.est_rows)
+        .then(r.table.page_count().cmp(&l.table.page_count()));
+    if smaller.is_lt() {
+        SideId::Right
+    } else {
+        SideId::Left
+    }
+}
+
 /// Enumerates every feasible method with its cost estimate, cheapest
-/// first. The naive nested loops are always present, so the list is
-/// never empty — the competition always has a guaranteed fallback.
+/// first. The hash join is listed in one orientation only, building on
+/// the side with fewer estimated surviving rows (ties: fewer pages, then
+/// left). The naive nested loops are always present, so the
+/// list is never empty — the competition always has a guaranteed lane.
 pub fn enumerate(req: &JoinRequest<'_>, cfg: &CostConfig) -> Vec<JoinEstimate> {
     let all = [
         JoinMethod::NestedLoop { outer: SideId::Left },
         JoinMethod::NestedLoop { outer: SideId::Right },
         JoinMethod::IndexNested { outer: SideId::Left },
         JoinMethod::IndexNested { outer: SideId::Right },
-        JoinMethod::Hash { build: SideId::Left },
-        JoinMethod::Hash { build: SideId::Right },
+        JoinMethod::Hash {
+            build: hash_build_side(req),
+        },
         JoinMethod::Merge,
     ];
     let mut out: Vec<JoinEstimate> = all
@@ -165,6 +190,60 @@ pub fn enumerate(req: &JoinRequest<'_>, cfg: &CostConfig) -> Vec<JoinEstimate> {
         .collect();
     out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     out
+}
+
+/// The race's lanes for one request, decided before it spends a unit
+/// (Section 3's two-stage competition).
+#[derive(Debug, Clone)]
+pub struct Admission {
+    /// Every feasible method, cheapest first ([`enumerate`]).
+    pub candidates: Vec<JoinEstimate>,
+    /// The guaranteed lane G: the cheapest method whose cost is known
+    /// before it runs — the hash join when one is feasible, else the
+    /// cheaper nested loop. Its estimate is the race's guaranteed best.
+    pub guaranteed: JoinEstimate,
+    /// The speculative lanes raced against G, cheapest first.
+    pub speculative: Vec<JoinEstimate>,
+}
+
+impl Admission {
+    /// The candidates that are never raced, cheapest first.
+    pub fn pruned(&self) -> impl Iterator<Item = &JoinEstimate> {
+        self.candidates.iter().filter(|e| {
+            e.method != self.guaranteed.method
+                && !self.speculative.iter().any(|s| s.method == e.method)
+        })
+    }
+}
+
+/// Admits the race's lanes: G, plus each speculative method (index-nested,
+/// merge-rid — whose cost hangs on data the planner cannot see) whose
+/// estimate [`KillRules::judge`] spares against G's, exactly as it would
+/// judge the lane's projection in the race.
+pub fn admit(req: &JoinRequest<'_>, rules: &KillRules, cfg: &CostConfig) -> Admission {
+    let candidates = enumerate(req, cfg);
+    let first = |pick: fn(&JoinMethod) -> bool| candidates.iter().find(|e| pick(&e.method));
+    let guaranteed = first(|m| matches!(m, JoinMethod::Hash { .. }))
+        .or_else(|| first(|m| matches!(m, JoinMethod::NestedLoop { .. })))
+        .copied()
+        .unwrap_or_else(|| {
+            let method = JoinMethod::NestedLoop { outer: SideId::Left };
+            JoinEstimate {
+                method,
+                cost: method_cost(req, method, cfg),
+            }
+        });
+    let speculative = candidates
+        .iter()
+        .filter(|e| matches!(e.method, JoinMethod::IndexNested { .. } | JoinMethod::Merge))
+        .filter(|e| rules.judge(Some(e.cost), 0.0, guaranteed.cost).is_none())
+        .copied()
+        .collect();
+    Admission {
+        candidates,
+        guaranteed,
+        speculative,
+    }
 }
 
 #[cfg(test)]

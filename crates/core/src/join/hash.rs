@@ -2,19 +2,20 @@
 //! buffer pool into an in-memory arena chained by the canonical join-key
 //! hash; the probe side then streams once, probing the arena.
 //!
-//! Equality is decided by [`Value`](rdb_storage::Value)'s `Ord` (`cmp == Equal`), never by
+//! Equality is decided by [`Value`]'s `Ord` (`cmp == Equal`), never by
 //! the hash alone — [`super::join_key_hash`] is consistent with that
 //! order (Int/Float coerce identically), so a chain hit is a candidate,
 //! not a match. NULL join keys are skipped on both sides, matching SQL
 //! semantics.
 //!
-//! Rows are decoded once, into a scratch record, and copied only when
-//! they survive: a build row that passes its NULL-key and residual
-//! checks is moved into the arena, a probe row is cloned once per pair it
-//! actually forms. One work unit of [`JoinScan::step`] is one build or
-//! probe row; a probe row's chain walk is the atomic part.
+//! Rows are decoded once, into a scratch record. A build row that passes
+//! its NULL-key and residual checks has its values moved onto the end of
+//! one flat value arena, so the build phase allocates per arena growth,
+//! not per row; a probe row is looked at in place, and a pair it forms
+//! copies only its output columns. One work unit of [`JoinScan::step`] is
+//! one build or probe row; a probe row's chain walk is the atomic part.
 
-use rdb_storage::{HeapScan, Record, Rid, StorageError};
+use rdb_storage::{HeapScan, Record, Rid, StorageError, Value};
 
 use super::nested::{push_if_match, JoinScan, JoinStepOutcome};
 use super::{join_key_hash, JoinPair, JoinRequest, JoinSide, SideId};
@@ -30,12 +31,14 @@ enum Phase {
 /// End of a hash chain.
 const NIL: u32 = u32::MAX;
 
-/// One surviving build row, linked to the next row of its chain.
+/// One surviving build row, linked to the next row of its chain; its
+/// values are `values[start..end]` of the scan's value arena.
 struct BuildRow {
     hash: u64,
     next: u32,
     rid: Rid,
-    rec: Record,
+    start: usize,
+    end: usize,
 }
 
 /// The hash-join candidate. `build` names the side held in memory.
@@ -48,6 +51,8 @@ pub struct HashJoinScan<'a, 'r> {
     /// Build rows that passed the residual and have a non-NULL join key,
     /// in scan order.
     arena: Vec<BuildRow>,
+    /// The build rows' values, back to back in arena order.
+    values: Vec<Value>,
     /// Chain heads into the arena, a power-of-two table indexed by the
     /// top bits of the canonical hash; linked when the build phase ends,
     /// each chain in arena order.
@@ -66,6 +71,7 @@ impl<'a, 'r> HashJoinScan<'a, 'r> {
             phase: Phase::Build(scan),
             scratch: Record::default(),
             arena: Vec::new(),
+            values: Vec::new(),
             heads: Vec::new(),
             pairs: Vec::new(),
         }
@@ -117,13 +123,21 @@ impl JoinScan for HashJoinScan<'_, '_> {
                         self.phase = Phase::Probe(p.table.scan());
                     }
                     Some(rid) => {
-                        let key = &self.scratch[b.join_col];
-                        if !key.is_null() && (b.residual)(&self.scratch) {
+                        let key = self.scratch.get(b.join_col).filter(|k| !k.is_null());
+                        if let Some(key) = key.filter(|_| (b.residual)(&self.scratch)) {
+                            let hash = join_key_hash(key);
+                            // Move the values out and hand the emptied
+                            // buffer back as the scratch record.
+                            let mut row = std::mem::take(&mut self.scratch).into_values();
+                            let start = self.values.len();
+                            self.values.append(&mut row);
+                            self.scratch = Record::new(row);
                             self.arena.push(BuildRow {
-                                hash: join_key_hash(key),
+                                hash,
                                 next: NIL,
                                 rid,
-                                rec: std::mem::take(&mut self.scratch),
+                                start,
+                                end: self.values.len(),
                             });
                         }
                     }
@@ -135,8 +149,10 @@ impl JoinScan for HashJoinScan<'_, '_> {
                     }
                     Some(prid) => {
                         let prec = &self.scratch;
-                        let key = &prec[p.join_col];
-                        if key.is_null() || !(p.residual)(prec) {
+                        let Some(key) = prec.get(p.join_col).filter(|k| !k.is_null()) else {
+                            continue;
+                        };
+                        if !(p.residual)(prec) {
                             continue;
                         }
                         let hash = join_key_hash(key);
@@ -153,11 +169,12 @@ impl JoinScan for HashJoinScan<'_, '_> {
                             // A chain hit is a candidate; the pair check
                             // decides true equality plus any extra pair
                             // filter, and only a match is copied.
+                            let brow = self.values.get(row.start..row.end).unwrap_or_default();
                             push_if_match(
                                 self.req,
                                 self.build,
-                                (row.rid, &row.rec),
-                                (prid, prec),
+                                (row.rid, brow),
+                                (prid, prec.values()),
                                 &mut self.pairs,
                             );
                             if self.pairs.len() >= limit {

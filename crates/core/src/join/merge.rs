@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 use rdb_btree::{BTree, KeyRange, RangeScan};
 use rdb_storage::{Record, Rid, StorageError, Value};
 
-use super::nested::{pair_matches, JoinScan, JoinStepOutcome};
-use super::{JoinPair, JoinRequest};
+use super::nested::{push_if_match, JoinScan, JoinStepOutcome};
+use super::{JoinPair, JoinRequest, SideId};
 
 enum Phase {
     /// Merging the two index scans into RID pairs.
@@ -271,14 +271,13 @@ impl JoinScan for MergeJoinScan<'_, '_> {
                                 // The indexes said the keys match;
                                 // re-verify on the actual rows plus any
                                 // extra pair filter.
-                                if pair_matches(self.req, l, r) {
-                                    self.pairs.push(JoinPair {
-                                        left_rid: lrid,
-                                        right_rid: rrid,
-                                        left: l.clone(),
-                                        right: r.clone(),
-                                    });
-                                }
+                                push_if_match(
+                                    self.req,
+                                    SideId::Left,
+                                    (lrid, l.values()),
+                                    (rrid, r.values()),
+                                    &mut self.pairs,
+                                );
                             }
                         }
                     }

@@ -7,27 +7,32 @@
 //! candidates. This module extends that treatment from single-table
 //! scans to two-table joins:
 //!
-//! * [`nested`] — naive nested-loop (the guaranteed fallback, always
-//!   feasible) and index-nested-loop (outer scan probing the inner
-//!   side's B-tree per row).
+//! * [`nested`] — naive nested-loop (always feasible; the guaranteed
+//!   lane when no hash join is) and index-nested-loop (outer scan probing
+//!   the inner side's B-tree per row).
 //! * [`hash`] — build/probe hash join, spill-free: the build side is
-//!   held as an in-memory bucket arena while both sides stream through
-//!   the shared buffer pool.
+//!   held as an in-memory value arena while both sides stream through
+//!   the shared buffer pool. Its cost is known before it runs (both heaps
+//!   once), which makes it the join's Tscan.
 //! * [`merge`] — a Jscan-style cross-table RID-intersection join: both
 //!   sides' join-key indexes are merged in key order producing `(left
 //!   RID, right RID)` pairs *before* any heap row is fetched, exactly
 //!   how Jscan intersects RID lists before its final fetch stage.
 //! * [`estimate`] — planning-time cost/cardinality model (Section 2's
 //!   transformation for equi-joins, the uniform inequality fraction of
-//!   Repas et al. for non-equi ones). Infallible by policy (rdb-lint
-//!   F001): estimation never touches fallible storage.
-//! * [`competition`] — [`run_join`](competition::run_join) races every
-//!   admitted method under the paper's two kill rules (projected-cost
-//!   and scan-spend, both relative to the running guaranteed best), so
-//!   the optimizer picks join method *and* join order per query.
+//!   Repas et al. for non-equi ones) and the race's admission. Infallible
+//!   by policy (rdb-lint F001): estimation never touches fallible storage.
+//! * [`competition`] — [`run_join`](competition::run_join) is Section 3's
+//!   two-stage competition: the speculative lanes (index-nested,
+//!   merge-rid) race against the guaranteed lane's known cost under the
+//!   paper's two kill rules, and the guaranteed lane runs only if none of
+//!   them finishes first.
 //!
-//! Everything charges through the request's [`SharedCost`] meter, so
-//! joins work under per-session meters (`Db::session()` / `--threads N`).
+//! Every lane assembles a matching pair's output row (the request's
+//! [`output`](JoinRequest::output) columns) from the two records it
+//! already holds, so a delivered pair is built once. Everything charges
+//! through the request's [`SharedCost`] meter, so joins work under
+//! per-session meters (`Db::session()` / `--threads N`).
 
 pub mod competition;
 pub mod estimate;
@@ -39,7 +44,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use rdb_btree::BTree;
-use rdb_storage::{HeapTable, Record, Rid, SharedCost, Value};
+use rdb_storage::{HeapTable, Rid, SharedCost, Value};
 
 use crate::jscan::DiscardReason;
 use crate::request::RecordPred;
@@ -134,8 +139,9 @@ impl fmt::Display for JoinOp {
 }
 
 /// A pair-level filter applied after the join comparison — extra
-/// cross-table conjuncts beyond the driving one.
-pub type PairPred = Arc<dyn Fn(&Record, &Record) -> bool + Send + Sync>;
+/// cross-table conjuncts beyond the driving one — over the left and the
+/// right row's values.
+pub type PairPred = Arc<dyn Fn(&[Value], &[Value]) -> bool + Send + Sync>;
 
 /// One side of the join: the table, its join column, an optional B-tree
 /// on that column, the side-local residual restriction, and the
@@ -202,8 +208,8 @@ impl fmt::Debug for JoinSide<'_> {
 }
 
 /// A two-table join request: both sides, the driving comparison, an
-/// optional extra pair filter, a row limit, and the cost meter every
-/// candidate charges.
+/// optional extra pair filter, the delivered columns, a row limit, and
+/// the cost meter every candidate charges.
 pub struct JoinRequest<'a> {
     /// Left side.
     pub left: JoinSide<'a>,
@@ -213,6 +219,10 @@ pub struct JoinRequest<'a> {
     pub op: JoinOp,
     /// Extra cross-table conjuncts, applied to every surviving pair.
     pub pair_filter: Option<PairPred>,
+    /// The columns of every delivered [`JoinPair::row`], in order: each a
+    /// side and a position in that side's records. The default is every
+    /// left column, then every right column.
+    pub output: Arc<[(SideId, usize)]>,
     /// Stop after this many pairs (models `LIMIT` / `EXISTS`).
     pub limit: Option<usize>,
     /// The meter all candidates charge (per-session under `--threads N`).
@@ -222,14 +232,26 @@ pub struct JoinRequest<'a> {
 impl<'a> JoinRequest<'a> {
     /// A request joining `left OP right` charging `cost`.
     pub fn new(left: JoinSide<'a>, right: JoinSide<'a>, op: JoinOp, cost: SharedCost) -> Self {
+        let arity = |s: &JoinSide<'_>| s.table.schema().columns().len();
+        let output = (0..arity(&left))
+            .map(|i| (SideId::Left, i))
+            .chain((0..arity(&right)).map(|i| (SideId::Right, i)))
+            .collect();
         JoinRequest {
             left,
             right,
             op,
             pair_filter: None,
+            output,
             limit: None,
             cost,
         }
+    }
+
+    /// Sets the delivered columns (see [`JoinRequest::output`]).
+    pub fn with_output(mut self, output: Arc<[(SideId, usize)]>) -> Self {
+        self.output = output;
+        self
     }
 
     /// Adds an extra pair-level filter.
@@ -261,17 +283,16 @@ impl fmt::Debug for JoinRequest<'_> {
     }
 }
 
-/// One delivered join pair: both RIDs and both full records.
+/// One delivered join pair: both RIDs and the output row, assembled by
+/// the lane from the two records when the pair matched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinPair {
     /// RID of the left row.
     pub left_rid: Rid,
     /// RID of the right row.
     pub right_rid: Rid,
-    /// The left record.
-    pub left: Record,
-    /// The right record.
-    pub right: Record,
+    /// The request's [`output`](JoinRequest::output) columns of the pair.
+    pub row: Vec<Value>,
 }
 
 /// A join method plus its orientation — the competition's candidate
@@ -279,7 +300,7 @@ pub struct JoinPair {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinMethod {
     /// Naive nested loop with the given outer side. Always feasible:
-    /// this is the competition's guaranteed fallback.
+    /// the guaranteed lane when no hash join is.
     NestedLoop {
         /// Which side drives the outer scan.
         outer: SideId,
@@ -292,6 +313,7 @@ pub enum JoinMethod {
     },
     /// Build/probe hash join. Requires an equi-join; the build side is
     /// held in memory (spill-free partitioning over the buffer pool).
+    /// When feasible, the guaranteed lane.
     Hash {
         /// Which side is hashed into the build arena.
         build: SideId,
@@ -345,9 +367,10 @@ impl fmt::Display for JoinMethod {
 pub enum CandidateOutcome {
     /// Finished first — its pairs are the result.
     Won,
-    /// Killed by a competition rule (or a storage fault) before finishing.
+    /// Killed by a competition rule (or a storage fault) before finishing,
+    /// or pruned at admission.
     Killed(DiscardReason),
-    /// Still alive when the winner finished.
+    /// Never finished: the guaranteed lane when a speculative lane won.
     Lost,
 }
 

@@ -10,15 +10,15 @@
 //! F002); a fault surfaces as `Err` and the competition decides whether
 //! to absorb it.
 //!
-//! Heap rows are decoded once, into a scratch record the scan owns
+//! Heap rows are decoded once, into scratch records the scan owns
 //! ([`HeapScan::next_into`]); residual, NULL-key and pair checks run on
-//! that borrow, and a row is copied only when it survives — an outer row
-//! that will drive an inner pass, a pair that is delivered. The naive
-//! loop's inner rescan, which looks at every inner row once per outer
-//! row, allocates nothing for the rows it rejects.
+//! those borrows, and the only copy is of a delivered pair's output
+//! columns, into its row. The naive loop's inner rescan, which looks at
+//! every inner row once per outer row, allocates nothing for the rows it
+//! rejects.
 
 use rdb_btree::{KeyBound, KeyRange, RangeScan};
-use rdb_storage::{HeapScan, Record, Rid, StorageError};
+use rdb_storage::{HeapScan, Record, Rid, StorageError, Value};
 
 use super::{JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
 
@@ -56,26 +56,20 @@ pub trait JoinScan {
     fn take_pairs(&mut self) -> Vec<JoinPair>;
 }
 
-/// RID pairs of everything a candidate produced — the containment
-/// contract's view of partial work.
-pub fn partial_rids(scan: &dyn JoinScan) -> Vec<(Rid, Rid)> {
-    scan.pairs()
-        .iter()
-        .map(|p| (p.left_rid, p.right_rid))
-        .collect()
+/// The RID pairs of `pairs` — the containment contract's view of a
+/// candidate's work.
+pub fn partial_rids(pairs: &[JoinPair]) -> Vec<(Rid, Rid)> {
+    pairs.iter().map(|p| (p.left_rid, p.right_rid)).collect()
 }
 
 /// Evaluates the full pair predicate: driving comparison on the join
-/// columns plus the optional extra pair filter. Both records must already
+/// columns plus the optional extra pair filter. Both rows must already
 /// have passed their side residuals.
-pub(crate) fn pair_matches(req: &JoinRequest<'_>, left: &Record, right: &Record) -> bool {
-    if !req.op.eval(&left[req.left.join_col], &right[req.right.join_col]) {
+pub(crate) fn pair_matches(req: &JoinRequest<'_>, left: &[Value], right: &[Value]) -> bool {
+    let (Some(l), Some(r)) = (left.get(req.left.join_col), right.get(req.right.join_col)) else {
         return false;
-    }
-    match &req.pair_filter {
-        Some(f) => f(left, right),
-        None => true,
-    }
+    };
+    req.op.eval(l, r) && req.pair_filter.as_ref().is_none_or(|f| f(left, right))
 }
 
 /// Orients an (outer, inner) pair of anything — records, references,
@@ -87,32 +81,44 @@ pub(crate) fn orient<T>(outer: SideId, outer_item: T, inner_item: T) -> (T, T) {
     }
 }
 
-/// The copy-on-survive step every streaming lane ends in: checks the
-/// pair on references and only then clones both records into an owned
-/// [`JoinPair`] (either may go on to form further pairs).
+/// A matching pair's delivered row: the request's output columns, copied
+/// out of the two rows the lane holds.
+pub(crate) fn output_row(req: &JoinRequest<'_>, left: &[Value], right: &[Value]) -> Vec<Value> {
+    req.output
+        .iter()
+        .map(|&(side, i)| {
+            let row = match side {
+                SideId::Left => left,
+                SideId::Right => right,
+            };
+            row.get(i).cloned().unwrap_or(Value::Null)
+        })
+        .collect()
+}
+
+/// The step every lane ends in: checks the pair on borrows and, only on
+/// a match, builds its output row into an owned [`JoinPair`].
 pub(crate) fn push_if_match(
     req: &JoinRequest<'_>,
     outer: SideId,
-    (outer_rid, outer_rec): (Rid, &Record),
-    (inner_rid, inner_rec): (Rid, &Record),
+    (outer_rid, outer_row): (Rid, &[Value]),
+    (inner_rid, inner_row): (Rid, &[Value]),
     pairs: &mut Vec<JoinPair>,
 ) {
-    let (left, right) = orient(outer, outer_rec, inner_rec);
+    let (left, right) = orient(outer, outer_row, inner_row);
     if pair_matches(req, left, right) {
         let (left_rid, right_rid) = orient(outer, outer_rid, inner_rid);
         pairs.push(JoinPair {
             left_rid,
             right_rid,
-            left: left.clone(),
-            right: right.clone(),
+            row: output_row(req, left, right),
         });
     }
 }
 
 /// Naive nested loop: full outer scan, full inner rescan per surviving
-/// outer row. Never needs an index, never needs an equi-join — this is
-/// the candidate that guarantees the competition always terminates with
-/// a correct answer.
+/// outer row. Never needs an index, never needs an equi-join — the
+/// guaranteed lane of a join no hash join can run.
 pub struct NestedLoopScan<'a, 'r> {
     req: &'r JoinRequest<'a>,
     outer: SideId,
@@ -186,8 +192,8 @@ impl JoinScan for NestedLoopScan<'_, '_> {
                             push_if_match(
                                 self.req,
                                 self.outer,
-                                (*orid, &self.outer_rec),
-                                (irid, &self.inner_rec),
+                                (*orid, self.outer_rec.values()),
+                                (irid, self.inner_rec.values()),
                                 &mut self.pairs,
                             );
                         }
@@ -311,9 +317,9 @@ impl JoinScan for IndexNestedScan<'_, '_> {
                         return Ok(JoinStepOutcome::Done);
                     }
                     Some(rid) => {
-                        let v = &self.outer_rec[o.join_col];
+                        let v = self.outer_rec.get(o.join_col).filter(|v| !v.is_null());
                         // NULL never joins; skip the probe entirely.
-                        if !v.is_null() && (o.residual)(&self.outer_rec) {
+                        if let Some(v) = v.filter(|_| (o.residual)(&self.outer_rec)) {
                             let probe = tree.range_scan(probe_range(self.view, v), cost);
                             self.probe = Some((rid, probe));
                         }
@@ -329,8 +335,8 @@ impl JoinScan for IndexNestedScan<'_, '_> {
                             push_if_match(
                                 self.req,
                                 self.outer,
-                                (*orid, &self.outer_rec),
-                                (irid, &self.inner_rec),
+                                (*orid, self.outer_rec.values()),
+                                (irid, self.inner_rec.values()),
                                 &mut self.pairs,
                             );
                         }

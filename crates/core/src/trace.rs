@@ -25,7 +25,8 @@
 //! construction happens inside a closure passed to [`Tracer::emit_with`],
 //! so formatting, cloning and cost-meter reads are all skipped when no sink
 //! is attached. CI enforces ≤2% wall-clock overhead of the disabled path
-//! on the hot benches (`crates/bench/src/bin/trace_overhead.rs`).
+//! on the hot benches (`gate trace_overhead`,
+//! `crates/bench/src/bin/gate/trace_overhead.rs`).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -162,10 +163,11 @@ pub enum TraceEvent {
     JoinStart {
         /// Feasible join methods enumerated.
         candidates: usize,
-        /// Methods admitted into the race (the rest were pruned at
-        /// planning time as hopeless).
+        /// Methods admitted into the race: the guaranteed lane plus the
+        /// speculative lanes the kill rules spared (the rest were pruned at
+        /// planning time).
         admitted: usize,
-        /// The cheapest candidate estimate — the initial guaranteed best.
+        /// The guaranteed lane's estimate — the race's guaranteed best.
         guaranteed_best: f64,
     },
     /// An active join candidate refined its projected cost from observed

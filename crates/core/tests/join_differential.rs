@@ -114,12 +114,14 @@ fn pair_set(result: &JoinResult) -> Vec<(Rid, Rid)> {
     pairs
 }
 
-/// Every delivered record must be the heap's row for its RID.
+/// Every delivered row must be the heap's rows for its RIDs: by default
+/// every left column, then every right column.
 fn records_match_heap(world: &JoinWorld, result: &JoinResult) -> bool {
     let cost = world.left.pool().cost().clone();
     result.pairs.iter().all(|p| {
-        world.left.fetch(p.left_rid, &cost).unwrap() == p.left
-            && world.right.fetch(p.right_rid, &cost).unwrap() == p.right
+        let mut row = world.left.fetch(p.left_rid, &cost).unwrap().into_values();
+        row.extend(world.right.fetch(p.right_rid, &cost).unwrap().into_values());
+        row == p.row
     })
 }
 

@@ -639,7 +639,7 @@ impl Db {
             Resolved::Single(skel) => skel,
             Resolved::Join(skel) => {
                 let right = self.right_table(&spec)?;
-                return crate::join::explain_join(left, right, &skel, opts, cost);
+                return crate::join::explain_join(self, left, right, &skel, opts, cost);
             }
         };
         let args = skel.pred.bind_args(opts.params())?;

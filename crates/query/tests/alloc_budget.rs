@@ -1,6 +1,7 @@
-//! Two allocation budgets: a warm statement's — what the ad-hoc front end
-//! (parse plus resolve / lower) and a prepared run allocate — and a clean
-//! reopen's, per row of the table it rebuilds.
+//! Three allocation budgets: a warm statement's — what the ad-hoc front
+//! end (parse plus resolve / lower) and a prepared run allocate — a warm
+//! prepared join's, per delivered row, and a clean reopen's, per row of
+//! the table it rebuilds.
 //!
 //! The four warm shapes of the benchmark's `adhoc-warm` mix run on a
 //! FAMILIES table whose bindings select a handful of rows. Per shape a
@@ -23,6 +24,17 @@
 //! prepared run to one allocation above its count once the run stopped
 //! building a string log and strategy names and copying output names — so
 //! none of them can creep back unnoticed.
+//!
+//! A warm prepared two-table join in the benchmark's `join-race`
+//! `both-sides` shape (2 000 parents, 8 000 children, residuals on both
+//! sides) made **1 490 allocations for its 109 delivered rows** at commit
+//! `78dc456`: three lanes raced (both hash orientations and merge-rid),
+//! every hash build row was kept as its own record, and every delivered
+//! pair cloned both records before the finish built its row. The gate
+//! below allows one allocation per delivered row plus a fixed allowance
+//! for the run, once the race runs one lane when nothing speculative is
+//! admitted, the build rows share one value arena and a lane builds the
+//! output row itself.
 //!
 //! A clean reopen of the durable 10 000-row, two-index table below made
 //! **40.3 allocations per row** at commit `0f5f207`: the index bulk loader
@@ -224,6 +236,66 @@ fn warm_statements_stay_inside_their_allocation_budget() {
         }
     }
     assert!(over.is_empty(), "over the allocation budget: {over:?}");
+}
+
+/// PARENT(ID, KIND = ID mod 16) and CHILD(FK, X), 2 000 and 8 000 rows,
+/// every parent with four children and X spread over 0..32, both join
+/// columns indexed: the benchmark's `join-race` tables.
+fn parent_child() -> Db {
+    let mut db = Db::builder()
+        .page_bytes(2048)
+        .pool_pages(128)
+        .open()
+        .unwrap();
+    let ints =
+        |names: [&str; 2]| Schema::new(names.map(|n| Column::new(n, ValueType::Int)).to_vec());
+    db.create_table("PARENT", ints(["ID", "KIND"])).unwrap();
+    db.create_table("CHILD", ints(["FK", "X"])).unwrap();
+    for id in 0..2_000i64 {
+        db.insert("PARENT", vec![Value::Int(id), Value::Int(id % 16)])
+            .unwrap();
+    }
+    let mut state = 1993;
+    for i in 0..8_000i64 {
+        let x = (next(&mut state) % 32) as i64;
+        db.insert("CHILD", vec![Value::Int(i % 2_000), Value::Int(x)])
+            .unwrap();
+    }
+    db.create_index("IDX_P", "PARENT", &["ID"]).unwrap();
+    db.create_index("IDX_C", "CHILD", &["FK"]).unwrap();
+    db
+}
+
+/// What a warm prepared join may allocate beyond one per delivered row:
+/// binding both residuals, the request, admission's candidate list and
+/// reports, the scan and its scratch records, the growth of the hash
+/// arena, the pair list and the result, and the plan-cache lookup.
+const JOIN_FIXED_MAX: u64 = 64;
+
+#[test]
+fn a_prepared_join_allocates_once_per_delivered_row() {
+    let db = parent_child();
+    let sql = "select ID, X from PARENT, CHILD where ID = FK and KIND = :K and X >= :X0";
+    let stmt = db.prepare(sql).unwrap();
+    let opts = QueryOptions::new()
+        .with_param("K", 3i64)
+        .with_param("X0", 24i64);
+    let rows = db.query(sql, &opts).unwrap().rows.len() as u64;
+    assert!(rows > 0);
+    for _ in 0..2 {
+        assert_eq!(stmt.execute(&opts).unwrap().rows.len() as u64, rows);
+    }
+    let allocated = allocations(|| {
+        stmt.execute(&opts).unwrap();
+    });
+    println!(
+        "both-sides join {allocated} allocations for {rows} delivered rows (budget rows + \
+         {JOIN_FIXED_MAX})"
+    );
+    assert!(
+        allocated <= rows + JOIN_FIXED_MAX,
+        "a warm prepared join made {allocated} allocations for {rows} rows"
+    );
 }
 
 /// Rows of the reopened table, and the allocations per row a clean reopen

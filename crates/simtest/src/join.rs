@@ -13,9 +13,10 @@
 //! 2. **Competition contract** — re-raced at the core layer: the dynamic
 //!    join's cost must stay within the configured multiple of the best
 //!    *static* join plan (every feasible method run alone, plan-committed),
-//!    and every killed/losing candidate's partial pairs must be a subset
-//!    of the true join result (partial work is never wrong, only
-//!    incomplete).
+//!    every killed lane must have died within the spend rule — at most
+//!    `spend_limit` × its guaranteed best plus one quantum — and every
+//!    killed/losing candidate's partial pairs must be a subset of the true
+//!    join result (partial work is never wrong, only incomplete).
 //! 3. **Prepared replay** — the same statement through the plan cache must
 //!    deliver the same rows as ad-hoc execution.
 //! 4. **Fault campaign** — with random storage faults armed, a run either
@@ -26,7 +27,11 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdb_core::{run_join, run_join_method, KillRules, JoinMethod, JoinOp, JoinRequest, JoinSide, SideId, Tracer};
+use rdb_core::join::competition::JOIN_BATCH;
+use rdb_core::{
+    run_join, run_join_method, JoinMethod, JoinOp, JoinRequest, JoinSide, KillRules, SideId,
+    TraceBuffer, TraceEvent, Tracer,
+};
 use rdb_query::prelude::*;
 use rdb_storage::{FaultPolicy, StorageError};
 
@@ -325,6 +330,8 @@ pub struct JoinReport {
     /// Killed/losing candidates whose partial pairs passed the
     /// containment contract.
     pub containment_checks: u64,
+    /// Killed lanes whose spend passed the per-lane kill bound.
+    pub kill_checks: u64,
     /// SQL runs executed with a fault policy armed.
     pub fault_runs: u64,
     /// Faulted runs that surfaced a clean injected-fault error.
@@ -447,8 +454,42 @@ fn with_core_request<T>(
     f(&req)
 }
 
+/// The dearest one quantum of a join lane can be: [`JOIN_BATCH`] work
+/// units plus one atomic equal-key group (the largest on each side), every
+/// unit a full descent of the taller join index plus a fetch with every
+/// page a miss, and the group's RID cross product. (Measuring it instead
+/// would bless whatever a step does.)
+fn dearest_quantum(scenario: &JoinScenario, req: &JoinRequest<'_>) -> f64 {
+    let largest_group = |rows: &[Vec<Value>]| {
+        let mut keys: Vec<&Value> = rows
+            .iter()
+            .map(|r| &r[0])
+            .filter(|k| !k.is_null())
+            .collect();
+        keys.sort_unstable();
+        keys.chunk_by(|a, b| a == b)
+            .map(<[_]>::len)
+            .max()
+            .unwrap_or(0)
+    };
+    let (gl, gr) = (
+        largest_group(&scenario.left_shadow),
+        largest_group(&scenario.right_shadow),
+    );
+    let height = [req.left.join_index, req.right.join_index]
+        .into_iter()
+        .flatten()
+        .map(|t| t.height())
+        .max()
+        .unwrap_or(0) as f64;
+    let price = req.cost.config();
+    let units = (JOIN_BATCH + gl + gr) as f64;
+    units * ((height + 1.0) * price.io_read + price.cpu_record + price.index_entry)
+        + (gl * gr) as f64 * price.rid_op
+}
+
 /// Core-layer competition contract: dynamic cost vs best static join plan,
-/// plus the killed-candidate containment check.
+/// the per-lane kill bound, and the killed-candidate containment check.
 fn competition_contract(
     scenario: &JoinScenario,
     q: &JoinQuery,
@@ -465,10 +506,35 @@ fn competition_contract(
     };
 
     db.clear_cache();
-    let dynamic = with_core_request(scenario, q, |req| {
-        run_join(req, &KillRules::default(), &Tracer::disabled())
+    let rules = KillRules::default();
+    let events = TraceBuffer::shared(4096);
+    let (dynamic, quantum) = with_core_request(scenario, q, |req| {
+        let quantum = dearest_quantum(scenario, req);
+        run_join(req, &rules, &Tracer::new(events.clone())).map(|r| (r, quantum))
     })
     .map_err(|e| SimFailure::execution(format!("dynamic join died: {e}")))?;
+
+    // Per-lane kill contract: a lane dies at its first judgement past the
+    // spend line, so it overshoots by at most the quantum that crossed.
+    for event in events.take() {
+        if let TraceEvent::JoinKilled {
+            method,
+            spent,
+            guaranteed_best,
+            ..
+        } = event
+        {
+            let bound = rules.spend_limit * guaranteed_best + quantum;
+            if spent > bound {
+                return Err(SimFailure::cost_bound(format!(
+                    "{method} spent {spent:.1} before its kill; the spend rule allows \
+                     {bound:.1} ({} x {guaranteed_best:.1} plus one quantum {quantum:.1})",
+                    rules.spend_limit
+                )));
+            }
+            report.kill_checks += 1;
+        }
+    }
 
     let oracle_len = scenario.oracle_rows(&JoinQuery {
         projection: vec!["ID".into()],

@@ -299,6 +299,7 @@ fn run_joins_campaign(args: &Args) -> ExitCode {
                 total.checks += report.checks;
                 total.cost_checks += report.cost_checks;
                 total.containment_checks += report.containment_checks;
+                total.kill_checks += report.kill_checks;
                 total.fault_runs += report.fault_runs;
                 total.fault_errors += report.fault_errors;
                 total.fault_ok += report.fault_ok;
@@ -317,11 +318,13 @@ fn run_joins_campaign(args: &Args) -> ExitCode {
 
     println!(
         "simtest joins: {} seeds, {} join queries, {} oracle checks, {} cost-bound checks, \
-         {} containment checks, {} faulted runs ({} clean errors, {} exact results)",
+         {} kill-bound checks, {} containment checks, {} faulted runs ({} clean errors, \
+         {} exact results)",
         seeds.len() - failures.len(),
         total.queries,
         total.checks,
         total.cost_checks,
+        total.kill_checks,
         total.containment_checks,
         total.fault_runs,
         total.fault_errors,
