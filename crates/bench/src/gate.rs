@@ -7,6 +7,8 @@
 
 use std::time::Instant;
 
+use rdb_core::json_string;
+
 /// One timed call of an arm: its wall-clock nanoseconds and what it
 /// returned.
 pub struct Run<T> {
@@ -174,7 +176,7 @@ impl Json {
     fn render(&self, indent: usize, out: &mut String) {
         match self {
             Json::Num(n) => out.push_str(n),
-            Json::Str(s) => escape(s, out),
+            Json::Str(s) => out.push_str(&json_string(s)),
             Json::Arr(items) => {
                 let items = items.iter().map(|v| (None, v)).collect();
                 block(items, ['[', ']'], indent, false, out);
@@ -210,7 +212,7 @@ fn block(
             out.push_str(&" ".repeat(indent + 2));
         }
         if let Some(key) = key {
-            escape(key, out);
+            out.push_str(&json_string(key));
             out.push_str(": ");
         }
         value.render(indent + 2, out);
@@ -220,19 +222,6 @@ fn block(
         out.push_str(&" ".repeat(indent));
     }
     out.push(brackets[1]);
-}
-
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One gate's `BENCH_*.json` report: the stamp every report carries, then

@@ -32,11 +32,11 @@ use rdb_storage::StorageError;
 use crate::jscan::DiscardReason;
 use crate::trace::{RunTrace, TraceEvent, Tracer};
 
-use super::estimate::{admit, feasible, method_cost};
+use super::estimate::{admit, feasible};
 use super::hash::HashJoinScan;
 use super::merge::MergeJoinScan;
-use super::nested::{partial_rids, IndexNestedScan, JoinScan, JoinStepOutcome, NestedLoopScan};
-use super::{CandidateOutcome, JoinCandidateReport, JoinMethod, JoinPair, JoinRequest, JoinResult};
+use super::nested::{IndexNestedScan, JoinScan, JoinStepOutcome, NestedLoopScan};
+use super::{JoinMethod, JoinPair, JoinRequest, JoinResult};
 
 /// Rows consumed per scheduling quantum (see [`JoinScan::step`]).
 pub const JOIN_BATCH: usize = 16;
@@ -78,18 +78,11 @@ pub fn run_join_method(
     req: &JoinRequest<'_>,
     method: JoinMethod,
 ) -> Result<JoinResult, StorageError> {
-    let (pairs, spent) = run_to_end(req, method)?;
+    let (pairs, cost) = run_to_end(req, method)?;
     Ok(JoinResult {
-        cost: spent,
-        strategy: method.strategy(),
-        candidates: vec![JoinCandidateReport {
-            method,
-            estimate: method_cost(req, method, &req.cost.config()),
-            spent,
-            outcome: CandidateOutcome::Won,
-            partial: partial_rids(&pairs),
-        }],
         pairs,
+        cost,
+        strategy: method.strategy(),
     })
 }
 
@@ -133,21 +126,6 @@ impl Lane<'_> {
             });
         }
     }
-
-    /// Retires the lane: its post-mortem, with the pairs it had produced.
-    fn retire(&mut self, outcome: CandidateOutcome) -> JoinCandidateReport {
-        let scan = self.scan.take();
-        JoinCandidateReport {
-            method: self.method,
-            estimate: self.estimate,
-            spent: self.spent,
-            outcome,
-            partial: scan
-                .as_deref()
-                .map(|s| partial_rids(s.pairs()))
-                .unwrap_or_default(),
-        }
-    }
 }
 
 /// Races the admitted join methods and returns the winner's pairs.
@@ -173,21 +151,12 @@ pub fn run_join(
             estimate: e.cost,
         });
     }
-    let mut reports = Vec::with_capacity(admission.candidates.len());
     for e in admission.pruned() {
-        let reason = DiscardReason::ProjectedCost;
         tracer.emit_with(|| TraceEvent::JoinKilled {
             method: e.method.label().to_string(),
-            reason,
+            reason: DiscardReason::ProjectedCost,
             spent: 0.0,
             guaranteed_best: g.cost,
-        });
-        reports.push(JoinCandidateReport {
-            method: e.method,
-            estimate: e.cost,
-            spent: 0.0,
-            outcome: CandidateOutcome::Killed(reason),
-            partial: Vec::new(),
         });
     }
     let mut lanes = Vec::with_capacity(admission.speculative.len());
@@ -250,7 +219,7 @@ pub fn run_join(
                 spent: lane.spent,
                 guaranteed_best: g.cost,
             });
-            reports.push(lane.retire(CandidateOutcome::Killed(reason)));
+            lane.scan = None;
         }
     }
 
@@ -261,36 +230,15 @@ pub fn run_join(
                 .as_mut()
                 .map(|s| s.take_pairs())
                 .unwrap_or_default();
-            reports.push(JoinCandidateReport {
-                partial: partial_rids(&pairs),
-                ..lane.retire(CandidateOutcome::Won)
-            });
-            reports.push(JoinCandidateReport {
-                method: g.method,
-                estimate: g.cost,
-                spent: 0.0,
-                outcome: CandidateOutcome::Lost,
-                partial: Vec::new(),
-            });
             (lane.method, pairs)
         }
         None => {
             // Stage two: G runs to completion, never judged.
-            let (pairs, spent) = run_to_end(req, g.method)?;
+            let (pairs, _) = run_to_end(req, g.method)?;
             rt.phase_at(g.method.phase(), meter.total());
-            reports.push(JoinCandidateReport {
-                method: g.method,
-                estimate: g.cost,
-                spent,
-                outcome: CandidateOutcome::Won,
-                partial: partial_rids(&pairs),
-            });
             (g.method, pairs)
         }
     };
-    for lane in lanes.iter_mut().filter(|l| l.scan.is_some()) {
-        reports.push(lane.retire(CandidateOutcome::Lost));
-    }
 
     rt.finish();
     let total = meter.total() - cost_before;
@@ -310,7 +258,6 @@ pub fn run_join(
         pairs,
         cost: total,
         strategy: method.strategy(),
-        candidates: reports,
     })
 }
 
@@ -453,26 +400,30 @@ mod tests {
         let w = world(40, 60);
         let expected = oracle(&w, JoinOp::Eq);
         let req = request(&w, JoinOp::Eq);
-        let result = run_join(&req, &KillRules::default(), &Tracer::disabled()).unwrap();
+        let buffer = crate::trace::TraceBuffer::shared(4096);
+        let result = run_join(&req, &KillRules::default(), &Tracer::new(buffer.clone())).unwrap();
         assert_eq!(sorted_rids(&result), expected);
         assert!(result.strategy.starts_with("join: "));
-        // Exactly one winner; every killed/losing candidate's partial
-        // pairs are contained in the true result.
-        let winners = result
-            .candidates
+        // Every enumerated candidate is announced, and exactly one winner
+        // names the method whose pairs were delivered.
+        let events = buffer.take();
+        let announced = events
             .iter()
-            .filter(|c| c.outcome == CandidateOutcome::Won)
+            .filter(|e| matches!(e, TraceEvent::JoinCandidate { .. }))
             .count();
-        assert_eq!(winners, 1);
-        for cand in &result.candidates {
-            for pair in &cand.partial {
-                assert!(
-                    expected.binary_search(pair).is_ok(),
-                    "{} produced a pair outside the join result",
-                    cand.method
-                );
-            }
-        }
+        let enumerated = events.iter().find_map(|e| match e {
+            TraceEvent::JoinStart { candidates, .. } => Some(*candidates),
+            _ => None,
+        });
+        assert_eq!(Some(announced), enumerated);
+        let winners: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Winner { strategy, .. } => Some(strategy.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(winners, [result.strategy]);
     }
 
     #[test]
@@ -756,17 +707,33 @@ mod tests {
         let rules = KillRules::default();
         let req = l_shaped(&w, 500);
         w.pool.clear();
-        let result = run_join(&req, &rules, &Tracer::disabled()).unwrap();
+        let buffer = crate::trace::TraceBuffer::shared(4096);
+        let result = run_join(&req, &rules, &Tracer::new(buffer.clone())).unwrap();
         assert_eq!(result.strategy, INDEX_NESTED_LEFT.strategy());
         assert_eq!(result.pairs.len(), 4 * PER_PARENT as usize);
-        let g = result
-            .candidates
+        let events = buffer.take();
+        let g_estimate = events
             .iter()
-            .find(|c| c.method == HASH_LEFT)
-            .unwrap();
-        assert_eq!(g.outcome, CandidateOutcome::Lost);
-        assert_eq!(g.spent, 0.0);
-        assert!(result.cost < g.estimate, "{} vs G's {}", result.cost, g.estimate);
+            .find_map(|e| match e {
+                TraceEvent::JoinCandidate { method, estimate } if method == HASH_LEFT.label() => {
+                    Some(*estimate)
+                }
+                _ => None,
+            })
+            .expect("G is a candidate");
+        // G is never killed and never charged: no kill names it, and no
+        // phase of the run is its method's.
+        assert!(!events.iter().any(
+            |e| matches!(e, TraceEvent::JoinKilled { method, .. } if method == HASH_LEFT.label())
+        ));
+        assert!(!events.iter().any(
+            |e| matches!(e, TraceEvent::PhaseCost { phase, .. } if phase == HASH_LEFT.phase())
+        ));
+        assert!(
+            result.cost < g_estimate,
+            "{} vs G's {g_estimate}",
+            result.cost
+        );
     }
 
     #[test]

@@ -203,10 +203,6 @@ impl JoinScan for HashJoinScan<'_, '_> {
         }
     }
 
-    fn pairs(&self) -> &[JoinPair] {
-        &self.pairs
-    }
-
     fn take_pairs(&mut self) -> Vec<JoinPair> {
         std::mem::take(&mut self.pairs)
     }

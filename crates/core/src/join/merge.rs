@@ -321,10 +321,6 @@ impl JoinScan for MergeJoinScan<'_, '_> {
         }
     }
 
-    fn pairs(&self) -> &[JoinPair] {
-        &self.pairs
-    }
-
     fn take_pairs(&mut self) -> Vec<JoinPair> {
         std::mem::take(&mut self.pairs)
     }

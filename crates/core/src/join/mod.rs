@@ -46,7 +46,6 @@ use std::sync::Arc;
 use rdb_btree::BTree;
 use rdb_storage::{HeapTable, Rid, SharedCost, Value};
 
-use crate::jscan::DiscardReason;
 use crate::request::RecordPred;
 
 /// Which side of the join a table, record, or column belongs to.
@@ -362,35 +361,6 @@ impl fmt::Display for JoinMethod {
     }
 }
 
-/// How one candidate's race ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateOutcome {
-    /// Finished first — its pairs are the result.
-    Won,
-    /// Killed by a competition rule (or a storage fault) before finishing,
-    /// or pruned at admission.
-    Killed(DiscardReason),
-    /// Never finished: the guaranteed lane when a speculative lane won.
-    Lost,
-}
-
-/// Post-mortem of one raced candidate, kept for the containment contract:
-/// every pair a killed/losing candidate had produced must be a subset of
-/// the true join result (partial work is never wrong, only incomplete).
-#[derive(Debug, Clone)]
-pub struct JoinCandidateReport {
-    /// The method.
-    pub method: JoinMethod,
-    /// Its planning-time cost estimate.
-    pub estimate: f64,
-    /// Cost it spent before the race ended (0 when pruned at admission).
-    pub spent: f64,
-    /// How its race ended.
-    pub outcome: CandidateOutcome,
-    /// RID pairs it had produced when the race ended.
-    pub partial: Vec<(Rid, Rid)>,
-}
-
 /// The result of a join competition (or a single forced method).
 #[derive(Debug)]
 pub struct JoinResult {
@@ -400,9 +370,6 @@ pub struct JoinResult {
     pub cost: f64,
     /// Winner description, e.g. `"join: hash(build=left)"`.
     pub strategy: &'static str,
-    /// Per-candidate post-mortems (competition runs only; a forced
-    /// single-method run reports just that method).
-    pub candidates: Vec<JoinCandidateReport>,
 }
 
 /// Canonical hash of a join-key value, consistent with [`Value`]'s `Ord`:

@@ -49,17 +49,8 @@ pub trait JoinScan {
     /// denominator of the competition's cost projection.
     fn progress(&self) -> f64;
 
-    /// Pairs produced so far (delivery order).
-    fn pairs(&self) -> &[JoinPair];
-
     /// Takes ownership of the produced pairs (winner path).
     fn take_pairs(&mut self) -> Vec<JoinPair>;
-}
-
-/// The RID pairs of `pairs` — the containment contract's view of a
-/// candidate's work.
-pub fn partial_rids(pairs: &[JoinPair]) -> Vec<(Rid, Rid)> {
-    pairs.iter().map(|p| (p.left_rid, p.right_rid)).collect()
 }
 
 /// Evaluates the full pair predicate: driving comparison on the join
@@ -216,10 +207,6 @@ impl JoinScan for NestedLoopScan<'_, '_> {
         (self.outer_scan.progress(o.table) + inner / outer_pages).min(1.0)
     }
 
-    fn pairs(&self) -> &[JoinPair] {
-        &self.pairs
-    }
-
     fn take_pairs(&mut self) -> Vec<JoinPair> {
         std::mem::take(&mut self.pairs)
     }
@@ -350,10 +337,6 @@ impl JoinScan for IndexNestedScan<'_, '_> {
     fn progress(&self) -> f64 {
         let o = outer_side(self.req, self.outer);
         self.outer_scan.progress(o.table)
-    }
-
-    fn pairs(&self) -> &[JoinPair] {
-        &self.pairs
     }
 
     fn take_pairs(&mut self) -> Vec<JoinPair> {

@@ -64,47 +64,6 @@ impl Default for JscanConfig {
     }
 }
 
-/// Why/what happened inside the joint scan (for tests and experiment
-/// narration).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JscanEvent {
-    /// Index `name` completed a list of `kept` RIDs (intersected).
-    ScanCompleted {
-        /// Index name.
-        name: String,
-        /// RIDs in the completed (intersected) list.
-        kept: usize,
-    },
-    /// Index `name` was discarded by a competition criterion.
-    IndexDiscarded {
-        /// Index name.
-        name: String,
-        /// Which criterion fired.
-        reason: DiscardReason,
-    },
-    /// A complete list was tiny; Jscan ended early.
-    TinyListShortcut {
-        /// List length.
-        len: usize,
-    },
-    /// The intersection became empty: no record can qualify.
-    EmptyIntersection,
-    /// No list survived; sequential scan is the right plan.
-    RecommendTscan,
-    /// Two adjacent indexes entered simultaneous scanning.
-    SimultaneousStart {
-        /// First index name.
-        a: String,
-        /// Second index name.
-        b: String,
-    },
-    /// The simultaneous pair resolved; `winner` completed first.
-    SimultaneousWinner {
-        /// Winning index name.
-        winner: String,
-    },
-}
-
 /// Which competition criterion discarded an index scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscardReason {
@@ -195,7 +154,6 @@ pub struct Jscan<'a> {
     completed_scans: usize,
     tscan_cost: f64,
     guaranteed_best: f64,
-    events: Vec<JscanEvent>,
     outcome: Option<JscanOutcome>,
     borrowable: Vec<Rid>,
     borrow_open: bool,
@@ -230,7 +188,6 @@ impl<'a> Jscan<'a> {
             completed_scans: 0,
             tscan_cost,
             guaranteed_best: tscan_cost,
-            events: Vec::new(),
             outcome: None,
             borrowable: Vec::new(),
             borrow_open: false,
@@ -260,11 +217,10 @@ impl<'a> Jscan<'a> {
                     .emit_with(|| TraceEvent::CandidateEstimate { index, estimate });
             }
         }
-    }
-
-    /// Chronological event log.
-    pub fn events(&self) -> &[JscanEvent] {
-        &self.events
+        // `new` armed the first scans before any tracer was attached.
+        if let Some(primary) = &self.primary {
+            self.trace_simultaneous(primary.idx);
+        }
     }
 
     /// Current guaranteed-best retrieval cost.
@@ -361,11 +317,25 @@ impl<'a> Jscan<'a> {
             };
             let s = self.start_scan(self.next_index);
             self.next_index += 1;
-            let a = self.indexes[primary_idx].tree.name().to_owned();
-            let b = self.indexes[s.idx].tree.name().to_owned();
-            self.events.push(JscanEvent::SimultaneousStart { a, b });
             self.secondary = Some(s);
+            self.trace_simultaneous(primary_idx);
         }
+    }
+
+    /// Notes that the secondary scan now races the primary scan at `primary`;
+    /// the race's winner is the first scan to complete after the note.
+    fn trace_simultaneous(&self, primary: usize) {
+        let Some(secondary) = &self.secondary else {
+            return;
+        };
+        let (a, b) = (self.indexes[primary].tree, self.indexes[secondary.idx].tree);
+        self.tracer.emit_with(|| TraceEvent::Note {
+            message: format!(
+                "simultaneous scan of {} and {}: the first to complete supplies the filter",
+                a.name(),
+                b.name()
+            ),
+        });
     }
 
     /// Runs one quantum. The heart of Figure 6.
@@ -435,13 +405,8 @@ impl<'a> Jscan<'a> {
             // Its partial list is worthless; discard the scan and let the
             // competition continue on the surviving indexes (finalize falls
             // back to Tscan if none survive).
-            let name = tree.name().to_owned();
             self.tracer.emit_with(|| TraceEvent::FaultAbsorbed {
-                index: name.clone(),
-            });
-            self.events.push(JscanEvent::IndexDiscarded {
-                name,
-                reason: DiscardReason::StorageFault,
+                index: tree.name().to_owned(),
             });
             if is_borrow_source {
                 self.borrow_open = false;
@@ -492,17 +457,13 @@ impl<'a> Jscan<'a> {
         if active.idx == 0 {
             self.borrow_open = false;
         }
-        let name = self.indexes[active.idx].tree.name().to_owned();
+        let name = self.indexes[active.idx].tree.name();
         let list = active.builder.finish();
         self.completed_scans += 1;
-        self.events.push(JscanEvent::ScanCompleted {
-            name: name.clone(),
-            kept: list.len(),
-        });
 
         if list.is_empty() {
             self.tracer.emit_with(|| TraceEvent::ScanCompleted {
-                index: name.clone(),
+                index: name.to_owned(),
                 kept: 0,
                 guaranteed_best: self.guaranteed_best,
             });
@@ -510,7 +471,6 @@ impl<'a> Jscan<'a> {
                 kind: "empty-intersection".into(),
                 detail: format!("{name} produced no RIDs: end of data"),
             });
-            self.events.push(JscanEvent::EmptyIntersection);
             self.outcome = Some(JscanOutcome::Empty);
             return;
         }
@@ -526,9 +486,6 @@ impl<'a> Jscan<'a> {
             self.secondary.take()
         };
         if let Some(mut other) = partner {
-            self.events.push(JscanEvent::SimultaneousWinner {
-                winner: name.clone(),
-            });
             if let Some(shadow) = other.shadow.take() {
                 // Rebuild the partner's list, keeping only RIDs that pass
                 // the winner's filter (cheap: pure main-memory work). The
@@ -563,17 +520,12 @@ impl<'a> Jscan<'a> {
             } else {
                 // Partner already spilled: the paper stops simultaneity at
                 // the memory boundary — discard the partner's partial list.
-                let partner_name = self.indexes[other.idx].tree.name().to_owned();
                 self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
-                    index: partner_name.clone(),
+                    index: self.indexes[other.idx].tree.name().to_owned(),
                     reason: DiscardReason::SimultaneousOverflow,
                     projected_cost: 0.0,
                     spent: other.spent,
                     guaranteed_best: self.guaranteed_best,
-                });
-                self.events.push(JscanEvent::IndexDiscarded {
-                    name: partner_name,
-                    reason: DiscardReason::SimultaneousOverflow,
                 });
                 // `other` was taken from its slot and is dropped here.
             }
@@ -586,7 +538,7 @@ impl<'a> Jscan<'a> {
             self.guaranteed_best = final_cost;
         }
         self.tracer.emit_with(|| TraceEvent::ScanCompleted {
-            index: name.clone(),
+            index: name.to_owned(),
             kept: list.len(),
             guaranteed_best: self.guaranteed_best,
         });
@@ -598,7 +550,6 @@ impl<'a> Jscan<'a> {
                 kind: "tiny-list".into(),
                 detail: format!("{len} RID(s) after {name}: remaining scans skipped"),
             });
-            self.events.push(JscanEvent::TinyListShortcut { len });
             self.outcome = Some(JscanOutcome::FinalList(list));
         } else {
             self.complete = Some(list);
@@ -665,16 +616,13 @@ impl<'a> Jscan<'a> {
             self.tracer.emit_with(|| event);
         }
         if let Some(kill) = self.rules.judge(Some(projected), spend, guaranteed_best) {
-            let name = self.indexes[idx].tree.name().to_owned();
-            let reason = DiscardReason::from(kill);
             self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
-                index: name.clone(),
-                reason,
+                index: self.indexes[idx].tree.name().to_owned(),
+                reason: DiscardReason::from(kill),
                 projected_cost: projected,
                 spent: spend,
                 guaranteed_best,
             });
-            self.events.push(JscanEvent::IndexDiscarded { name, reason });
             if idx == 0 {
                 self.borrow_open = false;
             }
@@ -689,19 +637,10 @@ impl<'a> Jscan<'a> {
     /// All indexes processed: decide between the final list and Tscan.
     fn finalize(&mut self) -> JscanStatus {
         let outcome = match self.complete.take() {
-            Some(list) => {
-                let final_cost = Self::fetch_cost(self.table, list.len() as f64);
-                if final_cost < self.tscan_cost {
-                    JscanOutcome::FinalList(list)
-                } else {
-                    self.events.push(JscanEvent::RecommendTscan);
-                    JscanOutcome::UseTscan
-                }
+            Some(list) if Self::fetch_cost(self.table, list.len() as f64) < self.tscan_cost => {
+                JscanOutcome::FinalList(list)
             }
-            None => {
-                self.events.push(JscanEvent::RecommendTscan);
-                JscanOutcome::UseTscan
-            }
+            _ => JscanOutcome::UseTscan,
         };
         self.outcome = Some(outcome);
         JscanStatus::Finished
@@ -710,11 +649,21 @@ impl<'a> Jscan<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::trace::TraceBuffer;
     use rdb_storage::{
         shared_meter, shared_pool, Column, CostConfig, Record, Schema, SharedCost, Value,
         ValueType,
     };
+
+    /// Attaches a trace buffer: the run's decisions are read from it.
+    fn traced(j: &mut Jscan<'_>) -> Arc<TraceBuffer> {
+        let buffer = TraceBuffer::shared(4096);
+        j.set_tracer(Tracer::new(buffer.clone()));
+        buffer
+    }
 
     /// Builds a table with columns a, b, c and one index per column.
     /// Values: a = i % mod_a, b = i % mod_b, c = i % mod_c.
@@ -790,11 +739,12 @@ mod tests {
         // lcm(50,40)=200 → 10 rids.
         let jscan_indexes = vec![jidx(&ia, KeyRange::eq(7)), jidx(&ib, KeyRange::eq(7))];
         let mut j = jscan(&table, jscan_indexes, JscanConfig::default());
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::FinalList(list) => {
-                assert_eq!(list.len(), 10, "events: {:?}", j.events());
+                assert_eq!(list.len(), 10, "events: {:?}", trace.events());
             }
-            other => panic!("expected final list, got {other:?} ({:?})", j.events()),
+            other => panic!("expected final list, got {other:?} ({:?})", trace.events()),
         }
     }
 
@@ -807,14 +757,14 @@ mod tests {
             vec![jidx(&ia, KeyRange::eq(3)), jidx(&ib, KeyRange::eq(4))],
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::Empty => {}
             other => panic!("expected empty, got {other:?}"),
         }
-        assert!(j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::EmptyIntersection)));
+        assert!(trace.events().iter().any(
+            |e| matches!(e, TraceEvent::Shortcut { kind, .. } if kind == "empty-intersection")
+        ));
     }
 
     #[test]
@@ -827,13 +777,14 @@ mod tests {
             vec![jidx(&ia, KeyRange::closed(0, 2))], // all records
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::UseTscan => {}
-            other => panic!("expected Tscan, got {other:?} ({:?})", j.events()),
+            other => panic!("expected Tscan, got {other:?} ({:?})", trace.events()),
         }
-        assert!(j.events().iter().any(|e| matches!(
+        assert!(trace.events().iter().any(|e| matches!(
             e,
-            JscanEvent::IndexDiscarded {
+            TraceEvent::IndexDiscarded {
                 reason: DiscardReason::ProjectedCost,
                 ..
             }
@@ -853,6 +804,7 @@ mod tests {
             ],
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::FinalList(list) => {
                 assert_eq!(list.len(), 4);
@@ -860,10 +812,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(j
+        assert!(trace
             .events()
             .iter()
-            .any(|e| matches!(e, JscanEvent::TinyListShortcut { .. })));
+            .any(|e| matches!(e, TraceEvent::Shortcut { kind, .. } if kind == "tiny-list")));
         assert_eq!(j.completed_scans(), 1, "second index never scanned");
     }
 
@@ -925,6 +877,18 @@ mod tests {
         assert!(j.borrow_rids(0).1.is_empty(), "nobody borrows: nothing kept twice");
     }
 
+    /// The index that won a simultaneous race: the first scan to complete
+    /// after the trace's note that simultaneous scanning started.
+    fn simultaneous_winner(events: &[TraceEvent]) -> Option<&str> {
+        let start = events.iter().position(
+            |e| matches!(e, TraceEvent::Note { message } if message.starts_with("simultaneous scan")),
+        )?;
+        events[start..].iter().find_map(|e| match e {
+            TraceEvent::ScanCompleted { index, .. } => Some(index.as_str()),
+            _ => None,
+        })
+    }
+
     #[test]
     fn simultaneous_adjacent_scan_resolves_misordering() {
         // The initial order puts the *larger* range first (simulating a bad
@@ -949,20 +913,14 @@ mod tests {
             },
             NO_KILLS,
         );
+        let trace = traced(&mut j);
         let outcome = j.run();
-        assert!(j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::SimultaneousStart { .. })));
-        let winner = j.events().iter().find_map(|e| match e {
-            JscanEvent::SimultaneousWinner { winner } => Some(winner.clone()),
-            _ => None,
-        });
+        let events = trace.events();
+        let winner = simultaneous_winner(&events);
         assert_eq!(
-            winner.as_deref(),
+            winner,
             Some("idx_b"),
-            "the truly smaller index must win the race: {:?}",
-            j.events()
+            "the truly smaller index must win the race: {events:?}"
         );
         match outcome {
             JscanOutcome::FinalList(list) => {
@@ -997,27 +955,25 @@ mod tests {
             },
             NO_KILLS,
         );
+        let trace = traced(&mut j);
         let _ = j.run();
+        let events = trace.events();
         // Either the partner spilled and was discarded at the win, or it
         // was refiltered in memory — both are valid races; assert that a
         // spill that did happen produced the overflow event.
-        let partner_spilled_discard = j.events().iter().any(|e| {
+        let partner_spilled_discard = events.iter().any(|e| {
             matches!(
                 e,
-                JscanEvent::IndexDiscarded {
+                TraceEvent::IndexDiscarded {
                     reason: DiscardReason::SimultaneousOverflow,
                     ..
                 }
             )
         });
-        let winner_event = j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::SimultaneousWinner { .. }));
-        assert!(winner_event, "{:?}", j.events());
+        assert!(simultaneous_winner(&events).is_some(), "{events:?}");
         // With batch=64 and a 4-entry buffer, the big scan must have
         // spilled before the 2-rid scan won its first quantum back.
-        assert!(partner_spilled_discard, "{:?}", j.events());
+        assert!(partner_spilled_discard, "{events:?}");
     }
 
     #[test]
@@ -1053,7 +1009,7 @@ mod tests {
         );
         match j.run() {
             JscanOutcome::FinalList(list) => assert_eq!(list.len(), 15),
-            other => panic!("{other:?} ({:?})", j.events()),
+            other => panic!("{other:?}"),
         }
         assert_eq!(j.completed_scans(), 3);
     }

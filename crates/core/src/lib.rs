@@ -61,11 +61,8 @@ pub use fscan::Fscan;
 pub use initial::{InitialPlan, InitialStage, ShortcutKind};
 pub use join::competition::{run_join, run_join_method};
 pub use join::nested::{JoinScan, JoinStepOutcome};
-pub use join::{
-    CandidateOutcome, JoinCandidateReport, JoinMethod, JoinOp, JoinPair, JoinRequest, JoinResult,
-    JoinSide, PairPred, SideId,
-};
-pub use jscan::{DiscardReason, Jscan, JscanConfig, JscanEvent, JscanIndex, JscanOutcome};
+pub use join::{JoinMethod, JoinOp, JoinPair, JoinRequest, JoinResult, JoinSide, PairPred, SideId};
+pub use jscan::{DiscardReason, Jscan, JscanConfig, JscanIndex, JscanOutcome};
 pub use rdb_competition::KillRules;
 pub use request::{
     Delivery, DeliveryObserver, IndexChoice, KeyPred, OptimizeGoal, RecordPred, RetrievalRequest,

@@ -4,7 +4,9 @@
 //!
 //! The same allocator proves the join lanes' copy-on-survive rule: a hash
 //! join whose rows all fail their residual decodes every one of them into
-//! its scratch record and allocates nothing per row.
+//! its scratch record and allocates nothing per row. And an untraced
+//! Jscan keeps no record of its decisions: completing or discarding a
+//! scan allocates nothing.
 //!
 //! A counting global allocator wraps the system allocator; the assertions
 //! compare allocation counts around the hot paths. The count is per
@@ -182,7 +184,7 @@ fn hash_join_rows_failing_the_residual_do_not_allocate() {
     let before = allocations();
     while scan.step(16).unwrap() == JoinStepOutcome::Progress {}
     let allocated = allocations() - before;
-    assert!(scan.pairs().is_empty());
+    assert!(scan.take_pairs().is_empty());
     // Build and probe streamed 2 x 2000 two-Int rows (a `Str` value would
     // still own its bytes). What may allocate is per run, not per row:
     // the chain-head table when the build phase ends.
@@ -307,4 +309,107 @@ fn cold_sequential_scan_allocates_per_window_not_per_page() {
         "{allocated} allocations over {windows} windows / {pages} pages"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `T(A, B)` with `A = i % 10` and `B = i % 10` over 150 rows, indexed on
+/// both columns: `A = 3` and `B = 4` each match 15 rows, and never the
+/// same row.
+fn two_index_world() -> (rdb_storage::HeapTable, rdb_btree::BTree, rdb_btree::BTree) {
+    use rdb_btree::BTree;
+    use rdb_storage::{
+        shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, Value,
+        ValueType,
+    };
+
+    let pool = shared_pool(1_000, shared_meter(CostConfig::default()));
+    let schema = Schema::new(vec![
+        Column::new("A", ValueType::Int),
+        Column::new("B", ValueType::Int),
+    ]);
+    let mut table = HeapTable::with_page_bytes("T", FileId(0), schema, pool.clone(), 1024);
+    let mut ia = BTree::new("IDX_A", FileId(1), pool.clone(), vec![0], 16);
+    let mut ib = BTree::new("IDX_B", FileId(2), pool, vec![1], 16);
+    for i in 0..150 {
+        let v = Value::Int(i % 10);
+        let rid = table
+            .insert(Record::new(vec![v.clone(), v.clone()]))
+            .unwrap();
+        ia.insert(vec![v.clone()], rid);
+        ib.insert(vec![v], rid);
+    }
+    (table, ia, ib)
+}
+
+/// Runs an untraced Jscan over `ranges` (one per index, in order) to the
+/// end: the allocations of the whole run (construction included) and of
+/// the step that finished it.
+fn jscan_allocations(
+    table: &rdb_storage::HeapTable,
+    indexes: [(&rdb_btree::BTree, rdb_btree::KeyRange); 2],
+    rules: rdb_core::KillRules,
+) -> (u64, u64, rdb_core::JscanOutcome) {
+    use rdb_core::jscan::JscanStatus;
+    use rdb_core::{Jscan, JscanConfig, JscanIndex};
+
+    let indexes = Vec::from(indexes.map(|(tree, range)| JscanIndex {
+        tree,
+        range,
+        estimate: 15.0,
+    }));
+    let config = JscanConfig {
+        tiny_list_shortcut: 0,
+        ..JscanConfig::default()
+    };
+    let cost = table.pool().cost().clone();
+    let before = allocations();
+    let mut jscan = Jscan::new(table, indexes, config, rules, cost);
+    let last_step = loop {
+        let step = allocations();
+        if jscan.step() == JscanStatus::Finished {
+            break allocations() - step;
+        }
+    };
+    let outcome = jscan.take_outcome();
+    (allocations() - before, last_step, outcome)
+}
+
+/// With no tracer attached a Jscan writes down none of its decisions. A
+/// run whose lists stay in the inline tier allocates a stated number of
+/// times, and the step that completes or discards the last scan allocates
+/// only the one key copy per entry it consumed that `RangeScan::next`
+/// hands back: nothing for the decision itself.
+#[test]
+fn untraced_jscan_decisions_do_not_allocate() {
+    use rdb_btree::KeyRange;
+    use rdb_core::{JscanOutcome, KillRules};
+
+    let (table, ia, ib) = two_index_world();
+    let complete = || [(&ia, KeyRange::eq(3)), (&ib, KeyRange::eq(4))];
+    // Warm-up: faults every page in and sizes this thread's pool state.
+    let _ = jscan_allocations(&table, complete(), KillRules::default());
+
+    // IDX_A completes a 15-RID inline list; IDX_B keeps none of its 15
+    // entries and completes empty: end of data. Of the 41 allocations, 30
+    // are key copies (one per entry); the rest open the two scans, grow
+    // IDX_A's in-memory copy of its list and install its filter.
+    let (run, last, outcome) = jscan_allocations(&table, complete(), KillRules::default());
+    assert!(matches!(outcome, JscanOutcome::Empty), "{outcome:?}");
+    assert_eq!((run, last), (41, 15), "(whole run, step completing IDX_B)");
+
+    // IDX_B now covers 30 entries, none kept; a zero spend limit discards
+    // it after its first quantum of 16, and IDX_A's list is the final list.
+    let discard = KillRules {
+        spend_limit: 0.0,
+        ..KillRules::default()
+    };
+    let (run, last, outcome) = jscan_allocations(
+        &table,
+        [(&ia, KeyRange::eq(3)), (&ib, KeyRange::closed(4, 5))],
+        discard,
+    );
+    assert!(
+        matches!(&outcome, JscanOutcome::FinalList(l) if l.len() == 15),
+        "{outcome:?}"
+    );
+    assert_eq!((run, last), (40, 16), "(whole run, step discarding IDX_B)");
 }

@@ -21,9 +21,10 @@
 //! * the asymmetric results are well approximated by truncated hyperbolas,
 //!   with fit error shrinking as skewness grows ([`hyperbola`]).
 //!
-//! The same numeric machinery (point-weight transforms, exactly as the
-//! paper describes) backs the runtime cost-distribution reasoning of the
-//! competition model in `rdb-competition`.
+//! The densities are a study library: the engine does not call it, and
+//! `rdb-competition`'s cost models keep their own distribution type
+//! (`CostDist`). `paper`'s model rows and `tests/paper_claims.rs` are its
+//! callers.
 
 pub mod figures;
 pub mod hyperbola;

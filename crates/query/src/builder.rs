@@ -23,12 +23,10 @@
 
 use std::path::PathBuf;
 
-use rdb_core::DynamicConfig;
-use rdb_storage::{CostConfig, DURABLE_PAGE_BYTES};
+use rdb_storage::DURABLE_PAGE_BYTES;
 
 use crate::db::{Db, DbConfig};
 use crate::error::QueryError;
-use crate::sort::SortConfig;
 
 /// Where the database's pages live.
 #[derive(Debug, Clone, Default)]
@@ -95,30 +93,6 @@ impl DbBuilder {
     pub fn page_bytes(mut self, bytes: usize) -> Self {
         self.config.page_bytes = bytes;
         self.page_bytes_set = true;
-        self
-    }
-
-    /// B-tree fanout for new indexes.
-    pub fn index_fanout(mut self, fanout: usize) -> Self {
-        self.config.index_fanout = fanout;
-        self
-    }
-
-    /// Cost-unit weights.
-    pub fn cost(mut self, cost: CostConfig) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Dynamic-optimizer tuning.
-    pub fn optimizer(mut self, optimizer: DynamicConfig) -> Self {
-        self.config.optimizer = optimizer;
-        self
-    }
-
-    /// ORDER BY sort tuning.
-    pub fn sort(mut self, sort: SortConfig) -> Self {
-        self.config.sort = sort;
         self
     }
 

@@ -24,23 +24,20 @@ use crate::options::QueryOptions;
 use crate::parser::{parse_query, QuerySpec};
 use crate::prepared::{PlanCache, Prepared};
 use crate::session::Session;
-use crate::sort::SortConfig;
 
-/// Database-wide configuration.
+/// B-tree fanout of every index [`Db::create_index`] builds.
+const INDEX_FANOUT: u32 = 64;
+
+/// Database-wide configuration: the sizes of the pool, the heap pages and
+/// the WAL segments. Cost weights, optimizer and sort tuning are the
+/// defaults of [`CostConfig`], [`DynamicConfig`] and
+/// [`SortConfig`](crate::SortConfig).
 #[derive(Debug, Clone, Copy)]
 pub struct DbConfig {
     /// Buffer-pool capacity in pages.
     pub pool_pages: usize,
-    /// Cost-unit weights.
-    pub cost: CostConfig,
     /// Heap-page payload bytes.
     pub page_bytes: usize,
-    /// B-tree fanout for new indexes.
-    pub index_fanout: usize,
-    /// Dynamic-optimizer tuning.
-    pub optimizer: DynamicConfig,
-    /// ORDER BY sort tuning (memory threshold, spill page size).
-    pub sort: SortConfig,
     /// WAL segment cap in bytes (durable databases): the log rotates into
     /// a fresh `wal-<seq>.rdb` once the current segment would exceed this.
     pub wal_segment_bytes: u64,
@@ -50,11 +47,7 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             pool_pages: 10_000,
-            cost: CostConfig::default(),
             page_bytes: 8192,
-            index_fanout: 64,
-            optimizer: DynamicConfig::default(),
-            sort: SortConfig::default(),
             wal_segment_bytes: rdb_storage::DEFAULT_WAL_SEGMENT_BYTES,
         }
     }
@@ -103,8 +96,6 @@ impl TableEntry {
 /// # Ok::<(), QueryError>(())
 /// ```
 pub struct Db {
-    /// `config.optimizer` is the one copy of the optimizer tuning: the join
-    /// race and single-table runs (`Db::optimizer`) both read it.
     pub(crate) config: DbConfig,
     pub(crate) cost: SharedCost,
     pub(crate) pool: SharedPool,
@@ -182,7 +173,7 @@ impl Db {
 
     /// In-memory construction (the builder's `in_memory` target).
     pub(crate) fn open_in_memory(config: DbConfig) -> Self {
-        let cost = shared_meter(config.cost);
+        let cost = shared_meter(CostConfig::default());
         let pool = shared_pool(config.pool_pages, cost.clone());
         Db {
             cost,
@@ -211,7 +202,7 @@ impl Db {
         // An existing database's on-disk page size wins over the config.
         config.page_bytes = store.page_bytes();
         let mut recovered = recover(&store)?;
-        let cost = shared_meter(config.cost);
+        let cost = shared_meter(CostConfig::default());
         let pool = shared_pool(config.pool_pages, cost.clone());
         let ctx = DurableCtx::new(
             store.clone(),
@@ -365,9 +356,9 @@ impl Db {
         &self.pool
     }
 
-    /// The single-table optimizer, tuned by `config.optimizer`.
+    /// The single-table optimizer, at the default tuning.
     pub(crate) fn optimizer(&self) -> DynamicOptimizer {
-        DynamicOptimizer::new(self.config.optimizer)
+        DynamicOptimizer::new(DynamicConfig::default())
     }
 
     fn alloc_file(&mut self) -> FileId {
@@ -433,7 +424,7 @@ impl Db {
         columns: &[&str],
     ) -> Result<(), QueryError> {
         let file = self.alloc_file();
-        let fanout = self.config.index_fanout as u32;
+        let fanout = INDEX_FANOUT;
         let pool = self.pool.clone();
         let cost = self.cost.clone();
         let entry = self.table_mut(table)?;

@@ -24,6 +24,7 @@ use crate::join::ResolvedJoin;
 use crate::options::QueryOptions;
 use crate::parser::{parse_query, QuerySpec};
 use crate::plan::effective_goal;
+use crate::sort::SortConfig;
 
 /// Per-query buffer-pool activity: the session meter's counter delta
 /// across one run. Because each session charges its own [`SharedCost`],
@@ -601,7 +602,7 @@ impl Db {
             let (mut rows, _) = crate::sort::sort_rows_dir(
                 keyed,
                 &self.pool,
-                &self.config.sort,
+                &SortConfig::default(),
                 tail.descending,
                 cost,
             );
@@ -639,7 +640,7 @@ impl Db {
             Resolved::Single(skel) => skel,
             Resolved::Join(skel) => {
                 let right = self.right_table(&spec)?;
-                return crate::join::explain_join(self, left, right, &skel, opts, cost);
+                return crate::join::explain_join(left, right, &skel, opts, cost);
             }
         };
         let args = skel.pred.bind_args(opts.params())?;

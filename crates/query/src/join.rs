@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use rdb_core::join::estimate::{admit, JoinEstimate};
-use rdb_core::{run_join, JoinOp, JoinPair, JoinRequest, JoinSide, SideId};
+use rdb_core::{run_join, JoinOp, JoinPair, JoinRequest, JoinSide, KillRules, SideId};
 use rdb_storage::{SharedCost, Value};
 
 use crate::db::{Db, TableEntry};
@@ -355,7 +355,7 @@ pub(crate) fn execute_join(
     let tracer = opts.tracer();
     let tail = Tail::new(spec, opts, false);
     let request = join_request(left, right, resolved, opts, tail.retrieval_limit(), cost)?;
-    let result = run_join(&request, &db.config.optimizer.rules, &tracer)?;
+    let result = run_join(&request, &KillRules::default(), &tracer)?;
     let row = |pair: JoinPair, keyed: bool| {
         let mut row = pair.row;
         let key = if resolved.order_key { row.pop() } else { None };
@@ -370,7 +370,6 @@ pub(crate) fn execute_join(
 /// in, and the pruned candidates, each with its planning-time estimate.
 /// The race admits through the same function.
 pub(crate) fn explain_join(
-    db: &Db,
     left: &TableEntry,
     right: &TableEntry,
     resolved: &ResolvedJoin,
@@ -378,7 +377,7 @@ pub(crate) fn explain_join(
     cost: &SharedCost,
 ) -> Result<String, QueryError> {
     let request = join_request(left, right, resolved, opts, None, cost)?;
-    let admission = admit(&request, &db.config.optimizer.rules, &cost.config());
+    let admission = admit(&request, &KillRules::default(), &cost.config());
     let entry = |e: &JoinEstimate| format!("{}~{:.0}", e.method.label(), e.cost);
     let mut listing = format!("guaranteed {}", entry(&admission.guaranteed));
     let speculative: Vec<String> = admission.speculative.iter().map(entry).collect();

@@ -1,7 +1,7 @@
 //! Client sessions: the same statement pipeline as [`Db`]'s own entry
 //! points, charged to a private cost meter.
 
-use rdb_storage::{shared_meter, SharedCost};
+use rdb_storage::{shared_meter, CostConfig, SharedCost};
 
 use crate::db::Db;
 use crate::error::QueryError;
@@ -22,7 +22,7 @@ impl<'db> Session<'db> {
     pub(crate) fn new(db: &'db Db) -> Self {
         Session {
             db,
-            cost: shared_meter(db.config.cost),
+            cost: shared_meter(CostConfig::default()),
         }
     }
 

@@ -228,18 +228,20 @@ fn clean_differential(
             KillRules::default(),
             scenario.pool.cost().clone(),
         );
+        let trace = TraceBuffer::shared(4096);
+        jscan.set_tracer(Tracer::new(trace.clone()));
         let expected_indexed = oracle::expected_for_conjuncts(scenario, &indexed);
         let outcome = jscan.run();
         // Conjuncts whose scans ran to completion: only those are folded
         // into the final list — a discarded index's restriction legally
         // stays behind for the final-stage residual.
-        let completed: Vec<_> = jscan
-            .events()
+        let completed: Vec<_> = trace
+            .take()
             .iter()
             .filter_map(|e| match e {
-                rdb_core::JscanEvent::ScanCompleted { name, .. } => indexed
+                TraceEvent::ScanCompleted { index, .. } => indexed
                     .iter()
-                    .find(|c| *name == format!("IDX_c{}", c.col))
+                    .find(|c| *index == format!("IDX_c{}", c.col))
                     .copied(),
                 _ => None,
             })

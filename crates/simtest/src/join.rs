@@ -15,8 +15,10 @@
 //!    *static* join plan (every feasible method run alone, plan-committed),
 //!    every killed lane must have died within the spend rule — at most
 //!    `spend_limit` × its guaranteed best plus one quantum — and every
-//!    killed/losing candidate's partial pairs must be a subset of the true
-//!    join result (partial work is never wrong, only incomplete).
+//!    pair of the dynamic result and of each forced method's full output
+//!    must satisfy the query's predicates. A raced lane runs the same
+//!    deterministic code as its forced run, only for less long, so its
+//!    partial work is a prefix of output this check has verified.
 //! 3. **Prepared replay** — the same statement through the plan cache must
 //!    deliver the same rows as ad-hoc execution.
 //! 4. **Fault campaign** — with random storage faults armed, a run either
@@ -29,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdb_core::join::competition::JOIN_BATCH;
 use rdb_core::{
-    run_join, run_join_method, JoinMethod, JoinOp, JoinRequest, JoinSide, KillRules, SideId,
-    TraceBuffer, TraceEvent, Tracer,
+    run_join, run_join_method, JoinMethod, JoinOp, JoinPair, JoinRequest, JoinSide, KillRules,
+    SideId, TraceBuffer, TraceEvent, Tracer,
 };
 use rdb_query::prelude::*;
 use rdb_storage::{FaultPolicy, StorageError};
@@ -327,9 +329,9 @@ pub struct JoinReport {
     pub checks: u64,
     /// Core-level cost-bound checks (dynamic vs best static join plan).
     pub cost_checks: u64,
-    /// Killed/losing candidates whose partial pairs passed the
-    /// containment contract.
-    pub containment_checks: u64,
+    /// Join outputs (the dynamic race's, and each forced method's) whose
+    /// every pair was fetched and satisfied the query's predicates.
+    pub pair_checks: u64,
     /// Killed lanes whose spend passed the per-lane kill bound.
     pub kill_checks: u64,
     /// SQL runs executed with a fault policy armed.
@@ -488,8 +490,41 @@ fn dearest_quantum(scenario: &JoinScenario, req: &JoinRequest<'_>) -> f64 {
         + (gl * gr) as f64 * price.rid_op
 }
 
+/// Fetches both rows of every pair in `pairs` and checks them against
+/// the query's predicates. The oracle is value-level, so RID-level
+/// membership in the true result is checked directly: a pair belongs
+/// exactly when its rows satisfy every predicate.
+fn check_pairs(
+    scenario: &JoinScenario,
+    q: &JoinQuery,
+    pairs: &[JoinPair],
+    who: &str,
+) -> Result<(), SimFailure> {
+    let db = &scenario.db;
+    let (left, right) = (
+        db.heap("L").expect("table L exists"),
+        db.heap("R").expect("table R exists"),
+    );
+    let cost = db.cost();
+    let fetch = |table: &rdb_storage::HeapTable, rid| {
+        table
+            .fetch(rid, cost)
+            .map_err(|e| SimFailure::execution(format!("{who} pair fetch died: {e}")))
+    };
+    for pair in pairs {
+        let (l, r) = (fetch(left, pair.left_rid)?, fetch(right, pair.right_rid)?);
+        if !(q.op.eval(&l[0], &r[0]) && in_range(&l[1], q.l_res) && in_range(&r[1], q.r_res)) {
+            return Err(SimFailure::row_set(format!(
+                "{who} delivered pair ({}, {}) that fails the predicates",
+                pair.left_rid, pair.right_rid
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Core-layer competition contract: dynamic cost vs best static join plan,
-/// the per-lane kill bound, and the killed-candidate containment check.
+/// the per-lane kill bound, and the pair check of every join output.
 fn competition_contract(
     scenario: &JoinScenario,
     q: &JoinQuery,
@@ -497,13 +532,6 @@ fn competition_contract(
     report: &mut JoinReport,
 ) -> Result<(), SimFailure> {
     let db = &scenario.db;
-    // True pair set at the RID level is unavailable here (the oracle is
-    // value-level), so the containment contract verifies each partial
-    // pair against the predicates directly — membership in the true
-    // result is exactly "satisfies every predicate".
-    let verify_pair = |l: &rdb_storage::Record, r: &rdb_storage::Record| {
-        q.op.eval(&l[0], &r[0]) && in_range(&l[1], q.l_res) && in_range(&r[1], q.r_res)
-    };
 
     db.clear_cache();
     let rules = KillRules::default();
@@ -551,31 +579,8 @@ fn competition_contract(
             dynamic.pairs.len()
         )));
     }
-
-    let cost_meter = db.cost().clone();
-    for cand in &dynamic.candidates {
-        for &(lr, rr) in &cand.partial {
-            let l = db
-                .heap("L")
-                .expect("table L exists")
-                .fetch(lr, &cost_meter)
-                .map_err(|e| SimFailure::execution(format!("containment fetch died: {e}")))?;
-            let r = db
-                .heap("R")
-                .expect("table R exists")
-                .fetch(rr, &cost_meter)
-                .map_err(|e| SimFailure::execution(format!("containment fetch died: {e}")))?;
-            if !verify_pair(&l, &r) {
-                return Err(SimFailure::row_set(format!(
-                    "candidate {} ({:?}) emitted pair ({lr}, {rr}) that fails the predicates — \
-                     partial work must be a subset of the true result",
-                    cand.method.label(),
-                    cand.outcome
-                )));
-            }
-        }
-        report.containment_checks += 1;
-    }
+    check_pairs(scenario, q, &dynamic.pairs, dynamic.strategy)?;
+    report.pair_checks += 1;
 
     // Best static plan: every feasible method, run alone to completion.
     let mut best_static = f64::INFINITY;
@@ -608,6 +613,8 @@ fn competition_contract(
         }
         best_static = best_static.min(single.cost);
         report.checks += 1;
+        check_pairs(scenario, q, &single.pairs, single.strategy)?;
+        report.pair_checks += 1;
     }
     if best_static.is_finite() && dynamic.cost > cfg.cost_mult * best_static + cfg.cost_slack {
         return Err(SimFailure::cost_bound(format!(
@@ -651,7 +658,8 @@ pub fn run_join_seed(seed: u64, cfg: &SimConfig) -> Result<JoinReport, SimFailur
         check_rows(q, &result.rows, &oracle, "sql-join").map_err(|e| e.ctx(ctx("clean")))?;
         report.checks += 1;
 
-        // 2. Core-layer competition contract (cost bound + containment).
+        // 2. Core-layer competition contract (cost and kill bounds, pair
+        // checks).
         competition_contract(&scenario, q, cfg, &mut report)
             .map_err(|e| e.ctx(ctx("competition")))?;
 

@@ -28,8 +28,9 @@
 //!   join query through the SQL layer's join competition, and differences
 //!   the rows against a naive nested-loop shadow oracle — plus a
 //!   core-layer contract pass: dynamic join cost bounded by the best
-//!   static join plan, and every killed candidate's partial pairs a
-//!   subset of the true result (`--joins` on the binary).
+//!   static join plan, and every pair the race and each forced method
+//!   deliver satisfying the query's predicates (`--joins` on the
+//!   binary).
 //!
 //! * [`durable`] grows seeded *on-disk* worlds, kills them at arbitrary
 //!   points — clean close, hard crash, WAL boundary cuts, ragged

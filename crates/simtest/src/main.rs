@@ -298,7 +298,7 @@ fn run_joins_campaign(args: &Args) -> ExitCode {
                 total.queries += report.queries;
                 total.checks += report.checks;
                 total.cost_checks += report.cost_checks;
-                total.containment_checks += report.containment_checks;
+                total.pair_checks += report.pair_checks;
                 total.kill_checks += report.kill_checks;
                 total.fault_runs += report.fault_runs;
                 total.fault_errors += report.fault_errors;
@@ -318,14 +318,14 @@ fn run_joins_campaign(args: &Args) -> ExitCode {
 
     println!(
         "simtest joins: {} seeds, {} join queries, {} oracle checks, {} cost-bound checks, \
-         {} kill-bound checks, {} containment checks, {} faulted runs ({} clean errors, \
+         {} kill-bound checks, {} pair checks, {} faulted runs ({} clean errors, \
          {} exact results)",
         seeds.len() - failures.len(),
         total.queries,
         total.checks,
         total.cost_checks,
         total.kill_checks,
-        total.containment_checks,
+        total.pair_checks,
         total.fault_runs,
         total.fault_errors,
         total.fault_ok,

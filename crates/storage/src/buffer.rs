@@ -903,9 +903,9 @@ impl BufferPool {
         self.len() == 0
     }
 
-    /// The database-default cost meter. Sessions and background stages
-    /// charge their own meters; this is the fallback for load-time and
-    /// single-session work.
+    /// The database-default cost meter, shared by every thread using the
+    /// pool. Sessions charge their own meters; this is the fallback for
+    /// load-time and single-session work.
     pub fn cost(&self) -> &SharedCost {
         &self.cost
     }

@@ -47,11 +47,12 @@ impl Default for CostConfig {
 ///
 /// Each query session carries its own meter via [`SharedCost`]; strategies
 /// snapshot it before/after their quanta to learn their own incremental
-/// cost. Counters are relaxed atomics so one meter may be charged from a
-/// background stage thread while the foreground reads it — per-counter
-/// monotonicity is all the competition logic needs, and under
-/// single-threaded use the totals are bit-identical to the old
-/// `Cell`-based meter.
+/// cost. Counters are relaxed atomics because a meter is shared across
+/// threads: the pool's default meter is charged by every thread that
+/// loads or queries through it, and a [`SharedCost`] may be handed to
+/// another thread. Per-counter monotonicity is all the competition logic
+/// needs, and under single-threaded use the totals are bit-identical to
+/// the old `Cell`-based meter.
 ///
 /// Charging is a single integer increment per call — the weighted
 /// [`CostMeter::total`] is computed on demand from the counters, so the
