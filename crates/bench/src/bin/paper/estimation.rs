@@ -30,17 +30,18 @@ fn unique(f: &Fixtures) -> (&JscanFixture, &BTree) {
     (fx, &fx.indexes[1])
 }
 
-/// One cold descent of `fx`'s `id` index per labelled closed range: its
-/// units are the pages the descent read, its count the nodes it touched,
-/// and its clock is in ns. The note reads the estimate again, on a meter
-/// of its own, and hands it to `read`.
+/// One cold estimate of `fx`'s `id` index per labelled closed range, by
+/// the engine's edge descent: its units are the pages the descent read,
+/// its count the nodes it touched, and its clock is in ns. The note reads
+/// the paper's `k·f^(l−1)` and the engine's count again, on a meter of
+/// their own, and hands both to `read`.
 fn descents<'a>(
     title: String,
     fx: &'a JscanFixture,
     axis: &'static str,
     bounds: &[(String, i64, i64)],
     note_headers: &'static str,
-    read: impl Fn(usize, &Outcome, &RangeEstimate) -> Vec<String> + 'a,
+    read: impl Fn(usize, &Outcome, &RangeEstimate, &RangeEstimate) -> Vec<String> + 'a,
 ) -> Part<'a> {
     let tree = &fx.indexes[1];
     let ranges: Rc<[KeyRange]> = bounds
@@ -64,7 +65,8 @@ fn descents<'a>(
     Part::Raced(Scenario {
         count: "nodes",
         note: note(note_headers, move |b, o, _| {
-            read(b, o, &tree.estimate_range(&noted[b], &scratch))
+            let paper = tree.estimate_range_paper(&noted[b], &scratch);
+            read(b, o, &paper, &tree.estimate_range(&noted[b], &scratch))
         }),
         clock: Clock::Ns,
         ..Scenario::new(
@@ -79,7 +81,8 @@ fn descents<'a>(
 
 /// E7, Figure 5: RangeRIDs ≈ k·f^(l−1) against the truth across range
 /// sizes, tiny and empty ranges included, beside the counted ablation
-/// (exact child counts, same descent); then \[Ant92\] ranked sampling
+/// (exact child counts, 50 % edges, same descent) and the engine's
+/// edge-descent count, which is timed; then \[Ant92\] ranked sampling
 /// against acceptance/rejection \[OlRo89\].
 pub(super) fn e7(f: &Fixtures) -> Vec<Part<'_>> {
     let (fx, idx) = unique(f);
@@ -97,7 +100,7 @@ pub(super) fn e7(f: &Fixtures) -> Vec<Part<'_>> {
     let labelled = bounds.map(|(lo, hi)| (format!("[{lo},{hi}]"), lo, hi));
     let truth = move |lo: i64, hi: i64| (hi.min(fx.n - 1) - lo.max(0) + 1).max(0) as f64;
     let counted = shared_meter(CostConfig::default());
-    let read = move |b: usize, _: &Outcome, est: &RangeEstimate| {
+    let read = move |b: usize, _: &Outcome, est: &RangeEstimate, count: &RangeEstimate| {
         let (lo, hi) = bounds[b];
         let t = truth(lo, hi);
         let ratio = match (t > 0.0, est.estimate == 0.0) {
@@ -113,15 +116,17 @@ pub(super) fn e7(f: &Fixtures) -> Vec<Part<'_>> {
             format!("l={} k={}", est.split_level, est.k),
             if est.exact { "yes" } else { "no" }.into(),
             fmt(counted.estimate),
+            fmt(count.estimate),
         ]
     };
     let title = format!(
-        "Figure 5 descent to a split node vs truth: {} entries, height {}, avg fanout {:.1}",
+        "Figure 5 descent to a split node vs truth, engine's edge-descent count timed: \
+         {} entries, height {}, avg fanout {:.1}",
         idx.len(),
         idx.height(),
         idx.avg_fanout()
     );
-    let headers = "truth|k*f^(l-1)|est/truth|split|exact|counted";
+    let headers = "truth|k*f^(l-1)|est/truth|split|exact|counted|edge count";
     let scenario = descents(title, fx, "range", &labelled, headers, read);
 
     let (lo, hi) = (5_000, 8_000);
@@ -172,12 +177,12 @@ pub(super) fn e8(f: &Fixtures) -> Vec<Part<'_>> {
         ("small range (300)", 42, 341),
     ]
     .map(|(label, lo, hi)| (label.to_string(), lo, hi));
-    let read = move |_: usize, o: &Outcome, est: &RangeEstimate| {
+    let read = move |_: usize, o: &Outcome, est: &RangeEstimate, count: &RangeEstimate| {
         let ratio = format!("{:.4}%", o.cost / tscan * 100.0);
-        vec![fmt(est.estimate), fmt(tscan), ratio]
+        vec![fmt(est.estimate), fmt(count.estimate), fmt(tscan), ratio]
     };
-    let title = "§5 shortcuts: estimation cost vs productive scan cost".into();
-    let headers = "estimate|Tscan cost|ratio";
+    let title = "§5 shortcuts: edge-descent cost vs productive scan cost".into();
+    let headers = "k*f^(l-1)|edge count|Tscan cost|ratio";
     vec![descents(title, fx, "case", &cases, headers, read)]
 }
 

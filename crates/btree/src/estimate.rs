@@ -1,5 +1,5 @@
 //! Range-size estimation by descent to a split node (paper Section 5,
-//! Figure 5).
+//! Figure 5), finished by counting down the two edges.
 //!
 //! > "We first descend the tree from the root along the path containing
 //! > only those nodes which branches include all range keys. The lowest
@@ -11,15 +11,27 @@
 //! > nodes as one) and assuming the average tree fanout be *f*, we can now
 //! > estimate the number of range RIDs as RangeRIDs ≈ k·f^(l−1)."
 //!
-//! The descent touches one node per level, so the estimate costs a handful
-//! of (usually cached) page accesses; when the range is empty or falls
-//! entirely inside one leaf the count is **exact** — the property the
-//! paper's OLTP shortcut path relies on.
+//! The engine's estimate, [`BTree::estimate_range`], does not make the
+//! paper's two assumptions. Internal nodes keep exact subtree counts, so
+//! past the split node the middle children contribute their counts, and
+//! only the two edge children are descended: the lo edge down the first
+//! child, the hi edge down the last. At each level the children lying
+//! wholly inside the range add their counts, and the two leaves finish with
+//! a binary search. The result is the exact entry count, for at most
+//! `height + split_level − 1` node touches (usually pool hits). A range of
+//! thirty entries that straddles a node boundary is therefore seen as
+//! thirty, not as `k·f^(l−1)` in the thousands.
+//!
+//! The paper's formula stays as a study function,
+//! [`BTree::estimate_range_paper`], and [`BTree::estimate_range_counted`]
+//! is the half-way ablation (exact middle counts, 50 % edges). Both share
+//! the descent to the split node and cost one node per level down to it;
+//! when the range is empty or falls inside one leaf they are exact too.
 
-use rdb_storage::CostMeter;
+use rdb_storage::{CostMeter, Value};
 
-use crate::key::KeyRange;
-use crate::node::Node;
+use crate::key::{KeyBound, KeyRange};
+use crate::node::{InternalNode, Node, NodeId};
 use crate::tree::BTree;
 
 /// Result of a descent-to-split-node estimation.
@@ -31,9 +43,11 @@ pub struct RangeEstimate {
     pub split_level: u32,
     /// The paper's `k` (exact match count when `split_level == 1`).
     pub k: u64,
-    /// True when the estimate is exact (empty range, or split at a leaf).
+    /// True when the estimate is the exact count: always for
+    /// [`BTree::estimate_range`]; for the study estimators only on an
+    /// empty range or a split at a leaf.
     pub exact: bool,
-    /// Nodes touched during the descent (the estimation cost in pages).
+    /// Nodes touched (the estimation cost in pages).
     pub nodes_visited: u32,
 }
 
@@ -49,27 +63,112 @@ impl RangeEstimate {
     }
 }
 
+/// Where the descent from the root stopped.
+enum Descent<'a> {
+    /// The range is empty or inside one leaf: the count is known.
+    Exact(RangeEstimate),
+    /// The range spans children `first..=last` of `node`, at `level`.
+    Split {
+        node: &'a InternalNode,
+        first: usize,
+        last: usize,
+        level: u32,
+        visited: u32,
+    },
+}
+
 impl BTree {
-    /// Estimates the number of entries in `range` using the paper's
-    /// descent-to-split-node method. Charges the descent path to `cost`.
+    /// Counts the entries in `range` exactly by edge descent (see the
+    /// module doc), charging every node it touches to `cost`.
     pub fn estimate_range(&self, range: &KeyRange, cost: &CostMeter) -> RangeEstimate {
-        self.estimate_with(range, false, cost)
+        let (node, first, last, level, mut visited) = match self.descend_to_split(range, cost) {
+            Descent::Exact(est) => return est,
+            Descent::Split {
+                node,
+                first,
+                last,
+                level,
+                visited,
+            } => (node, first, last, level, visited),
+        };
+        // The middle children count whole; the two edge children are
+        // counted down their edges.
+        let mut count = 0u64;
+        let spanned = node.children.iter().zip(&node.counts).enumerate();
+        for (c, (&child, &n)) in spanned.take(last + 1).skip(first) {
+            count += if c == first || c == last {
+                self.edge_count(child, n, range, c == first, cost, &mut visited)
+            } else {
+                n
+            };
+        }
+        RangeEstimate {
+            estimate: count as f64,
+            split_level: level,
+            k: (last - first) as u64,
+            exact: true,
+            nodes_visited: visited,
+        }
     }
 
-    /// Variant of [`BTree::estimate_range`] that uses the maintained
+    /// The paper's estimate `k·f^(l−1)` (Section 5, Figure 5), kept as a
+    /// study function: the edge children count as one between them and
+    /// every subtree is assumed to hold `f^level` entries. Same descent to
+    /// the split node as [`BTree::estimate_range`], without the edges.
+    pub fn estimate_range_paper(&self, range: &KeyRange, cost: &CostMeter) -> RangeEstimate {
+        self.estimate_at_split(range, cost, |tree, _, first, last, level| {
+            // Children of the split node sit at level l-1; a subtree at
+            // level m holds ~f^m entries (a leaf holds ~f), giving the
+            // paper's RangeRIDs ≈ k·f^(l−1).
+            (last - first) as f64 * tree.avg_fanout().powi(level as i32 - 1)
+        })
+    }
+
+    /// Variant of [`BTree::estimate_range_paper`] that uses the maintained
     /// subtree counts instead of `k·f^(l−1)`: the middle children
     /// contribute their exact counts and the two edge children half each.
-    /// Same descent, same cost, better precision — an ablation of how much
-    /// of the estimation error comes from the average-fanout assumption.
+    /// Same descent, same cost — an ablation of how much of the paper's
+    /// error comes from the average-fanout assumption, and how much from
+    /// the 50 % edges.
     pub fn estimate_range_counted(&self, range: &KeyRange, cost: &CostMeter) -> RangeEstimate {
-        self.estimate_with(range, true, cost)
+        self.estimate_at_split(range, cost, |_, node, first, last, _| {
+            let middle: u64 = node.counts.iter().take(last).skip(first + 1).sum();
+            0.5 * (node.counts[first] + node.counts[last]) as f64 + middle as f64
+        })
     }
 
-    fn estimate_with(&self, range: &KeyRange, use_counts: bool, cost: &CostMeter) -> RangeEstimate {
-        if range.is_trivially_empty() || self.is_empty() {
-            return RangeEstimate::exact_count(0, 0);
+    /// A study estimator: descends to the split node and prices the span
+    /// `first..=last` at split level `level` with `price`.
+    fn estimate_at_split(
+        &self,
+        range: &KeyRange,
+        cost: &CostMeter,
+        price: impl FnOnce(&BTree, &InternalNode, usize, usize, u32) -> f64,
+    ) -> RangeEstimate {
+        match self.descend_to_split(range, cost) {
+            Descent::Exact(est) => est,
+            Descent::Split {
+                node,
+                first,
+                last,
+                level,
+                visited,
+            } => RangeEstimate {
+                estimate: price(self, node, first, last, level),
+                split_level: level,
+                k: (last - first) as u64,
+                exact: false,
+                nodes_visited: visited,
+            },
         }
-        let f = self.avg_fanout();
+    }
+
+    /// Descends from the root along the nodes whose branches hold the
+    /// whole range, one touch per level, to the split node or a leaf.
+    fn descend_to_split(&self, range: &KeyRange, cost: &CostMeter) -> Descent<'_> {
+        if range.is_trivially_empty() || self.is_empty() {
+            return Descent::Exact(RangeEstimate::exact_count(0, 0));
+        }
         let mut id = self.root;
         let mut level = self.height();
         let mut visited = 0u32;
@@ -84,7 +183,7 @@ impl BTree {
                         .partition_point(|e| !range.satisfies_lo(&e.key));
                     let hi = leaf.entries.partition_point(|e| range.satisfies_hi(&e.key));
                     let k = hi.saturating_sub(lo) as u64;
-                    return RangeEstimate::exact_count(k, visited);
+                    return Descent::Exact(RangeEstimate::exact_count(k, visited));
                 }
                 Node::Internal(node) => {
                     let first = node
@@ -93,7 +192,7 @@ impl BTree {
                     let last = node.seps.partition_point(|s| range.satisfies_hi(&s.key));
                     if first > last {
                         // No child can contain the range: provably empty.
-                        return RangeEstimate::exact_count(0, visited);
+                        return Descent::Exact(RangeEstimate::exact_count(0, visited));
                     }
                     if first == last {
                         // Range confined to a single branch: keep descending.
@@ -103,26 +202,70 @@ impl BTree {
                     }
                     // Split node found: children first..=last contain the
                     // range, i.e. k+1 children with k = last - first.
-                    let k = (last - first) as u64;
-                    let estimate = if use_counts {
-                        let mut sum = 0.5 * (node.counts[first] + node.counts[last]) as f64;
-                        for c in first + 1..last {
-                            sum += node.counts[c] as f64;
-                        }
-                        sum
+                    return Descent::Split {
+                        node,
+                        first,
+                        last,
+                        level,
+                        visited,
+                    };
+                }
+            }
+        }
+    }
+
+    /// Exact count of the range's entries under `child`, an edge child of
+    /// the split node holding `total` entries. Every entry of the lo edge
+    /// child (`lo_edge`) already satisfies the hi bound, and every entry of
+    /// the hi edge child the lo bound, so one bound decides: each level
+    /// adds the children wholly past it and descends into the one it cuts.
+    /// An unbounded edge is the whole child and touches nothing.
+    fn edge_count(
+        &self,
+        child: NodeId,
+        total: u64,
+        range: &KeyRange,
+        lo_edge: bool,
+        cost: &CostMeter,
+        visited: &mut u32,
+    ) -> u64 {
+        let bound = if lo_edge { &range.lo } else { &range.hi };
+        if *bound == KeyBound::Unbounded {
+            return total;
+        }
+        let inside = |key: &[Value]| {
+            if lo_edge {
+                range.satisfies_lo(key)
+            } else {
+                range.satisfies_hi(key)
+            }
+        };
+        let mut id = child;
+        let mut n = 0u64;
+        loop {
+            self.touch(id, cost);
+            *visited += 1;
+            match self.node(id) {
+                Node::Leaf(leaf) => {
+                    // `inside` holds on a suffix of the lo edge's entries
+                    // and on a prefix of the hi edge's.
+                    let cut = leaf.entries.partition_point(|e| inside(&e.key) != lo_edge);
+                    let matched = if lo_edge {
+                        leaf.entries.len() - cut
                     } else {
-                        // Children of the split node sit at level l-1; a
-                        // subtree at level m holds ~f^m entries (a leaf holds
-                        // ~f), giving the paper's RangeRIDs ≈ k·f^(l−1).
-                        k as f64 * f.powi(level as i32 - 1)
+                        cut
                     };
-                    return RangeEstimate {
-                        estimate,
-                        split_level: level,
-                        k,
-                        exact: false,
-                        nodes_visited: visited,
+                    return n + matched as u64;
+                }
+                Node::Internal(node) => {
+                    let j = node.seps.partition_point(|s| inside(&s.key) != lo_edge);
+                    let counts = node.counts.iter();
+                    n += if lo_edge {
+                        counts.skip(j + 1).sum::<u64>()
+                    } else {
+                        counts.take(j).sum()
                     };
+                    id = node.children[j];
                 }
             }
         }
@@ -130,11 +273,13 @@ impl BTree {
 }
 
 impl BTree {
-    /// Sampling-refined range estimate (paper Section 5: "More precise
+    /// Sampling-refined paper estimate (Section 5: "More precise
     /// estimation would require a good inexpensive random sampling on
     /// range children of a split node"). Draws `samples` ranked samples
     /// (\[Ant92\]) and scales the in-range fraction by the entry count;
-    /// falls back to the descent estimate when it is already exact.
+    /// falls back to [`BTree::estimate_range_paper`] when that is already
+    /// exact. A study of the paper's remedy: the engine's edge descent
+    /// counts exactly for fewer touches.
     pub fn estimate_range_sampled<R: rand::Rng>(
         &self,
         range: &crate::key::KeyRange,
@@ -142,7 +287,7 @@ impl BTree {
         rng: &mut R,
         cost: &CostMeter,
     ) -> RangeEstimate {
-        let descent = self.estimate_range(range, cost);
+        let descent = self.estimate_range_paper(range, cost);
         if descent.exact || samples == 0 {
             return descent;
         }
@@ -201,12 +346,35 @@ mod tests {
     }
 
     #[test]
+    fn edge_descent_counts_exactly_within_its_touch_bound() {
+        let (t, cost) = tree(8, 50_000);
+        for (lo, hi) in [
+            (0, 499),
+            (1000, 8999),
+            (20_000, 49_999),
+            (100, 120),
+            (0, 49_999),
+        ] {
+            let r = KeyRange::closed(lo, hi);
+            let est = t.estimate_range(&r, &cost);
+            assert!(est.exact);
+            assert_eq!(est.estimate, (hi - lo + 1) as f64, "range [{lo},{hi}]");
+            assert!(est.nodes_visited <= t.height() + 2 * (est.split_level - 1));
+        }
+        // An unbounded edge is its whole child: the full range reads only
+        // the root's counts.
+        let all = t.estimate_range(&KeyRange::all(), &cost);
+        assert_eq!(all.estimate, 50_000.0);
+        assert_eq!(all.nodes_visited, 1);
+    }
+
+    #[test]
     fn estimate_tracks_true_count_within_factor() {
         let (t, cost) = tree(8, 50_000);
         for (lo, hi) in [(0, 499), (1000, 8999), (20_000, 49_999), (100, 120)] {
             let r = KeyRange::closed(lo, hi);
             let truth = (hi - lo + 1) as f64;
-            let est = t.estimate_range(&r, &cost).estimate.max(1.0);
+            let est = t.estimate_range_paper(&r, &cost).estimate.max(1.0);
             let ratio = est / truth;
             assert!(
                 (0.2..=5.0).contains(&ratio),
@@ -219,7 +387,7 @@ mod tests {
     fn counted_estimate_near_exact_on_wide_ranges() {
         // On a range spanning many children of the split node, the counted
         // variant sums real subtree counts and lands within ~1 child of the
-        // truth; the plain k·f^(l−1) formula can drift much further.
+        // truth; the paper's k·f^(l−1) formula can drift much further.
         let (t, cost) = tree(8, 50_000);
         for (lo, hi) in [(0, 49_999), (5000, 44_999), (1000, 30_000)] {
             let truth = (hi - lo + 1) as f64;
@@ -237,7 +405,7 @@ mod tests {
     #[test]
     fn descent_cost_is_at_most_height() {
         let (t, cost) = tree(4, 10_000);
-        let est = t.estimate_range(&KeyRange::closed(100, 5000), &cost);
+        let est = t.estimate_range_paper(&KeyRange::closed(100, 5000), &cost);
         assert!(est.nodes_visited <= t.height());
     }
 
@@ -248,7 +416,7 @@ mod tests {
         // split node at level l must equal k · f^(l−1).
         let (t, cost) = tree(4, 10_000);
         let r = KeyRange::closed(3000, 3100);
-        let est = t.estimate_range(&r, &cost);
+        let est = t.estimate_range_paper(&r, &cost);
         if !est.exact {
             let f = t.avg_fanout();
             let expect = est.k as f64 * f.powi(est.split_level as i32 - 1);
@@ -260,11 +428,11 @@ mod tests {
     fn sampled_estimate_fixes_descent_bias() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        // The full-range case: the descent formula underestimates when the
+        // The full-range case: the paper's formula underestimates when the
         // root has few children; sampling recovers the truth.
         let (t, cost) = tree(8, 50_000);
         let r = KeyRange::closed(0, 49_999);
-        let descent = t.estimate_range(&r, &cost);
+        let descent = t.estimate_range_paper(&r, &cost);
         let mut rng = StdRng::seed_from_u64(5);
         let sampled = t.estimate_range_sampled(&r, 400, &mut rng, &cost);
         let truth = 50_000.0;
@@ -292,7 +460,7 @@ mod tests {
     #[test]
     fn full_range_estimates_near_cardinality() {
         let (t, cost) = tree(16, 100_000);
-        let est = t.estimate_range(&KeyRange::all(), &cost);
+        let est = t.estimate_range_paper(&KeyRange::all(), &cost);
         let ratio = est.estimate / 100_000.0;
         assert!(
             (0.3..=3.0).contains(&ratio),

@@ -9,16 +9,18 @@
 //! the two estimation devices the paper's initial retrieval stage depends
 //! on (Section 5):
 //!
-//! * **Descent to a split node** ([`BTree::estimate_range`], Figure 5 of the
-//!   paper): the index B-tree is used as a *hierarchical histogram*. We
-//!   descend from the root along the path whose nodes entirely contain the
-//!   key range; at the first node where the range spans `k+1` children the
-//!   estimate is `k · f^(l−1)` for split level `l` and average fanout `f`.
-//!   The estimate costs one root-to-split-node path of page touches, is
-//!   always up to date, and — unlike stored histograms — detects *small and
-//!   empty ranges* exactly, which the paper calls out as the case that
-//!   matters most ("the smallest ranges must be detected and scanned
-//!   first").
+//! * **Descent to a split node** (Figure 5 of the paper): the index B-tree
+//!   is used as a *hierarchical histogram*. We descend from the root along
+//!   the path whose nodes entirely contain the key range; at the first node
+//!   where the range spans `k+1` children the paper estimates `k · f^(l−1)`
+//!   for split level `l` and average fanout `f`
+//!   ([`BTree::estimate_range_paper`]). The engine's estimate,
+//!   [`BTree::estimate_range`], goes on down the two edge children and sums
+//!   the maintained subtree counts, so it is the exact count for at most
+//!   `height + l − 1` page touches. Either is always up to date and —
+//!   unlike stored histograms — detects *small and empty ranges* exactly,
+//!   which the paper calls out as the case that matters most ("the
+//!   smallest ranges must be detected and scanned first").
 //! * **Ranked random sampling** ([`sample`]): the follow-up estimator of
 //!   \[Ant92\] ("Random Sampling from Pseudo-Ranked B+ Trees"), here backed
 //!   by exact subtree counts maintained in internal nodes, plus the older

@@ -6,8 +6,8 @@
 //!
 //! Internal nodes carry per-child **subtree entry counts**. These are the
 //! "ranks" that make the tree a pseudo-ranked B+‑tree in the sense of
-//! \[Ant92\]: they power both exact-weight random sampling and the counted
-//! variant of range estimation.
+//! \[Ant92\]: they power both exact-weight random sampling and the exact
+//! edge-descent range count.
 
 use std::cmp::Ordering;
 

@@ -17,7 +17,7 @@
 use rdb_storage::{CostMeter, Rid, StorageError, Value};
 
 use crate::key::KeyRange;
-use crate::node::{Node, NodeId};
+use crate::node::{Entry, Node, NodeId};
 use crate::tree::BTree;
 
 /// A resumable cursor over all index entries in a key range, in key order.
@@ -122,6 +122,25 @@ impl RangeScan {
         tree: &BTree,
         cost: &CostMeter,
     ) -> Result<Option<(Vec<Value>, Rid)>, StorageError> {
+        Ok(self.step(tree, cost)?.map(|e| (e.key.clone(), e.rid)))
+    }
+
+    /// [`RangeScan::next`] for callers that want only the RID: the same
+    /// step and charges, without copying the key.
+    pub fn next_rid(
+        &mut self,
+        tree: &BTree,
+        cost: &CostMeter,
+    ) -> Result<Option<Rid>, StorageError> {
+        Ok(self.step(tree, cost)?.map(|e| e.rid))
+    }
+
+    /// Advances one entry and lends it from the tree.
+    fn step<'t>(
+        &mut self,
+        tree: &'t BTree,
+        cost: &CostMeter,
+    ) -> Result<Option<&'t Entry>, StorageError> {
         if let Some(e) = self.pending_err.take() {
             self.done = true;
             return Err(e);
@@ -162,7 +181,7 @@ impl RangeScan {
                     self.range.satisfies_lo(&entry.key),
                     "scan produced entry below lower bound"
                 );
-                return Ok(Some((entry.key.clone(), entry.rid)));
+                return Ok(Some(entry));
             }
             self.leaf = leaf.next;
             self.pos = 0;
@@ -267,6 +286,24 @@ impl RangeScanRev {
         tree: &BTree,
         cost: &CostMeter,
     ) -> Result<Option<(Vec<Value>, Rid)>, StorageError> {
+        Ok(self.step(tree, cost)?.map(|e| (e.key.clone(), e.rid)))
+    }
+
+    /// [`RangeScanRev::next`] for callers that want only the RID.
+    pub fn next_rid(
+        &mut self,
+        tree: &BTree,
+        cost: &CostMeter,
+    ) -> Result<Option<Rid>, StorageError> {
+        Ok(self.step(tree, cost)?.map(|e| e.rid))
+    }
+
+    /// Advances one entry backwards and lends it from the tree.
+    fn step<'t>(
+        &mut self,
+        tree: &'t BTree,
+        cost: &CostMeter,
+    ) -> Result<Option<&'t Entry>, StorageError> {
         if let Some(e) = self.pending_err.take() {
             self.done = true;
             return Err(e);
@@ -301,7 +338,7 @@ impl RangeScanRev {
                     return Ok(None);
                 }
                 debug_assert!(self.range.satisfies_hi(&entry.key));
-                return Ok(Some((entry.key.clone(), entry.rid)));
+                return Ok(Some(entry));
             }
             // Exhausted this leaf: re-descend to the predecessor leaf (the
             // rightmost leaf of the nearest left-sibling subtree on the
@@ -310,8 +347,7 @@ impl RangeScanRev {
                 self.done = true;
                 return Ok(None);
             };
-            let target = first.clone();
-            let prev = match tree.predecessor_leaf(&target, cost) {
+            let prev = match tree.predecessor_leaf(first, cost) {
                 Ok(p) => p,
                 Err(e) => {
                     self.done = true;

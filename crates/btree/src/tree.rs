@@ -34,6 +34,10 @@ pub struct BTree {
     key_columns: Vec<usize>,
     entry_count: u64,
     height: u32,
+    /// Slots summed over every arena node (leaf entries plus internal
+    /// children), kept up to date by insert, delete and bulk load so
+    /// [`BTree::avg_fanout`] costs O(1).
+    slots: usize,
 }
 
 impl BTree {
@@ -63,6 +67,7 @@ impl BTree {
             key_columns,
             entry_count: 0,
             height: 1,
+            slots: 0,
         }
     }
 
@@ -145,11 +150,11 @@ impl BTree {
             .ok_or(StorageError::Corrupt("dangling b-tree node id"))
     }
 
-    /// Average node fanout `f` used by the paper's estimate `k·f^(l−1)`.
-    /// Computed from catalog metadata (no page charges).
+    /// Average node fanout `f`: slots per arena node, as used by the
+    /// paper's estimate `k·f^(l−1)` and by leaf-page pricing. Read from the
+    /// maintained slot total (no page charges, no node walk).
     pub fn avg_fanout(&self) -> f64 {
-        let slots: usize = self.nodes.iter().map(Node::slot_count).sum();
-        slots as f64 / self.nodes.len() as f64
+        self.slots as f64 / self.nodes.len() as f64
     }
 
     /// Bulk-loads a tree from entries in one bottom-up pass — the
@@ -205,6 +210,7 @@ impl BTree {
             level.push((id, min, count));
         }
         let mut height = 1;
+        let mut slots = total as usize;
 
         // Build internal levels until one node remains.
         while level.len() > 1 {
@@ -217,6 +223,7 @@ impl BTree {
                 let min = chunk[0].1.clone();
                 let count = counts.iter().sum();
                 let id = tree.nodes.len() as NodeId;
+                slots += children.len();
                 tree.nodes.push(Node::Internal(InternalNode {
                     seps,
                     children,
@@ -230,6 +237,7 @@ impl BTree {
         tree.root = level[0].0;
         tree.height = height;
         tree.entry_count = total;
+        tree.slots = slots;
         tree
     }
 
@@ -246,6 +254,7 @@ impl BTree {
             self.nodes.push(Node::Internal(new_root));
             self.root = (self.nodes.len() - 1) as NodeId;
             self.height += 1;
+            self.slots += 2;
         }
         self.entry_count += 1;
     }
@@ -259,6 +268,7 @@ impl BTree {
                     .entries
                     .partition_point(|e| e.cmp_full(&entry) == std::cmp::Ordering::Less);
                 leaf.entries.insert(pos, entry);
+                self.slots += 1;
                 if leaf.entries.len() <= self.max_fanout {
                     return None;
                 }
@@ -297,6 +307,7 @@ impl BTree {
                         internal.seps.insert(child_idx, sep);
                         internal.children.insert(child_idx + 1, right_id);
                         internal.counts.insert(child_idx + 1, right_count);
+                        self.slots += 1;
                         if internal.children.len() <= self.max_fanout {
                             return None;
                         }
@@ -357,6 +368,7 @@ impl BTree {
                     .is_some_and(|e| e.cmp_full(entry) == std::cmp::Ordering::Equal)
                 {
                     leaf.entries.remove(pos);
+                    self.slots -= 1;
                     true
                 } else {
                     false
@@ -484,7 +496,7 @@ impl BTree {
         let mut scan = self.range_scan(range, cost);
         let mut n = 0;
         while scan
-            .next(self, cost)
+            .next_rid(self, cost)
             .expect("convenience scan hit an injected fault")
             .is_some()
         {
@@ -503,6 +515,8 @@ impl BTree {
     pub fn check_invariants(&self) {
         let total = self.check_node(self.root, None, None, self.height);
         assert_eq!(total, self.entry_count, "entry count mismatch");
+        let walked: usize = self.nodes.iter().map(Node::slot_count).sum();
+        assert_eq!(walked, self.slots, "stale slot total");
     }
 
     fn check_node(
@@ -652,6 +666,51 @@ mod tests {
         let tree = small_tree(8, 0..1000);
         let f = tree.avg_fanout();
         assert!(f > 3.0 && f <= 8.0, "avg fanout {f} out of range");
+    }
+
+    /// The fanout as every node walk computed it before the slot total
+    /// was maintained.
+    fn walked_fanout(t: &BTree) -> f64 {
+        let slots: usize = t.nodes.iter().map(Node::slot_count).sum();
+        slots as f64 / t.nodes.len() as f64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The maintained fanout is bit-identical to the node walk after
+        /// every insert and delete, on inserted and bulk-loaded trees, so
+        /// nothing priced through it moves.
+        #[test]
+        fn maintained_fanout_equals_node_walk(
+            keys in proptest::collection::vec(0i64..60, 0..300),
+            fanout in 4usize..16,
+            bulk in proptest::prelude::any::<bool>(),
+            delete_every in 2usize..6,
+        ) {
+            let pool = shared_pool(100_000, shared_meter(CostConfig::default()));
+            let mut t = if bulk {
+                let entries = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (vec![Value::Int(k)], Rid::new(i as u32, 0)))
+                    .collect();
+                BTree::bulk_load("b", FileId(1), pool, vec![0], fanout, entries)
+            } else {
+                BTree::new("i", FileId(1), pool, vec![0], fanout)
+            };
+            proptest::prop_assert_eq!(t.avg_fanout().to_bits(), walked_fanout(&t).to_bits());
+            let base = keys.len() as u32;
+            for (i, &k) in keys.iter().enumerate() {
+                t.insert(vec![Value::Int(k)], Rid::new(base + i as u32, 0));
+                proptest::prop_assert_eq!(t.avg_fanout().to_bits(), walked_fanout(&t).to_bits());
+            }
+            for (i, &k) in keys.iter().enumerate().step_by(delete_every) {
+                proptest::prop_assert!(t.delete(&[Value::Int(k)], Rid::new(base + i as u32, 0)));
+                proptest::prop_assert_eq!(t.avg_fanout().to_bits(), walked_fanout(&t).to_bits());
+            }
+            t.check_invariants();
+        }
     }
 
     #[test]

@@ -66,6 +66,50 @@ proptest! {
         }
     }
 
+    /// The engine's estimate is the exact count, on inserted and
+    /// bulk-loaded trees of any fanout with duplicate-heavy keys, for
+    /// closed, half-open, point, empty and inverted ranges alike, and it
+    /// touches at most the descent to the split node plus its two edges.
+    #[test]
+    fn edge_descent_estimate_is_the_count(
+        keys in prop::collection::vec(0i64..40, 0..600),
+        fanout in 4usize..65,
+        bulk in any::<bool>(),
+        lo in -5i64..45,
+        len in -3i64..30,
+        shape in 0u8..6,
+    ) {
+        let tree = if bulk {
+            let pool = shared_pool(100_000, shared_meter(CostConfig::default()));
+            let entries = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (vec![Value::Int(k)], Rid::new(i as u32, 0)))
+                .collect();
+            BTree::bulk_load("bulk", FileId(1), pool, vec![0], fanout, entries)
+        } else {
+            build(&keys, fanout)
+        };
+        let hi = lo + len;
+        let range = match shape {
+            0 => KeyRange::closed(lo, hi),
+            1 => KeyRange::at_least(lo),
+            2 => KeyRange::at_most(hi),
+            3 => KeyRange::eq(lo),
+            4 => KeyRange { lo: KeyBound::exclusive(lo), hi: KeyBound::exclusive(hi) },
+            _ => KeyRange::all(),
+        };
+        let cost = meter(&tree);
+        let est = tree.estimate_range(&range, &cost);
+        prop_assert!(est.exact);
+        prop_assert_eq!(est.estimate, tree.count_range(range, &cost) as f64);
+        prop_assert!(
+            est.nodes_visited <= tree.height() + 2 * (est.split_level - 1),
+            "{} touches on a height-{} tree split at level {}",
+            est.nodes_visited, tree.height(), est.split_level
+        );
+    }
+
     #[test]
     fn delete_then_scan_consistent(
         keys in prop::collection::vec(0i64..50, 1..200),

@@ -281,7 +281,7 @@ impl StaticJscan {
                 let tree = request.indexes[*pos].tree;
                 let mut rids: Vec<Rid> = Vec::new();
                 let mut scan = tree.range_scan(range.clone(), &meter);
-                while let Some((_, rid)) = scan.next(tree, &meter)? {
+                while let Some(rid) = scan.next_rid(tree, &meter)? {
                     rids.push(rid);
                 }
                 meter.charge_rid_ops(rids.len() as u64);

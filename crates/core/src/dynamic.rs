@@ -413,7 +413,7 @@ impl DynamicOptimizer {
                 index: tree.name().to_owned(),
                 estimate: est.estimate.max(0.0).round() as u64,
             });
-            if est.exact && est.estimate == 0.0 {
+            if est.estimate == 0.0 {
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-arm".into(),
                     detail: format!("arm {} provably empty: dropped", tree.name()),

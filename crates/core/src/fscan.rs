@@ -132,12 +132,12 @@ impl<'a> Fscan<'a> {
     /// errors (record deleted between index read and fetch) are skipped.
     pub fn step(&mut self) -> Result<StrategyStep, StorageError> {
         let next = match &mut self.scan {
-            Cursor::Fwd(s) => s.next(self.tree, &self.cost),
-            Cursor::Rev(s) => s.next(self.tree, &self.cost),
+            Cursor::Fwd(s) => s.next_rid(self.tree, &self.cost),
+            Cursor::Rev(s) => s.next_rid(self.tree, &self.cost),
         };
         match next? {
             None => Ok(StrategyStep::Done),
-            Some((_key, rid)) => {
+            Some(rid) => {
                 self.entries_seen += 1;
                 if let Some(f) = &self.filter {
                     if !f.contains_seq(&mut self.probe, rid) {

@@ -312,11 +312,11 @@ impl JoinScan for IndexNestedScan<'_, '_> {
                         }
                     }
                 },
-                Some((orid, probe)) => match probe.next(tree, cost)? {
+                Some((orid, probe)) => match probe.next_rid(tree, cost)? {
                     None => {
                         self.probe = None;
                     }
-                    Some((_key, irid)) => {
+                    Some(irid) => {
                         i.table.fetch_into(irid, cost, &mut self.inner_rec)?;
                         if (i.residual)(&self.inner_rec) {
                             push_if_match(

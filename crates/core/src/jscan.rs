@@ -126,7 +126,8 @@ struct ActiveScan {
     kept: u64,
     spent: f64,
     /// In-memory copy of kept RIDs while the list is still in memory —
-    /// used for simultaneous-phase refiltering.
+    /// used for simultaneous-phase refiltering, so armed only when
+    /// [`JscanConfig::simultaneous_adjacent`] is.
     shadow: Option<Vec<Rid>>,
     /// Galloping-probe cursor into the current intersection filter. Index
     /// scans emit RIDs mostly in ascending order, so sequential probes
@@ -290,7 +291,7 @@ impl<'a> Jscan<'a> {
             entries: 0,
             kept: 0,
             spent: 0.0,
-            shadow: Some(Vec::new()),
+            shadow: self.config.simultaneous_adjacent.then(Vec::new),
             probe: 0,
             traced_rate: -1.0,
         }
@@ -368,7 +369,7 @@ impl<'a> Jscan<'a> {
         let tree = self.indexes[active.idx].tree;
         let is_borrow_source = active.idx == 0;
         for _ in 0..self.config.batch {
-            match active.scan.next(tree, &self.cost) {
+            match active.scan.next_rid(tree, &self.cost) {
                 Err(_) => {
                     fault = true;
                     break;
@@ -377,7 +378,7 @@ impl<'a> Jscan<'a> {
                     finished_scan = true;
                     break;
                 }
-                Ok(Some((_key, rid))) => {
+                Ok(Some(rid)) => {
                     active.entries += 1;
                     let keep = match &self.filter {
                         Some(f) => f.contains_seq(&mut active.probe, rid),

@@ -296,7 +296,10 @@ mod tests {
         assert!(!sink.is_full());
     }
 
+    /// The check is a `debug_assert!`, so the test exists only where
+    /// debug assertions are compiled in (a release test run has neither).
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate delivery")]
     fn duplicate_delivery_caught_in_debug() {
         let mut sink = Sink::new(None);

@@ -99,7 +99,7 @@ impl<'a> UnionScan<'a> {
             let arm = &self.arms[idx];
             let mut scan = arm.tree.range_scan(arm.range.clone(), &self.cost);
             let mut collected = 0usize;
-            while let Some((_, rid)) = scan.next(arm.tree, &self.cost)? {
+            while let Some(rid) = scan.next_rid(arm.tree, &self.cost)? {
                 rids.push(rid);
                 collected += 1;
                 // Refresh the projection as evidence accumulates: what we

@@ -376,8 +376,8 @@ fn jscan_allocations(
 /// With no tracer attached a Jscan writes down none of its decisions. A
 /// run whose lists stay in the inline tier allocates a stated number of
 /// times, and the step that completes or discards the last scan allocates
-/// only the one key copy per entry it consumed that `RangeScan::next`
-/// hands back: nothing for the decision itself.
+/// nothing: the scans step by RID only (`RangeScan::next_rid`), so no key
+/// is copied, and no decision is written down.
 #[test]
 fn untraced_jscan_decisions_do_not_allocate() {
     use rdb_btree::KeyRange;
@@ -389,12 +389,12 @@ fn untraced_jscan_decisions_do_not_allocate() {
     let _ = jscan_allocations(&table, complete(), KillRules::default());
 
     // IDX_A completes a 15-RID inline list; IDX_B keeps none of its 15
-    // entries and completes empty: end of data. Of the 41 allocations, 30
-    // are key copies (one per entry); the rest open the two scans, grow
-    // IDX_A's in-memory copy of its list and install its filter.
+    // entries and completes empty: end of data. The 8 allocations open the
+    // two scans and install IDX_A's filter; no key is copied, and no
+    // shadow copy of a list grows while simultaneous scanning is off.
     let (run, last, outcome) = jscan_allocations(&table, complete(), KillRules::default());
     assert!(matches!(outcome, JscanOutcome::Empty), "{outcome:?}");
-    assert_eq!((run, last), (41, 15), "(whole run, step completing IDX_B)");
+    assert_eq!((run, last), (8, 0), "(whole run, step completing IDX_B)");
 
     // IDX_B now covers 30 entries, none kept; a zero spend limit discards
     // it after its first quantum of 16, and IDX_A's list is the final list.
@@ -411,5 +411,5 @@ fn untraced_jscan_decisions_do_not_allocate() {
         matches!(&outcome, JscanOutcome::FinalList(l) if l.len() == 15),
         "{outcome:?}"
     );
-    assert_eq!((run, last), (40, 16), "(whole run, step discarding IDX_B)");
+    assert_eq!((run, last), (6, 0), "(whole run, step discarding IDX_B)");
 }

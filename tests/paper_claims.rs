@@ -299,21 +299,28 @@ fn claim_oltp_shortcuts_are_near_free() {
 }
 
 /// Section 5: descent-to-split estimation is orders of magnitude cheaper
-/// than scanning, and exact on small ranges.
+/// than scanning, and exact on small ranges. The paper's `k·f^(l−1)` is
+/// pinned by name; the engine's edge descent counts every range exactly
+/// for at most two more nodes per level below the split.
 #[test]
 fn claim_estimation_cheap_and_exact_on_small_ranges() {
     let f = JscanFixture::build(50_000, &[1], 200_000);
     let idx = &f.indexes[1];
-    let est = idx.estimate_range(&KeyRange::closed(100, 102), idx.pool().cost());
+    let cost = idx.pool().cost();
+    let est = idx.estimate_range_paper(&KeyRange::closed(100, 102), cost);
     assert!(est.exact || est.estimate <= 64.0, "{est:?}");
     assert!(est.nodes_visited <= idx.height());
-    let wide = idx.estimate_range(&KeyRange::closed(10_000, 30_000), idx.pool().cost());
+    let wide = KeyRange::closed(10_000, 30_000);
+    let paper = idx.estimate_range_paper(&wide, cost);
     let truth = 20_001.0;
     assert!(
-        (wide.estimate / truth) > 0.2 && (wide.estimate / truth) < 5.0,
+        (paper.estimate / truth) > 0.2 && (paper.estimate / truth) < 5.0,
         "wide estimate {} vs {truth}",
-        wide.estimate
+        paper.estimate
     );
+    let counted = idx.estimate_range(&wide, cost);
+    assert_eq!(counted.estimate, truth);
+    assert!(counted.nodes_visited <= idx.height() + 2 * (counted.split_level - 1));
 }
 
 /// The PredShape/StaticIndexInfo baseline surface stays wired (compile-
