@@ -418,6 +418,7 @@ fn request<'a>(
         table,
         cost: table.pool().cost().clone(),
         indexes,
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -442,7 +443,7 @@ struct Fixtures {
     abandon_right: OnceCell<JscanFixture>,
     abandon_wrong: OnceCell<JscanFixture>,
     points: OnceCell<JscanFixture>,
-    misordered: OnceCell<JscanFixture>,
+    straddle: OnceCell<JscanFixture>,
     interference: OnceCell<JscanFixture>,
 }
 

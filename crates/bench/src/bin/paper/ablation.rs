@@ -1,19 +1,18 @@
 //! A1–A4: ablations of the dynamic optimizer's design choices.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rdb_bench::fixtures::{discards, JscanFixture};
 use rdb_bench::report::fmt;
-use rdb_btree::KeyRange;
+use rdb_btree::{BTree, KeyRange};
 use rdb_core::{
-    DynamicConfig, DynamicOptimizer, IndexChoice, InitialStage, Jscan, JscanConfig, JscanIndex,
-    JscanOutcome, KillRules, RecordPred, RetrievalRequest,
+    DynamicConfig, DynamicOptimizer, IndexChoice, InitialStage, JscanConfig, KillRules, RecordPred,
+    RetrievalRequest,
 };
-use rdb_storage::{FileId, Record, Value};
+use rdb_storage::{shared_meter, CostConfig, FileId, Record, Value};
 
 use super::Role::Dynamic;
-use super::{cold, note, request, tuned, Contender, Fixtures, Outcome, Part, Scenario};
+use super::{note, request, tuned, Fixtures, Part, Scenario};
 
 /// `c0 = a AND c1 <= b` through both indexes.
 fn point_and_range(fx: &JscanFixture, a: i64, b: i64) -> RetrievalRequest<'_> {
@@ -105,65 +104,55 @@ pub(super) fn a2(f: &Fixtures) -> Vec<Part<'_>> {
     ))]
 }
 
-/// A3: limited simultaneous scanning of adjacent indexes (§6) when the
-/// preorder is wrong. Jscan is handed the big index first, with abandonment
-/// out of reach.
+/// A3: §6's "limited simultaneous scanning of two adjacent indexes" is a
+/// remedy for a preorder the estimates got wrong. The engine's estimates
+/// are exact counts, so its preorder is the order of true scan lengths and
+/// the remedy is gone. The paper's formula k·f^(l−1) still misorders a
+/// pair: the 30-entry `id` range it prices highest (one straddling a high
+/// node boundary) against the `c0` value it prices lowest. The table ranks
+/// the pair by each estimator beside the true scan lengths.
 pub(super) fn a3(f: &Fixtures) -> Vec<Part<'_>> {
-    let fx = f.jscan(&f.misordered, 30_000, &[5, 300]);
-    let jscan = Contender {
-        name: "hand-ordered Jscan",
-        role: Dynamic,
-        run: Box::new(move |b, _| {
-            let indexes = vec![
-                JscanIndex {
-                    tree: &fx.indexes[0],
-                    range: KeyRange::eq(1),
-                    estimate: 10.0, // a lie: c0 = 1 holds a fifth of the table
-                },
-                JscanIndex {
-                    tree: &fx.indexes[1],
-                    range: KeyRange::eq(1),
-                    estimate: 100.0,
-                },
-            ];
-            let config = JscanConfig {
-                simultaneous_adjacent: b == 1,
-                tiny_list_shortcut: 0,
-                ..JscanConfig::default()
-            };
-            let rules = KillRules {
-                switch_threshold: 10.0,
-                spend_limit: 100.0,
-            };
-            let pool = fx.table.pool();
-            let mut jscan = Jscan::new(&fx.table, indexes, config, rules, pool.cost().clone());
-            // Opening arms each scan with a descent to its first leaf. The
-            // ablation prices the joint scan alone, from a cold pool, on the
-            // meter and on the clock.
-            cold(pool);
-            let start = Instant::now();
-            let rows = match jscan.run() {
-                JscanOutcome::FinalList(list) => list.len(),
-                JscanOutcome::UseTscan | JscanOutcome::Empty => 0,
-            };
-            Outcome {
-                rows,
-                cost: pool.cost().total(),
-                clock: Some(start.elapsed()),
-                ..Outcome::default()
-            }
-        }),
+    let fx = f.jscan(&f.straddle, 30_000, &[100]);
+    let (c0, id) = (&fx.indexes[0], &fx.indexes[1]);
+    let meter = shared_meter(CostConfig::default());
+    let paper = |tree: &BTree, range: &KeyRange| tree.estimate_range_paper(range, &meter).estimate;
+    let span = |lo: i64| KeyRange::closed(lo, lo + 29);
+    let straddling = (0..fx.n - 30).map(|lo| (paper(id, &span(lo)), lo));
+    let quiet = (0..100).map(|v| (paper(c0, &KeyRange::eq(v)), v));
+    let by_estimate = |a: &(f64, i64), b: &(f64, i64)| a.0.total_cmp(&b.0);
+    let (Some((_, lo)), Some((_, v))) = (straddling.max_by(by_estimate), quiet.min_by(by_estimate))
+    else {
+        return Vec::new();
     };
-    vec![Part::Raced(Scenario {
-        count: "final RIDs",
-        ..Scenario::new(
-            "simultaneous adjacent scans vs sequential (misordered estimates)",
-            &fx.table,
-            "mode",
-            vec!["sequential (default)".into(), "simultaneous".into()],
-            vec![jscan],
-        )
-    })]
+    let pair = [
+        (c0, format!("c0 = {v}"), KeyRange::eq(v)),
+        (id, format!("id in [{lo}, {}]", lo + 29), span(lo)),
+    ];
+    let paper_est = pair.each_ref().map(|(tree, _, range)| paper(tree, range));
+    let counts = pair.each_ref().map(|(tree, _, range)| {
+        tree.estimate_range(range, &meter).estimate
+    });
+    let rank = |est: &[f64; 2], k: usize| (1 + usize::from(est[1 - k] < est[k])).to_string();
+    let rows = pair
+        .iter()
+        .enumerate()
+        .map(|(k, (tree, label, range))| {
+            vec![
+                format!("{} ({label})", tree.name()),
+                tree.count_range(range.clone(), &meter).to_string(),
+                fmt(paper_est[k]),
+                rank(&paper_est, k),
+                fmt(counts[k]),
+                rank(&counts, k),
+            ]
+        })
+        .collect();
+    vec![Part::Units(
+        "Jscan preorder of a straddling pair: the paper's k·f^(l−1) against the engine's count"
+            .into(),
+        "index (range)|entries|k·f^(l−1)|paper order|count|count order",
+        rows,
+    )]
 }
 
 /// A4, §3(c) cache interference: the same retrieval under foreign-page

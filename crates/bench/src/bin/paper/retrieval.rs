@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use rdb_bench::fixtures::{discards, JscanFixture};
 use rdb_btree::{BTree, KeyRange};
 use rdb_core::baseline::{
-    estimate_all, PredShape, StaticIndexInfo, StaticJscan, StaticJscanConfig,
+    estimate_all, PredShape, StaticIndexInfo, StaticJscan,
 };
 use rdb_core::ridlist::RidTierConfig;
 use rdb_core::StaticPlan::{Fscan, Tscan};
@@ -195,7 +195,7 @@ pub(super) fn e9(f: &Fixtures) -> Vec<Part<'_>> {
                     role: Forced,
                     run: Box::new(move |b, _| {
                         let r = req(b);
-                        StaticJscan::new(StaticJscanConfig::default())
+                        StaticJscan
                             .run(&r, &estimate_all(&r))
                             .expect("in-memory retrieval")
                             .into()

@@ -216,38 +216,16 @@ impl StaticOptimizer {
     }
 }
 
-/// Configuration of the statically-thresholded multi-index scan.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticJscanConfig {
-    /// An index participates only if its estimated match count is at most
-    /// this fraction of the table cardinality (fixed up front).
-    pub selectivity_threshold: f64,
-    /// RID-list buffer sizing (same tiers as dynamic Jscan, for parity).
-    pub tiers: crate::ridlist::RidTierConfig,
-}
-
-impl Default for StaticJscanConfig {
-    fn default() -> Self {
-        StaticJscanConfig {
-            selectivity_threshold: 0.25,
-            tiers: crate::ridlist::RidTierConfig::default(),
-        }
-    }
-}
-
 /// Statically-controlled joint scan \[MoHa90\]: the index subset and order
 /// are fixed from the initial estimates; every selected index is scanned
 /// to completion; no scan is ever abandoned.
-#[derive(Debug, Default)]
-pub struct StaticJscan {
-    config: StaticJscanConfig,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct StaticJscan;
 
 impl StaticJscan {
-    /// Creates the baseline with the given thresholds.
-    pub fn new(config: StaticJscanConfig) -> Self {
-        StaticJscan { config }
-    }
+    /// An index participates only if its estimated match count is at most
+    /// this fraction of the table cardinality (fixed up front).
+    pub const SELECTIVITY_THRESHOLD: f64 = 0.25;
 
     /// Runs the static multi-index plan: select indexes by threshold,
     /// scan each fully (intersecting), then fetch.
@@ -266,7 +244,7 @@ impl StaticJscan {
         let card = table.cardinality() as f64;
         let selected: Vec<&(usize, KeyRange, f64)> = estimates
             .iter()
-            .filter(|(_, _, est)| *est <= self.config.selectivity_threshold * card)
+            .filter(|(_, _, est)| *est <= Self::SELECTIVITY_THRESHOLD * card)
             .collect();
 
         if selected.is_empty() {

@@ -15,7 +15,6 @@
 //! `AGE >= :A1` example resolves to Tscan for `:A1 = 0` and to an index
 //! strategy for `:A1 = 200`, per run.
 
-use rdb_btree::KeyRange;
 use rdb_competition::KillRules;
 use rdb_storage::StorageError;
 
@@ -61,6 +60,8 @@ pub enum TacticChoice {
     Sorted,
     /// Self-sufficient index present: Sscan vs Jscan.
     IndexOnly,
+    /// OR-connected restriction: the union of its arms' RID lists.
+    UnionScan,
 }
 
 impl TacticChoice {
@@ -76,6 +77,7 @@ impl TacticChoice {
             TacticChoice::FastFirst => "FastFirst",
             TacticChoice::Sorted => "Sorted",
             TacticChoice::IndexOnly => "IndexOnly",
+            TacticChoice::UnionScan => "UnionScan",
         }
     }
 }
@@ -94,19 +96,20 @@ impl DynamicOptimizer {
 
     /// Selects the tactic for a bound request. Runs the initial stage
     /// (cheap estimation); the returned plan is reused by [`Self::run`].
+    /// A request with OR arms runs the union scan, or ends at once when
+    /// every arm is empty.
     pub fn choose(&self, request: &RetrievalRequest<'_>) -> (TacticChoice, InitialPlan) {
+        if !request.arms.is_empty() {
+            let plan = self.config.initial.run_union(request);
+            let choice = if plan.jscan_estimates.iter().all(|&e| e == 0.0) {
+                TacticChoice::EndOfData
+            } else {
+                TacticChoice::UnionScan
+            };
+            return (choice, plan);
+        }
         if request.indexes.is_empty() {
-            return (
-                TacticChoice::TscanOnly,
-                InitialPlan {
-                    shortcut: None,
-                    jscan_order: Vec::new(),
-                    jscan_estimates: Vec::new(),
-                    best_self_sufficient: None,
-                    best_order_index: None,
-                    estimation_nodes: 0,
-                },
-            );
+            return (TacticChoice::TscanOnly, InitialPlan::default());
         }
         let plan = self.config.initial.run(request);
         let choice = match &plan.shortcut {
@@ -336,6 +339,10 @@ impl DynamicOptimizer {
                 let indexes = Self::jscan_indexes(request, &plan, Some(pos));
                 Some(self.compete(request, foreground, indexes, tracer, &mut sink, &mut rt)?)
             }
+            TacticChoice::UnionScan => {
+                let (rules, estimates) = (self.config.rules, &plan.jscan_estimates);
+                Some(tactics::union_scan(request, estimates, rules, &mut sink, &mut rt)?)
+            }
         };
         rt.finish();
         let cost_total = cost.total() - cost_before;
@@ -359,123 +366,6 @@ impl DynamicOptimizer {
             cost: cost_total,
             strategy: choice.name(),
             sscan_index,
-        })
-    }
-}
-
-impl DynamicOptimizer {
-    /// Executes an **OR-connected** retrieval: each `(tree, range)` pair is
-    /// one disjunct's index arm; the result is the union of the arms,
-    /// final-stage fetched with the total restriction, or a Tscan if the
-    /// union prices out (see [`crate::union`]).
-    pub fn run_union(
-        &self,
-        table: &rdb_storage::HeapTable,
-        arms: Vec<(&'_ rdb_btree::BTree, KeyRange)>,
-        residual: &crate::request::RecordPred,
-        limit: Option<usize>,
-    ) -> Result<crate::request::RetrievalResult, StorageError> {
-        self.run_union_traced(table, arms, residual, limit, &Tracer::disabled())
-    }
-
-    /// [`DynamicOptimizer::run_union`] with a [`Tracer`] (see
-    /// [`DynamicOptimizer::run_traced`]).
-    pub fn run_union_traced(
-        &self,
-        table: &rdb_storage::HeapTable,
-        arms: Vec<(&'_ rdb_btree::BTree, KeyRange)>,
-        residual: &crate::request::RecordPred,
-        limit: Option<usize>,
-        tracer: &Tracer,
-    ) -> Result<crate::request::RetrievalResult, StorageError> {
-        use crate::ridlist::RidList;
-        use crate::union::{UnionArm, UnionOutcome, UnionScan};
-
-        let cost = table.pool().cost().clone();
-        let pool_before = if tracer.enabled() {
-            table.pool().stats()
-        } else {
-            Default::default()
-        };
-        let cost_before = cost.total();
-        let mut rt = RunTrace::start(tracer, &cost);
-        tracer.emit_with(|| TraceEvent::TacticChosen {
-            tactic: "UnionScan".into(),
-            estimation_nodes: 0,
-        });
-        let mut sink = Sink::new(limit);
-
-        // Estimate each arm; provably empty arms drop out for free.
-        let mut union_arms: Vec<UnionArm<'_>> = Vec::new();
-        for (tree, range) in arms {
-            let est = tree.estimate_range(&range, &cost);
-            tracer.emit_with(|| TraceEvent::CandidateEstimate {
-                index: tree.name().to_owned(),
-                estimate: est.estimate.max(0.0).round() as u64,
-            });
-            if est.estimate == 0.0 {
-                tracer.emit_with(|| TraceEvent::Shortcut {
-                    kind: "empty-arm".into(),
-                    detail: format!("arm {} provably empty: dropped", tree.name()),
-                });
-                continue;
-            }
-            union_arms.push(UnionArm {
-                tree,
-                range,
-                estimate: est.estimate,
-            });
-        }
-        rt.phase("estimation");
-
-        let strategy = if union_arms.is_empty() {
-            tracer.emit_with(|| TraceEvent::Shortcut {
-                kind: "empty-range".into(),
-                detail: "every arm empty: end of data".into(),
-            });
-            "UnionScan (empty)"
-        } else {
-            let mut scan = UnionScan::new(table, union_arms, self.config.rules, cost.clone());
-            let outcome = scan.run(tracer);
-            rt.phase("union");
-            match outcome? {
-                UnionOutcome::Rids(rids) => {
-                    let list = RidList::from_vec(rids);
-                    tactics::final_stage(table, &list, residual, &[], &mut sink, &mut rt, &cost)?;
-                    "UnionScan"
-                }
-                UnionOutcome::UseTscan => {
-                    tracer.emit_with(|| TraceEvent::Switch {
-                        from: "union".into(),
-                        to: "tscan".into(),
-                        reason: "union of arms priced out: full scan is cheaper".into(),
-                    });
-                    tactics::run_tscan(table, residual, &[], &mut sink, &mut rt, &cost)?;
-                    "UnionScan -> Tscan"
-                }
-            }
-        };
-
-        rt.finish();
-        let cost_total = cost.total() - cost_before;
-        if tracer.enabled() {
-            let delta = table.pool().stats().since(&pool_before);
-            tracer.emit_with(|| TraceEvent::PoolDelta {
-                hits: delta.hits,
-                misses: delta.misses,
-            });
-        }
-        let deliveries = sink.into_deliveries();
-        tracer.emit_with(|| TraceEvent::Winner {
-            strategy: strategy.to_string(),
-            cost: cost_total,
-            rows: deliveries.len(),
-        });
-        Ok(crate::request::RetrievalResult {
-            deliveries,
-            cost: cost_total,
-            strategy,
-            sscan_index: None,
         })
     }
 }

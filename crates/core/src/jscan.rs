@@ -22,11 +22,11 @@
 //! outcome is a Tscan recommendation; an empty intersection shortcuts the
 //! whole retrieval.
 //!
-//! With [`JscanConfig::simultaneous_adjacent`] set, two adjacent indexes
-//! are scanned simultaneously within the memory buffer; the first to
-//! complete supplies the filter and the other's partial in-memory list is
-//! refiltered and continues — the paper's "limited simultaneous scanning
-//! of two adjacent indexes".
+//! The paper also offers "limited simultaneous scanning of two adjacent
+//! indexes" as a remedy for a misordered preorder. The initial stage's
+//! estimates are exact counts, so its order is the order of true scan
+//! lengths and the remedy has nothing to repair: the scans run one after
+//! another.
 
 use rdb_btree::{BTree, KeyRange, RangeScan};
 use rdb_competition::{Kill, KillRules};
@@ -46,8 +46,6 @@ pub struct JscanConfig {
     /// scan's in-leaf positioning (at most the tree's `max_fanout`
     /// entries).
     pub batch: usize,
-    /// Enable limited simultaneous scanning of two adjacent indexes.
-    pub simultaneous_adjacent: bool,
     /// Complete lists at or below this length end Jscan immediately (the
     /// "very short range" shortcut of Section 5).
     pub tiny_list_shortcut: usize,
@@ -58,7 +56,6 @@ impl Default for JscanConfig {
         JscanConfig {
             tiers: RidTierConfig::default(),
             batch: 16,
-            simultaneous_adjacent: false,
             tiny_list_shortcut: 20,
         }
     }
@@ -71,10 +68,9 @@ pub enum DiscardReason {
     ProjectedCost,
     /// Own scan spend exceeded its share of the guaranteed best (direct).
     ScanSpend,
-    /// Simultaneous partner spilled out of memory; secondary dropped.
-    SimultaneousOverflow,
-    /// The index's storage died mid-scan (injected fault); the competition
-    /// continues on the surviving indexes or falls back to Tscan.
+    /// A join lane's storage died mid-run (injected fault); the join race
+    /// continues on its other lanes. A Jscan that loses an index reports a
+    /// `FaultAbsorbed` trace event instead.
     StorageFault,
 }
 
@@ -125,10 +121,6 @@ struct ActiveScan {
     entries: u64,
     kept: u64,
     spent: f64,
-    /// In-memory copy of kept RIDs while the list is still in memory —
-    /// used for simultaneous-phase refiltering, so armed only when
-    /// [`JscanConfig::simultaneous_adjacent`] is.
-    shadow: Option<Vec<Rid>>,
     /// Galloping-probe cursor into the current intersection filter. Index
     /// scans emit RIDs mostly in ascending order, so sequential probes
     /// advance this instead of binary-searching from scratch. Reset
@@ -146,9 +138,7 @@ pub struct Jscan<'a> {
     indexes: Vec<JscanIndex<'a>>,
     config: JscanConfig,
     rules: KillRules,
-    primary: Option<ActiveScan>,
-    secondary: Option<ActiveScan>,
-    flip: bool,
+    active: Option<ActiveScan>,
     next_index: usize,
     filter: Option<Filter>,
     complete: Option<RidList>,
@@ -180,9 +170,7 @@ impl<'a> Jscan<'a> {
             indexes,
             config,
             rules,
-            primary: None,
-            secondary: None,
-            flip: false,
+            active: None,
             next_index: 0,
             filter: None,
             complete: None,
@@ -196,7 +184,7 @@ impl<'a> Jscan<'a> {
             tracer: Tracer::disabled(),
             cost,
         };
-        jscan.arm_scans();
+        jscan.arm_scan();
         jscan
     }
 
@@ -217,10 +205,6 @@ impl<'a> Jscan<'a> {
                 self.tracer
                     .emit_with(|| TraceEvent::CandidateEstimate { index, estimate });
             }
-        }
-        // `new` armed the first scans before any tracer was attached.
-        if let Some(primary) = &self.primary {
-            self.trace_simultaneous(primary.idx);
         }
     }
 
@@ -291,52 +275,17 @@ impl<'a> Jscan<'a> {
             entries: 0,
             kept: 0,
             spent: 0.0,
-            shadow: self.config.simultaneous_adjacent.then(Vec::new),
             probe: 0,
             traced_rate: -1.0,
         }
     }
 
-    /// Ensures primary (and under the simultaneous option, secondary)
-    /// scans are armed from the remaining index queue.
-    fn arm_scans(&mut self) {
-        if self.primary.is_none() {
-            if let Some(sec) = self.secondary.take() {
-                self.primary = Some(sec);
-            } else if self.next_index < self.indexes.len() {
-                let s = self.start_scan(self.next_index);
-                self.next_index += 1;
-                self.primary = Some(s);
-            }
-        }
-        if self.config.simultaneous_adjacent
-            && self.secondary.is_none()
-            && self.next_index < self.indexes.len()
-        {
-            let Some(primary_idx) = self.primary.as_ref().map(|p| p.idx) else {
-                return;
-            };
-            let s = self.start_scan(self.next_index);
+    /// Arms the next index of the queue when no scan is active.
+    fn arm_scan(&mut self) {
+        if self.active.is_none() && self.next_index < self.indexes.len() {
+            self.active = Some(self.start_scan(self.next_index));
             self.next_index += 1;
-            self.secondary = Some(s);
-            self.trace_simultaneous(primary_idx);
         }
-    }
-
-    /// Notes that the secondary scan now races the primary scan at `primary`;
-    /// the race's winner is the first scan to complete after the note.
-    fn trace_simultaneous(&self, primary: usize) {
-        let Some(secondary) = &self.secondary else {
-            return;
-        };
-        let (a, b) = (self.indexes[primary].tree, self.indexes[secondary.idx].tree);
-        self.tracer.emit_with(|| TraceEvent::Note {
-            message: format!(
-                "simultaneous scan of {} and {}: the first to complete supplies the filter",
-                a.name(),
-                b.name()
-            ),
-        });
     }
 
     /// Runs one quantum. The heart of Figure 6.
@@ -344,23 +293,9 @@ impl<'a> Jscan<'a> {
         if self.outcome.is_some() {
             return JscanStatus::Finished;
         }
-        if self.primary.is_none() {
-            return self.finalize();
-        }
-        // Pick which active scan advances this quantum.
-        let use_secondary = self.secondary.is_some() && {
-            self.flip = !self.flip;
-            self.flip
-        };
         // Take the active scan out of its slot so the quantum can freely
         // read the tree, filter, and borrow stream.
-        let taken = if use_secondary {
-            self.secondary.take()
-        } else {
-            self.primary.take()
-        };
-        let Some(mut active) = taken else {
-            // Unreachable given the guards above; treated as no work left.
+        let Some(mut active) = self.active.take() else {
             return self.finalize();
         };
         let before = self.cost_total();
@@ -387,12 +322,6 @@ impl<'a> Jscan<'a> {
                     if keep {
                         active.kept += 1;
                         active.builder.push(rid);
-                        if let Some(shadow) = &mut active.shadow {
-                            shadow.push(rid);
-                            if active.builder.is_spilled() {
-                                active.shadow = None;
-                            }
-                        }
                         if is_borrow_source && self.borrow_open {
                             self.borrowable.push(rid);
                         }
@@ -412,25 +341,17 @@ impl<'a> Jscan<'a> {
             if is_borrow_source {
                 self.borrow_open = false;
             }
+        } else if finished_scan {
+            self.complete(active);
         } else {
-            if use_secondary {
-                self.secondary = Some(active);
-            } else {
-                self.primary = Some(active);
-            }
-
-            if finished_scan {
-                self.complete_active(use_secondary);
-            } else {
-                self.apply_criteria(use_secondary);
-            }
+            self.apply_criteria(active);
         }
 
         if self.outcome.is_some() {
             JscanStatus::Finished
         } else {
-            self.arm_scans();
-            if self.primary.is_none() {
+            self.arm_scan();
+            if self.active.is_none() {
                 self.finalize()
             } else {
                 JscanStatus::Running
@@ -444,17 +365,8 @@ impl<'a> Jscan<'a> {
         self.take_outcome()
     }
 
-    /// Completes the active scan in `use_secondary` slot: its list becomes
-    /// the new intersection.
-    fn complete_active(&mut self, use_secondary: bool) {
-        let taken = if use_secondary {
-            self.secondary.take()
-        } else {
-            self.primary.take()
-        };
-        let Some(active) = taken else {
-            return;
-        };
+    /// Completes `active`: its list becomes the new intersection.
+    fn complete(&mut self, active: ActiveScan) {
         if active.idx == 0 {
             self.borrow_open = false;
         }
@@ -476,62 +388,6 @@ impl<'a> Jscan<'a> {
             return;
         }
 
-        // The other slot (if any) survived a simultaneous race: refilter its
-        // in-memory partial list against the new filter and let it continue.
-        // Taking the partner out of its slot (and restoring it only on the
-        // refilter path) keeps this branch free of unwraps.
-        let new_filter = list.filter();
-        let partner = if use_secondary {
-            self.primary.take()
-        } else {
-            self.secondary.take()
-        };
-        if let Some(mut other) = partner {
-            if let Some(shadow) = other.shadow.take() {
-                // Rebuild the partner's list, keeping only RIDs that pass
-                // the winner's filter (cheap: pure main-memory work). The
-                // shadow preserves scan order, so a galloping cursor walks
-                // the filter instead of binary-searching per RID.
-                let refiltered = shadow.len() as u64;
-                let temp_file = FileId(self.temp_file_base + other.idx as u32 + 500_000);
-                let mut builder = RidListBuilder::new(
-                    self.config.tiers,
-                    self.table.pool().clone(),
-                    temp_file,
-                    self.cost.clone(),
-                );
-                let mut kept_shadow = Vec::with_capacity(shadow.len());
-                let mut kept = 0u64;
-                let mut cursor = 0;
-                for rid in shadow {
-                    if new_filter.contains_seq(&mut cursor, rid) {
-                        builder.push(rid);
-                        kept_shadow.push(rid);
-                        kept += 1;
-                    }
-                }
-                self.cost.charge_rid_ops(refiltered);
-                other.builder = builder;
-                other.kept = kept;
-                other.shadow = Some(kept_shadow);
-                other.probe = 0;
-                // The winner's slot is empty now; the surviving partner
-                // always continues as the primary.
-                self.primary = Some(other);
-            } else {
-                // Partner already spilled: the paper stops simultaneity at
-                // the memory boundary — discard the partner's partial list.
-                self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
-                    index: self.indexes[other.idx].tree.name().to_owned(),
-                    reason: DiscardReason::SimultaneousOverflow,
-                    projected_cost: 0.0,
-                    spent: other.spent,
-                    guaranteed_best: self.guaranteed_best,
-                });
-                // `other` was taken from its slot and is dropped here.
-            }
-        }
-
         // Tighten the guaranteed best with this complete list's retrieval
         // cost and install the new intersection.
         let final_cost = Self::fetch_cost(self.table, list.len() as f64);
@@ -544,7 +400,7 @@ impl<'a> Jscan<'a> {
             guaranteed_best: self.guaranteed_best,
         });
         let len = list.len();
-        self.filter = Some(new_filter);
+        self.filter = Some(list.filter());
 
         if len <= self.config.tiny_list_shortcut {
             self.tracer.emit_with(|| TraceEvent::Shortcut {
@@ -558,7 +414,7 @@ impl<'a> Jscan<'a> {
     }
 
     /// Applies the two-stage and direct competition criteria to the scan
-    /// that just worked.
+    /// that just worked, putting it back unless they discard it.
     ///
     /// The final-list projection blends the **observed** filter pass rate
     /// with an **independence prior** (filter size / table cardinality),
@@ -568,22 +424,12 @@ impl<'a> Jscan<'a> {
     /// starts from the prior and converges to the evidence, which is what
     /// "the cost of the final RID list retrieval can be reliably estimated
     /// from the current RID list" requires in practice.
-    fn apply_criteria(&mut self, use_secondary: bool) {
+    fn apply_criteria(&mut self, mut active: ActiveScan) {
         let guaranteed_best = self.guaranteed_best;
         let trace_enabled = self.tracer.enabled();
         let (projected, spend, idx, refined) = {
             let filter_len = self.filter.as_ref().map(|f| f.source_len());
             let cardinality = self.table.cardinality();
-            let slot = if use_secondary {
-                self.secondary.as_mut()
-            } else {
-                self.primary.as_mut()
-            };
-            let Some(active) = slot else {
-                // Unreachable: the caller just put the scan back in this
-                // slot. An empty slot simply has nothing to judge.
-                return;
-            };
             let est = self.indexes[active.idx].estimate.max(active.entries as f64);
             let prior_rate = match filter_len {
                 Some(len) => (len as f64 / cardinality.max(1) as f64).min(1.0),
@@ -627,11 +473,8 @@ impl<'a> Jscan<'a> {
             if idx == 0 {
                 self.borrow_open = false;
             }
-            if use_secondary {
-                self.secondary = None;
-            } else {
-                self.primary = None;
-            }
+        } else {
+            self.active = Some(active);
         }
     }
 
@@ -876,105 +719,6 @@ mod tests {
         let mut j = jscan(&table, vec![jidx(&ia, KeyRange::eq(5))], JscanConfig::default());
         assert!(matches!(j.run(), JscanOutcome::FinalList(_)));
         assert!(j.borrow_rids(0).1.is_empty(), "nobody borrows: nothing kept twice");
-    }
-
-    /// The index that won a simultaneous race: the first scan to complete
-    /// after the trace's note that simultaneous scanning started.
-    fn simultaneous_winner(events: &[TraceEvent]) -> Option<&str> {
-        let start = events.iter().position(
-            |e| matches!(e, TraceEvent::Note { message } if message.starts_with("simultaneous scan")),
-        )?;
-        events[start..].iter().find_map(|e| match e {
-            TraceEvent::ScanCompleted { index, .. } => Some(index.as_str()),
-            _ => None,
-        })
-    }
-
-    #[test]
-    fn simultaneous_adjacent_scan_resolves_misordering() {
-        // The initial order puts the *larger* range first (simulating a bad
-        // estimate); simultaneous scanning lets the truly smaller index
-        // complete first and become the filter.
-        let (table, ia, ib, _ic, _) = setup(3000, (5, 300, 2));
-        let big = jidx(&ia, KeyRange::eq(1)); // 600 rids
-        let small = jidx(&ib, KeyRange::eq(1)); // 10 rids
-        let mut j = jscan_with(
-            &table,
-            vec![
-                JscanIndex {
-                    estimate: 5.0, // lie: pretend it's tiny so it sorts first
-                    ..big
-                },
-                small,
-            ],
-            JscanConfig {
-                simultaneous_adjacent: true,
-                tiny_list_shortcut: 0,
-                ..JscanConfig::default()
-            },
-            NO_KILLS,
-        );
-        let trace = traced(&mut j);
-        let outcome = j.run();
-        let events = trace.events();
-        let winner = simultaneous_winner(&events);
-        assert_eq!(
-            winner,
-            Some("idx_b"),
-            "the truly smaller index must win the race: {events:?}"
-        );
-        match outcome {
-            JscanOutcome::FinalList(list) => {
-                // Intersection of a==1 (600) and b==1 (10): i%5==1 && i%300==1
-                // → i ≡ 1 mod 300 → 10 rids.
-                assert_eq!(list.len(), 10);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn simultaneous_partner_spill_stops_simultaneity() {
-        // The partner's in-memory buffer is tiny, so it spills during the
-        // simultaneous phase; per the paper, simultaneity must stop at the
-        // memory boundary and the partner's partial list is discarded.
-        let (table, ia, ib, _ic, _) = setup(4000, (4, 2000, 2));
-        let small = jidx(&ib, KeyRange::eq(1)); // 2 rids: finishes first
-        let big = jidx(&ia, KeyRange::eq(1)); // 1000 rids: spills quickly
-        let mut j = jscan_with(
-            &table,
-            vec![small, big],
-            JscanConfig {
-                simultaneous_adjacent: true,
-                tiny_list_shortcut: 0,
-                tiers: crate::ridlist::RidTierConfig {
-                    inline_max: 2,
-                    buffer_max: 4,
-                    bitmap_bits: 64,
-                },
-                batch: 64, // partner racks up entries fast
-            },
-            NO_KILLS,
-        );
-        let trace = traced(&mut j);
-        let _ = j.run();
-        let events = trace.events();
-        // Either the partner spilled and was discarded at the win, or it
-        // was refiltered in memory — both are valid races; assert that a
-        // spill that did happen produced the overflow event.
-        let partner_spilled_discard = events.iter().any(|e| {
-            matches!(
-                e,
-                TraceEvent::IndexDiscarded {
-                    reason: DiscardReason::SimultaneousOverflow,
-                    ..
-                }
-            )
-        });
-        assert!(simultaneous_winner(&events).is_some(), "{events:?}");
-        // With batch=64 and a 4-entry buffer, the big scan must have
-        // spilled before the 2-rid scan won its first quantum back.
-        assert!(partner_spilled_discard, "{events:?}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod trace;
 pub mod tscan;
 pub mod union;
 
-pub use baseline::{StaticJscan, StaticJscanConfig, StaticOptimizer, StaticPlan};
+pub use baseline::{StaticJscan, StaticOptimizer, StaticPlan};
 pub use dynamic::{DynamicConfig, DynamicOptimizer, TacticChoice};
 pub use filter::Filter;
 pub use fscan::Fscan;

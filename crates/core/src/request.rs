@@ -96,6 +96,10 @@ pub struct RetrievalRequest<'a> {
     pub table: &'a HeapTable,
     /// Indexes usable for this retrieval.
     pub indexes: Vec<IndexChoice<'a>>,
+    /// The arms of an OR-connected restriction: one index range per
+    /// top-level disjunct, whose RIDs the union scan unites. Empty for an
+    /// AND-connected restriction; a request with arms offers no `indexes`.
+    pub arms: Vec<(&'a BTree, KeyRange)>,
     /// The total restriction, evaluated on data records.
     pub residual: RecordPred,
     /// Optimization goal.
@@ -120,6 +124,7 @@ impl<'a> RetrievalRequest<'a> {
         RetrievalRequest {
             table,
             indexes: Vec::new(),
+            arms: Vec::new(),
             residual,
             goal,
             order_required: false,

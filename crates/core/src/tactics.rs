@@ -15,6 +15,10 @@
 //!   (foreground, "much safer") races Jscan (background); foreground
 //!   buffer overflow kills Jscan, a small complete RID list kills Sscan.
 //!
+//! An OR-connected restriction runs `union_scan`, the extension Section 7
+//! names: the union of its arms' RID lists ([`crate::union`]), fetched by
+//! the same final stage.
+//!
 //! The three competitive tactics are each written **once** against the
 //! cooperative driver `Inline`, which answers three questions — whose turn
 //! is it, what did the background just report, and stop. It owns the
@@ -33,6 +37,7 @@ use crate::ridlist::RidList;
 use crate::sscan::Sscan;
 use crate::trace::{RunTrace, TraceEvent};
 use crate::tscan::{StrategyStep, Tscan};
+use crate::union::{UnionArm, UnionOutcome, UnionScan};
 
 /// Capacity of the foreground buffer of delivered RIDs; overflow
 /// terminates the foreground (fast-first) or the background (index-only,
@@ -180,6 +185,55 @@ pub fn background_only(
     };
     retrieve_by_outcome(request, outcome, &[], sink, rt)?;
     Ok(strategy)
+}
+
+/// The union tactic of an OR-connected request: scans the non-empty
+/// `request.arms` (`estimates` parallel to them) into one RID union and
+/// fetches it through the final stage, or runs Tscan if the union prices
+/// out. Returns the detailed strategy that produced the rows.
+pub(crate) fn union_scan(
+    request: &RetrievalRequest<'_>,
+    estimates: &[f64],
+    rules: KillRules,
+    sink: &mut Sink,
+    rt: &mut RunTrace<'_>,
+) -> Result<&'static str, StorageError> {
+    let (table, residual, cost) = (request.table, &request.residual, &request.cost);
+    let tracer = rt.tracer();
+    let mut arms = Vec::with_capacity(request.arms.len());
+    for ((tree, range), &estimate) in request.arms.iter().zip(estimates) {
+        tracer.emit_with(|| TraceEvent::CandidateEstimate {
+            index: tree.name().to_owned(),
+            estimate: estimate.max(0.0).round() as u64,
+        });
+        if estimate == 0.0 {
+            tracer.emit_with(|| TraceEvent::Shortcut {
+                kind: "empty-arm".into(),
+                detail: format!("arm {} provably empty: dropped", tree.name()),
+            });
+            continue;
+        }
+        let range = range.clone();
+        arms.push(UnionArm { tree, range, estimate });
+    }
+    let outcome = UnionScan::new(table, arms, rules, cost.clone()).run(tracer);
+    rt.phase("union");
+    match outcome? {
+        UnionOutcome::Rids(rids) => {
+            let list = RidList::from_vec(rids);
+            final_stage(table, &list, residual, &[], sink, rt, cost)?;
+            Ok("UnionScan")
+        }
+        UnionOutcome::UseTscan => {
+            rt.tracer().emit_with(|| TraceEvent::Switch {
+                from: "union".into(),
+                to: "tscan".into(),
+                reason: "union of arms priced out: full scan is cheaper".into(),
+            });
+            run_tscan(table, residual, &[], sink, rt, cost)?;
+            Ok("UnionScan -> Tscan")
+        }
+    }
 }
 
 /// Whose quantum is next in a foreground/background competition.
@@ -681,6 +735,7 @@ mod tests {
         let (table, idx_a, idx_b, cost) = world(8_000);
         let config = JscanConfig::default();
         let request = |residual: RecordPred| RetrievalRequest {
+            arms: Vec::new(),
             residual,
             ..RetrievalRequest::table_only(&table, Arc::new(|_| true), OptimizeGoal::FastFirst)
         };

@@ -9,20 +9,20 @@
 //!
 //! [`UnionScan`] implements the unionizing half: each OR **arm** is an
 //! index range; arm scans accumulate RIDs into one list that is
-//! deduplicated, sorted, and fetched by the usual final stage. The same
-//! two-stage competition applies, judged by the same [`KillRules`] against
-//! the Tscan cost (with a spend of zero: a union is never cut off for what
-//! it has scanned, only for what it projects). Here the projection is
-//! *easier* than for intersections because the union size is bounded
-//! below by the largest arm and above by the sum of arm estimates, so an
-//! unproductive union (≈ whole table) is detected early and handed to
-//! Tscan. What the scan decides is reported as trace notes, built only
-//! when a tracer is attached.
+//! deduplicated, sorted, and fetched by the usual final stage. The
+//! competition is judged by the same [`KillRules`] against the Tscan cost
+//! (with a spend of zero: a union is never cut off for what it has
+//! scanned, only for what it projects), once, before any arm is scanned.
+//! The arm estimates are exact counts, so their sum is an upper bound on
+//! the union: a union that passes this screen can never price out later.
+//! What the scan decides is reported as trace notes, built only when a
+//! tracer is attached.
 
 use rdb_btree::{BTree, KeyRange};
 use rdb_competition::KillRules;
 use rdb_storage::{HeapTable, Rid, SharedCost, StorageError};
 
+use crate::jscan::Jscan;
 use crate::trace::{TraceEvent, Tracer};
 use crate::tscan::Tscan;
 
@@ -32,7 +32,7 @@ pub struct UnionArm<'a> {
     pub tree: &'a BTree,
     /// Range implied by this arm's disjunct.
     pub range: KeyRange,
-    /// Estimated entries (from the initial estimation pass).
+    /// Entries in the range (from the initial estimation pass).
     pub estimate: f64,
 }
 
@@ -77,11 +77,11 @@ impl<'a> UnionScan<'a> {
     /// degrading.
     pub fn run(&mut self, tracer: &Tracer) -> Result<UnionOutcome, StorageError> {
         let tscan_cost = Tscan::full_cost(self.table);
-        // Upfront screen: the union is at least as big as its biggest arm
-        // and we will pay every arm's scan; if even the optimistic total
-        // (sum of estimates, all distinct) prices out, go sequential now.
+        // The union holds at most the sum of its arms (all distinct), and
+        // every arm will be scanned: if even that total prices out, go
+        // sequential now.
         let estimate_sum: f64 = self.arms.iter().map(|a| a.estimate).sum();
-        let projected = crate::jscan::Jscan::fetch_cost(self.table, estimate_sum);
+        let projected = Jscan::fetch_cost(self.table, estimate_sum);
         if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
             tracer.emit_with(|| TraceEvent::Note {
                 message: format!(
@@ -91,44 +91,17 @@ impl<'a> UnionScan<'a> {
             return Ok(UnionOutcome::UseTscan);
         }
 
+        // Arm order changes no row: the RIDs are sorted and deduplicated
+        // at the end.
         let mut rids: Vec<Rid> = Vec::new();
-        // Scan arms in ascending-estimate order (cheap uncertainty first).
-        let mut order: Vec<usize> = (0..self.arms.len()).collect();
-        order.sort_by(|&x, &y| self.arms[x].estimate.total_cmp(&self.arms[y].estimate));
-        for idx in order {
-            let arm = &self.arms[idx];
+        for arm in &self.arms {
+            let before = rids.len();
             let mut scan = arm.tree.range_scan(arm.range.clone(), &self.cost);
-            let mut collected = 0usize;
             while let Some(rid) = scan.next_rid(arm.tree, &self.cost)? {
                 rids.push(rid);
-                collected += 1;
-                // Refresh the projection as evidence accumulates: what we
-                // hold plus the remaining arms' estimates.
-                if collected.is_multiple_of(256) {
-                    let remaining: f64 = self
-                        .arms
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != idx)
-                        .map(|(_, a)| a.estimate)
-                        .sum();
-                    let projected = crate::jscan::Jscan::fetch_cost(
-                        self.table,
-                        rids.len() as f64 + remaining,
-                    );
-                    if self.rules.judge(Some(projected), 0.0, tscan_cost).is_some() {
-                        tracer.emit_with(|| TraceEvent::Note {
-                            message: format!(
-                                "union grew past the competition threshold after {} RIDs: Tscan",
-                                rids.len()
-                            ),
-                        });
-                        return Ok(UnionOutcome::UseTscan);
-                    }
-                }
             }
             tracer.emit_with(|| TraceEvent::Note {
-                message: format!("arm {} delivered {collected} RIDs", arm.tree.name()),
+                message: format!("arm {} delivered {} RIDs", arm.tree.name(), rids.len() - before),
             });
         }
         let before = rids.len();
@@ -150,6 +123,11 @@ mod tests {
     };
 
     fn setup(n: i64, ma: i64, mb: i64) -> (HeapTable, BTree, BTree) {
+        setup_with(n, |i| (i % ma, i % mb))
+    }
+
+    /// A table of `n` rows `(a, b) = row(i)`, with an index on each column.
+    fn setup_with(n: i64, row: impl Fn(i64) -> (i64, i64)) -> (HeapTable, BTree, BTree) {
         let pool = shared_pool(100_000, shared_meter(CostConfig::default()));
         let schema = Schema::new(vec![
             Column::new("a", ValueType::Int),
@@ -159,11 +137,12 @@ mod tests {
         let mut ia = BTree::new("idx_a", FileId(1), pool.clone(), vec![0], 32);
         let mut ib = BTree::new("idx_b", FileId(2), pool, vec![1], 32);
         for i in 0..n {
+            let (a, b) = row(i);
             let rid = table
-                .insert(Record::new(vec![Value::Int(i % ma), Value::Int(i % mb)]))
+                .insert(Record::new(vec![Value::Int(a), Value::Int(b)]))
                 .unwrap();
-            ia.insert(vec![Value::Int(i % ma)], rid);
-            ib.insert(vec![Value::Int(i % mb)], rid);
+            ia.insert(vec![Value::Int(a)], rid);
+            ib.insert(vec![Value::Int(b)], rid);
         }
         (table, ia, ib)
     }
@@ -229,6 +208,26 @@ mod tests {
             table.pool().cost().clone(),
         );
         assert!(matches!(u.run(&Tracer::disabled()).unwrap(), UnionOutcome::UseTscan));
+    }
+
+    /// The screen's sum of exact arm counts bounds the union from above,
+    /// so a union it admits is scanned to its RIDs: nothing sends it to
+    /// Tscan once its arms are paid for.
+    #[test]
+    fn screened_union_ends_in_its_rids() {
+        let row = |i: i64| (i * 7919 % 1000, i * 104_729 % 1000);
+        let (table, ia, ib) = setup_with(20_000, row);
+        // a <= 6 holds 140 rows and b <= 90 holds 1 820: the sum, 1 960,
+        // passes the screen.
+        let arms = vec![arm(&ia, KeyRange::at_most(6)), arm(&ib, KeyRange::at_most(90))];
+        assert_eq!(arms.iter().map(|a| a.estimate).sum::<f64>(), 1960.0);
+        let cost = table.pool().cost().clone();
+        let mut u = UnionScan::new(&table, arms, KillRules::default(), cost);
+        let expected = (0..20_000).map(row).filter(|&(a, b)| a <= 6 || b <= 90).count();
+        match u.run(&Tracer::disabled()).unwrap() {
+            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), expected),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

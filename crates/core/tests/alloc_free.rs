@@ -390,8 +390,8 @@ fn untraced_jscan_decisions_do_not_allocate() {
 
     // IDX_A completes a 15-RID inline list; IDX_B keeps none of its 15
     // entries and completes empty: end of data. The 8 allocations open the
-    // two scans and install IDX_A's filter; no key is copied, and no
-    // shadow copy of a list grows while simultaneous scanning is off.
+    // two scans and install IDX_A's filter; no key is copied, and no kept
+    // RID is copied outside its list.
     let (run, last, outcome) = jscan_allocations(&table, complete(), KillRules::default());
     assert!(matches!(outcome, JscanOutcome::Empty), "{outcome:?}");
     assert_eq!((run, last), (8, 0), "(whole run, step completing IDX_B)");

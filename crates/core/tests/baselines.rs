@@ -8,7 +8,7 @@ use rdb_btree::{BTree, KeyRange};
 use rdb_core::baseline::{estimate_all, PredShape, StaticIndexInfo};
 use rdb_core::{
     DynamicOptimizer, IndexChoice, OptimizeGoal, RecordPred, RetrievalRequest, StaticJscan,
-    StaticJscanConfig, StaticOptimizer, StaticPlan,
+    StaticOptimizer, StaticPlan,
 };
 use rdb_storage::{
     shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, SharedCost,
@@ -59,6 +59,7 @@ fn age_request<'a>(f: &'a Fixture, a1: i64) -> RetrievalRequest<'a> {
         table: &f.table,
         cost: f.table.pool().cost().clone(),
         indexes: vec![IndexChoice::fetch_needed(&f.idx_age, KeyRange::at_least(a1))],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -164,6 +165,7 @@ fn static_jscan_cannot_abandon_misestimated_scans() {
             IndexChoice::fetch_needed(&ib, KeyRange::eq(1)),
             IndexChoice::fetch_needed(&ia, KeyRange::eq(1)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -173,7 +175,7 @@ fn static_jscan_cannot_abandon_misestimated_scans() {
     // Static multi-index plan: both indexes below 25% threshold → both
     // scanned fully (idx_a's 4000-entry scan is never abandoned).
     table.pool().clear();
-    let static_jscan = StaticJscan::new(StaticJscanConfig::default());
+    let static_jscan = StaticJscan;
     let est = estimate_all(&request);
     let stat = static_jscan.run(&request, &est).unwrap();
 

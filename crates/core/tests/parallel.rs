@@ -86,6 +86,7 @@ fn fast_first_request(f: &Fixture, va: i64, vb: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(vb)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::FastFirst,
         order_required: false,
@@ -105,6 +106,7 @@ fn sorted_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()).with_order(),
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: true,
@@ -122,6 +124,7 @@ fn index_only_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)).with_self_sufficient(key_pred),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: false,

@@ -92,6 +92,7 @@ proptest! {
                 IndexChoice::fetch_needed(&w.idx_a, closed_range(a_lo, a_hi)),
                 IndexChoice::fetch_needed(&w.idx_b, closed_range(b_lo, b_hi)),
             ],
+            arms: Vec::new(),
             residual,
             goal: if fast_first { OptimizeGoal::FastFirst } else { OptimizeGoal::TotalTime },
             order_required: false,
@@ -136,6 +137,7 @@ proptest! {
         let make_request = |lim: Option<usize>| RetrievalRequest {
             table: &w.table,
             indexes: vec![IndexChoice::fetch_needed(&w.idx_a, KeyRange::eq(a_eq))],
+            arms: Vec::new(),
             residual: residual.clone(),
             goal: OptimizeGoal::FastFirst,
             order_required: false,
@@ -177,6 +179,7 @@ proptest! {
                 IndexChoice::fetch_needed(&w.idx_a, KeyRange::eq(a_eq)),
                 IndexChoice::fetch_needed(&w.idx_b, KeyRange::eq(b_eq)),
             ],
+            arms: Vec::new(),
             residual,
             goal: if fast_first { OptimizeGoal::FastFirst } else { OptimizeGoal::TotalTime },
             order_required: false,

@@ -93,6 +93,7 @@ fn fast_first_request(f: &Fixture, va: i64, vb: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(vb)),
         ],
+        arms: Vec::new(),
         residual: f.residual_ab(va, vb),
         goal: OptimizeGoal::FastFirst,
         order_required: false,
@@ -111,6 +112,7 @@ fn sorted_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()).with_order(),
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: true,
@@ -129,6 +131,7 @@ fn index_only_request(f: &Fixture, va: i64) -> RetrievalRequest<'_> {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(va)).with_self_sufficient(key_pred),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()),
         ],
+        arms: Vec::new(),
         residual: Arc::new(move |r: &Record| r[0] == Value::Int(va)),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -146,6 +149,7 @@ fn limit_satisfied_by_fast_first_foreground() {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(1)),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::all()),
         ],
+        arms: Vec::new(),
         residual: Arc::new(|r: &Record| r[0] == Value::Int(1)),
         goal: OptimizeGoal::FastFirst,
         limit: Some(5),
@@ -203,6 +207,7 @@ fn background_only_matches_truth() {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(7)),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(7)),
         ],
+        arms: Vec::new(),
         residual: f.residual_ab(7, 7),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -272,6 +277,7 @@ fn sorted_tactic_delivers_in_order_and_matches_truth() {
             IndexChoice::fetch_needed(&f.idx_c, KeyRange::all()).with_order(),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(5)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::FastFirst,
         order_required: true,
@@ -325,6 +331,7 @@ fn sorted_tactic_filter_saves_fetches() {
             table: &f.table,
             cost: f.table.pool().cost().clone(),
             indexes,
+            arms: Vec::new(),
             residual: residual.clone(),
             goal: OptimizeGoal::FastFirst,
             order_required: true,
@@ -374,6 +381,7 @@ fn fast_first_observer_sees_first_row_early() {
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(7)),
             IndexChoice::fetch_needed(&f.idx_b, KeyRange::eq(7)),
         ],
+        arms: Vec::new(),
         residual: residual.clone(),
         goal,
         order_required: false,
@@ -424,6 +432,7 @@ fn sorted_tactic_correct_with_bitmap_filter() {
             IndexChoice::fetch_needed(&f.idx_c, KeyRange::all()).with_order(),
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::eq(3)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::FastFirst,
         order_required: true,
@@ -463,6 +472,7 @@ fn empty_range_ends_instantly() {
         table: &f.table,
         cost: f.table.pool().cost().clone(),
         indexes: vec![IndexChoice::fetch_needed(&f.idx_c, KeyRange::closed(90_000, 99_000))],
+        arms: Vec::new(),
         residual: Arc::new(|_: &Record| false),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -494,6 +504,7 @@ fn tiny_range_shortcut_fetches_directly() {
             IndexChoice::fetch_needed(&f.idx_c, KeyRange::closed(100, 102)),
             IndexChoice::fetch_needed(&f.idx_a, KeyRange::closed(0, 9)),
         ],
+        arms: Vec::new(),
         residual,
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -535,6 +546,7 @@ fn unselective_index_degrades_to_tscan_not_catastrophe() {
         table: &f.table,
         cost: f.table.pool().cost().clone(),
         indexes: vec![IndexChoice::fetch_needed(&f.idx_a, KeyRange::closed(0, 9))],
+        arms: Vec::new(),
         residual: Arc::new(|r: &Record| r[2].as_i64().unwrap() % 2 == 0),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -563,6 +575,7 @@ fn dynamic_choice_tracks_host_variable() {
         table: &f.table,
         cost: f.table.pool().cost().clone(),
         indexes: vec![IndexChoice::fetch_needed(&f.idx_c, KeyRange::at_least(0))],
+        arms: Vec::new(),
         residual: Arc::new(|_: &Record| true),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -575,6 +588,7 @@ fn dynamic_choice_tracks_host_variable() {
         table: &f.table,
         cost: f.table.pool().cost().clone(),
         indexes: vec![IndexChoice::fetch_needed(&f.idx_c, KeyRange::at_least(4997))],
+        arms: Vec::new(),
         residual: Arc::new(|r: &Record| r[2].as_i64().unwrap() >= 4997),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -603,6 +617,7 @@ fn sscan_static_when_single_self_sufficient_index() {
             IndexChoice::fetch_needed(&f.idx_c, KeyRange::at_least(500))
                 .with_self_sufficient(key_pred),
         ],
+        arms: Vec::new(),
         residual: Arc::new(|r: &Record| r[2].as_i64().unwrap() >= 500),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -770,6 +785,7 @@ fn straddling_point_lookup_keeps_its_index() {
             table: &table,
             cost: cost.clone(),
             indexes: vec![IndexChoice::fetch_needed(&idx, range)],
+            arms: Vec::new(),
             residual: Arc::new(move |r: &Record| r[0] == Value::Int(city)),
             goal: OptimizeGoal::TotalTime,
             order_required: false,

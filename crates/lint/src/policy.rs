@@ -152,8 +152,9 @@ impl Policy {
                 (
                     "crates/core/src/jscan.rs".into(),
                     "step".into(),
-                    "Jscan absorbs storage faults as StorageFault discards \
-                     (PR-2 contract); its quantum cannot fail"
+                    "Jscan absorbs an index's storage fault, reporting a \
+                     FaultAbsorbed trace event and dropping the scan; its \
+                     quantum cannot fail"
                         .into(),
                 ),
                 (

@@ -680,6 +680,50 @@ fn sessions_meter_queries_independently() {
     );
 }
 
+/// An OR statement runs through the one optimizer entry point, so it is
+/// charged like any other statement: to the session's own meter, never to
+/// the database's default one, and its metrics read the session's pool
+/// work.
+#[test]
+fn a_sessions_or_query_charges_its_own_meter() {
+    let db = db_with_families(2000);
+    let session = db.session();
+    let db_before = db.cost().total();
+    let sql = "select * from FAMILIES where AGE = 1 or SIZE = 2";
+    let r = session.query(sql, &no_params()).unwrap();
+    assert!(r.cost > 0.0);
+    assert_eq!(r.cost, session.cost().total(), "the union charges its session");
+    assert_eq!(db.cost().total(), db_before, "not the database's meter");
+    assert!(r.metrics.pool_hits + r.metrics.pool_misses > 0, "{:?}", r.metrics);
+    assert_eq!(r.strategy, "UnionScan");
+    // ID has no index, so this OR runs the conjunctive machinery: a Tscan
+    // that must see the same rows.
+    let tscan = db.query(&format!("{sql} or ID = -1"), &no_params()).unwrap();
+    assert_eq!(tscan.strategy, "TscanOnly");
+    assert_eq!(r.rows.len(), tscan.rows.len());
+}
+
+/// Concurrent sessions' OR statements each land on their own meter: a
+/// result's cost is exactly its session's meter delta, whatever the other
+/// sessions charge meanwhile.
+#[test]
+fn concurrent_or_queries_charge_their_own_sessions() {
+    let db = db_with_families(2000);
+    let db_before = db.cost().total();
+    std::thread::scope(|scope| {
+        for age in 0..8 {
+            let session = db.session();
+            scope.spawn(move || {
+                let sql = format!("select ID from FAMILIES where AGE = {age} or SIZE = 2");
+                let r = session.query(&sql, &no_params()).unwrap();
+                assert!(r.cost > 0.0);
+                assert_eq!(r.cost, session.cost().total(), "{sql}");
+            });
+        }
+    });
+    assert_eq!(db.cost().total(), db_before, "no session charges the database's meter");
+}
+
 #[test]
 fn concurrent_sessions_agree_with_sequential_results() {
     let db = db_with_families(2000);

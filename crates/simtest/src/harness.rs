@@ -5,18 +5,18 @@
 
 use std::cell::Cell;
 
-use rdb_core::baseline::{estimate_all, PredShape, StaticIndexInfo, StaticJscan, StaticJscanConfig, StaticOptimizer};
+use rdb_core::baseline::{estimate_all, PredShape, StaticIndexInfo, StaticJscan, StaticOptimizer};
 use rdb_core::request::{Delivery, DeliveryObserver, OptimizeGoal, RetrievalResult};
 use rdb_core::tscan::StrategyStep;
 use rdb_core::{
-    DiscardReason, DynamicOptimizer, Fscan, Jscan, JscanConfig, JscanIndex, JscanOutcome,
+    DynamicOptimizer, Fscan, Jscan, JscanConfig, JscanIndex, JscanOutcome,
     KillRules, Sscan, TraceBuffer, TraceEvent, Tracer, Tscan,
 };
 use rdb_storage::{FaultPolicy, StorageError, Value};
 
 use crate::failure::SimFailure;
 use crate::oracle;
-use crate::scenario::{Query, Scenario};
+use crate::scenario::{OrQuery, Query, Scenario};
 
 /// Harness knobs. Everything has a sane default; the CLI overrides them.
 #[derive(Debug, Clone)]
@@ -74,6 +74,24 @@ pub struct SeedReport {
     /// (single winner naming the executed strategy, phase costs tiling the
     /// total, switch targets resolving to real stages).
     pub trace_checks: u64,
+    /// The OR round's tally, counted apart from the fields above.
+    pub or_round: OrReport,
+}
+
+/// What one seed's OR round did: two-arm OR requests run through the
+/// optimizer's union scan, clean and under random faults.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct OrReport {
+    /// OR queries executed.
+    pub queries: usize,
+    /// Oracle comparisons performed (clean + faulted + re-runs).
+    pub checks: u64,
+    /// Runs executed with a fault policy armed.
+    pub fault_runs: u64,
+    /// Faulted runs that surfaced a clean `InjectedFault` error.
+    pub fault_errors: u64,
+    /// Faulted runs that completed with an exact result.
+    pub fault_ok: u64,
 }
 
 /// Runs the full campaign for one seed. `Err` carries the check family
@@ -98,7 +116,75 @@ pub fn run_seed(seed: u64, cfg: &SimConfig) -> Result<SeedReport, SimFailure> {
         }
         index_death(&scenario, query, &mut report).map_err(|e| e.ctx(ctx("index-death")))?;
     }
+    for (qi, query) in scenario.or_queries.iter().enumerate() {
+        or_round(&scenario, query, qi, cfg, &mut report.or_round)
+            .map_err(|e| e.ctx(format!("seed {seed} OR query {qi} [{}]", query.describe())))?;
+    }
     Ok(report)
+}
+
+/// The OR round for one query: the optimizer must run the union scan (or
+/// end at once when both arms are empty) and deliver exactly the oracle's
+/// rows — in RID order, without duplicates, cut at the limit — clean and
+/// under each random fault rate, where an `Err` must be the injected
+/// fault and a clean re-run must still be exact.
+fn or_round(
+    scenario: &Scenario,
+    query: &OrQuery,
+    qi: usize,
+    cfg: &SimConfig,
+    report: &mut OrReport,
+) -> Result<(), SimFailure> {
+    let expected = oracle::expected_or_rids(scenario, query);
+    let request = scenario.or_request(query);
+    let check = |result: &RetrievalResult, what: &str| {
+        if !matches!(result.strategy, "UnionScan" | "EndOfData") {
+            return Err(SimFailure::execution(format!(
+                "{what}: an OR request ran {:?}, not the union scan",
+                result.strategy
+            )));
+        }
+        oracle::check_limited(scenario, &expected, &result.deliveries, query.limit, None, what)?;
+        oracle::check_rid_order(&result.deliveries, what)
+    };
+    let clean = |what: &str| {
+        scenario.cold();
+        let result = DynamicOptimizer::default()
+            .run(&request)
+            .map_err(|e| SimFailure::execution(format!("{what}: union run died: {e}")))?;
+        check(&result, what)
+    };
+    report.queries += 1;
+    clean("union")?;
+    report.checks += 1;
+    for &rate in &cfg.fault_rates {
+        let fault_seed = scenario.seed.wrapping_mul(0x4F52).wrapping_add(qi as u64);
+        let fault_seed = fault_seed ^ rate.to_bits();
+        arm(scenario, FaultPolicy::random(fault_seed, rate));
+        scenario.cold();
+        let outcome = DynamicOptimizer::default().run(&request);
+        disarm(scenario);
+        report.fault_runs += 1;
+        match outcome {
+            Ok(result) => {
+                check(&result, "faulted-union").map_err(|e| {
+                    e.ctx(format!("fault rate {rate}: Ok run returned damaged rows"))
+                })?;
+                report.fault_ok += 1;
+                report.checks += 1;
+            }
+            Err(StorageError::InjectedFault { .. }) => report.fault_errors += 1,
+            Err(e) => {
+                return Err(SimFailure::fault_contract(format!(
+                    "fault rate {rate}: union surfaced a non-injected error: {e}"
+                )))
+            }
+        }
+        clean("post-fault-union")
+            .map_err(|e| e.ctx(format!("fault rate {rate}: state damaged by faulted union")))?;
+        report.checks += 1;
+    }
+    Ok(())
 }
 
 /// Collects a strategy's full (unlimited) delivery stream, plus its cost.
@@ -324,7 +410,7 @@ fn clean_differential(
 
     scenario.cold();
     let est = estimate_all(&request);
-    let result = StaticJscan::new(StaticJscanConfig::default())
+    let result = StaticJscan
         .run(&request, &est)
         .map_err(|e| SimFailure::execution(format!("static Jscan died: {e}")))?;
     check_result(scenario, query, &expected, &result, "static-jscan")?;
@@ -543,16 +629,9 @@ fn run_watching_faults(
     let result =
         DynamicOptimizer::default().run_traced(request, None, &Tracer::new(buffer.clone()))?;
     let events = buffer.take();
-    let absorbed = events.iter().any(|e| {
-        matches!(
-            e,
-            TraceEvent::FaultAbsorbed { .. }
-                | TraceEvent::IndexDiscarded {
-                    reason: DiscardReason::StorageFault,
-                    ..
-                }
-        )
-    });
+    let absorbed = events
+        .iter()
+        .any(|e| matches!(e, TraceEvent::FaultAbsorbed { .. }));
     let concluded = events.iter().any(|e| match e {
         // A background that gave up says so before its foreground goes on.
         TraceEvent::Switch { from, reason, .. } => {

@@ -21,7 +21,9 @@
 //!   ([`rdb_storage::FaultPolicy`]) — verifying that every run either
 //!   fails cleanly with [`rdb_storage::StorageError::InjectedFault`] or
 //!   returns *exactly* the right rows, and that a dead index mid-Jscan
-//!   degrades gracefully instead of corrupting the result.
+//!   degrades gracefully instead of corrupting the result. A round of
+//!   two-arm OR requests runs the optimizer's union scan the same way,
+//!   clean and under faults.
 //!
 //! * [`join`] grows seeded *two-table* worlds (PK/FK-correlated, skewed,
 //!   disjoint, and NULL-heavy key distributions), runs every generated
@@ -60,6 +62,6 @@ pub use durable::{
     durable_mutation_check, run_durable_seed, DurableOp, DurableReport, DurableScenario,
 };
 pub use failure::{FailureKind, SimFailure};
-pub use harness::{mutation_check, run_seed, SeedReport, SimConfig};
+pub use harness::{mutation_check, run_seed, OrReport, SeedReport, SimConfig};
 pub use join::{join_mutation_check, run_join_seed, JoinQuery, JoinReport, JoinScenario, KeyMode};
-pub use scenario::{Conjunct, Query, Scenario};
+pub use scenario::{Conjunct, OrQuery, Query, Scenario};

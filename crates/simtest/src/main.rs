@@ -15,7 +15,8 @@ use std::process::ExitCode;
 
 use rdb_simtest::{
     concurrency_check, durable_mutation_check, join_mutation_check, mutation_check,
-    run_durable_seed, run_join_seed, run_seed, DurableReport, JoinReport, SeedReport, SimConfig,
+    run_durable_seed, run_join_seed, run_seed, DurableReport, JoinReport, OrReport, SeedReport,
+    SimConfig,
 };
 
 struct Args {
@@ -169,6 +170,7 @@ fn main() -> ExitCode {
     };
 
     let mut total = SeedReport::default();
+    let mut or_total = OrReport::default();
     let mut threaded_queries = 0u64;
     let mut threaded_checks = 0u64;
     let mut threaded_fault_runs = 0u64;
@@ -188,6 +190,12 @@ fn main() -> ExitCode {
                 total.fault_ok += report.fault_ok;
                 total.degraded_ok += report.degraded_ok;
                 total.trace_checks += report.trace_checks;
+                let or = &report.or_round;
+                or_total.queries += or.queries;
+                or_total.checks += or.checks;
+                or_total.fault_runs += or.fault_runs;
+                or_total.fault_errors += or.fault_errors;
+                or_total.fault_ok += or.fault_ok;
             }
             Ok(Err(e)) => {
                 failures.push((seed, format!("[{:?}] {e}", e.kind)));
@@ -243,6 +251,15 @@ fn main() -> ExitCode {
         total.fault_errors,
         total.fault_ok,
         total.degraded_ok,
+    );
+    println!(
+        "simtest: OR round — {} union queries, {} oracle checks, {} faulted runs \
+         ({} clean errors, {} exact results)",
+        or_total.queries,
+        or_total.checks,
+        or_total.fault_runs,
+        or_total.fault_errors,
+        or_total.fault_ok,
     );
     if args.threads >= 2 {
         println!(

@@ -13,10 +13,20 @@ use rdb_core::request::Delivery;
 use rdb_storage::{Rid, Value};
 
 use crate::failure::SimFailure;
-use crate::scenario::{Conjunct, Query, Scenario, NUM_COLS};
+use crate::scenario::{Conjunct, OrQuery, Query, Scenario, NUM_COLS};
 
 /// RIDs of the rows matching the full predicate, in physical (RID) order.
 pub fn expected_rids(scenario: &Scenario, query: &Query) -> Vec<Rid> {
+    scenario
+        .shadow
+        .iter()
+        .filter(|(_, row)| query.matches_row(row))
+        .map(|(rid, _)| *rid)
+        .collect()
+}
+
+/// RIDs of the rows matching an OR query's disjunction, in physical order.
+pub fn expected_or_rids(scenario: &Scenario, query: &OrQuery) -> Vec<Rid> {
     scenario
         .shadow
         .iter()

@@ -96,6 +96,34 @@ impl Query {
     }
 }
 
+/// One generated OR-connected retrieval: two range arms, each on an
+/// indexed column, so the optimizer runs the union scan.
+#[derive(Debug, Clone)]
+pub struct OrQuery {
+    /// The two disjuncts (ORed).
+    pub arms: [Conjunct; 2],
+    /// Optimization goal.
+    pub goal: OptimizeGoal,
+    /// Row limit (models `LIMIT` / `EXISTS`).
+    pub limit: Option<usize>,
+}
+
+impl OrQuery {
+    /// Straight-line evaluation of the disjunction on one row.
+    pub fn matches_row(&self, row: &[Value]) -> bool {
+        self.arms.iter().any(|c| c.matches(&row[c.col]))
+    }
+
+    /// Short human description for failure messages.
+    pub fn describe(&self) -> String {
+        let [a, b] = self.arms;
+        format!(
+            "c{} in [{:?}, {:?}] OR c{} in [{:?}, {:?}] goal={:?} limit={:?}",
+            a.col, a.lo, a.hi, b.col, b.lo, b.hi, self.goal, self.limit
+        )
+    }
+}
+
 /// A fully materialized simulation world: table, indexes, shadow rows,
 /// and the query batch — all derived from `seed`.
 pub struct Scenario {
@@ -114,6 +142,9 @@ pub struct Scenario {
     pub shadow: Vec<(Rid, Vec<Value>)>,
     /// The generated retrievals.
     pub queries: Vec<Query>,
+    /// The generated OR-connected retrievals, drawn from a generator of
+    /// their own so that adding them moved nothing else.
+    pub or_queries: Vec<OrQuery>,
 }
 
 impl Scenario {
@@ -216,6 +247,8 @@ impl Scenario {
         }
 
         let queries = gen_queries(&mut rng, &index_cols, &domains);
+        let mut or_rng = StdRng::seed_from_u64(seed ^ 0x4F52_5F41_524D_5331);
+        let or_queries = gen_or_queries(&mut or_rng, &index_cols, &domains);
         Scenario {
             seed,
             pool,
@@ -224,6 +257,7 @@ impl Scenario {
             index_cols,
             shadow,
             queries,
+            or_queries,
         }
     }
 
@@ -264,7 +298,30 @@ impl Scenario {
         RetrievalRequest {
             table: &self.table,
             indexes: choices,
+            arms: Vec::new(),
             residual: query.record_pred(),
+            goal: query.goal,
+            order_required: false,
+            limit: query.limit,
+            cost: self.pool.cost().clone(),
+        }
+    }
+
+    /// Builds the optimizer-facing request for an OR query: each arm is
+    /// the index on its column with the arm's key range, and no index is
+    /// offered — what the SQL layer builds for an OR whose every disjunct
+    /// binds to an index.
+    pub fn or_request(&self, query: &OrQuery) -> RetrievalRequest<'_> {
+        let arms = query.arms.map(|c| {
+            let pos = self.index_on(c.col).expect("OR arms restrict indexed columns");
+            (&self.indexes[pos], c.key_range())
+        });
+        let disjuncts = query.arms;
+        RetrievalRequest {
+            table: &self.table,
+            indexes: Vec::new(),
+            arms: arms.to_vec(),
+            residual: Arc::new(move |r: &Record| disjuncts.iter().any(|c| c.matches(&r[c.col]))),
             goal: query.goal,
             order_required: false,
             limit: query.limit,
@@ -308,6 +365,33 @@ fn gen_queries(rng: &mut StdRng, index_cols: &[usize], domains: &[i64; NUM_COLS]
         });
     }
     queries
+}
+
+fn gen_or_queries(
+    rng: &mut StdRng,
+    index_cols: &[usize],
+    domains: &[i64; NUM_COLS],
+) -> Vec<OrQuery> {
+    (0..4)
+        .map(|_| {
+            let mut arm = || {
+                let col = index_cols[rng.gen_range(0..index_cols.len())];
+                gen_conjunct(rng, col, domains[col])
+            };
+            let arms = [arm(), arm()];
+            let goal = if rng.gen_bool(0.35) {
+                OptimizeGoal::FastFirst
+            } else {
+                OptimizeGoal::TotalTime
+            };
+            let limit = match rng.gen_range(0u32..10) {
+                0..=6 => None,
+                7..=8 => Some(1),
+                _ => Some(5),
+            };
+            OrQuery { arms, goal, limit }
+        })
+        .collect()
 }
 
 fn gen_conjunct(rng: &mut StdRng, col: usize, dom: i64) -> Conjunct {

@@ -13,7 +13,7 @@ use rdb_competition::{direct_competition_cost, two_stage_cost, CostDist, TwoStag
 use rdb_core::baseline::{estimate_all, PredShape, StaticIndexInfo};
 use rdb_core::{
     DynamicOptimizer, IndexChoice, OptimizeGoal, RecordPred, RetrievalRequest, StaticJscan,
-    StaticJscanConfig, StaticOptimizer, StaticPlan,
+    StaticOptimizer, StaticPlan,
 };
 use rdb_core::join::estimate::result_cardinality;
 use rdb_core::join::JoinOp;
@@ -195,6 +195,7 @@ fn claim_host_variable_problem_solved() {
             table,
             cost: table.pool().cost().clone(),
             indexes: vec![IndexChoice::fetch_needed(idx, KeyRange::at_least(a1))],
+            arms: Vec::new(),
             residual,
             goal: OptimizeGoal::TotalTime,
             order_required: false,
@@ -243,6 +244,7 @@ fn claim_dynamic_jscan_beats_static_thresholds() {
             IndexChoice::fetch_needed(&f.indexes[0], KeyRange::eq(1)),
             IndexChoice::fetch_needed(&f.indexes[1], KeyRange::at_most(2)),
         ],
+        arms: Vec::new(),
         residual: residual.clone(),
         goal: OptimizeGoal::TotalTime,
         order_required: false,
@@ -258,7 +260,7 @@ fn claim_dynamic_jscan_beats_static_thresholds() {
     for e in &mut est {
         e.2 = e.2.min(1000.0);
     }
-    let stat = StaticJscan::new(StaticJscanConfig::default()).run(&req, &est).unwrap();
+    let stat = StaticJscan.run(&req, &est).unwrap();
     assert_eq!(dynamic.deliveries.len(), stat.deliveries.len());
     assert!(
         dynamic.cost < 0.7 * stat.cost,
